@@ -81,10 +81,17 @@ from .evaluation import RankingRow, load_report, next_unit_ranking, report
 __version__ = "0.1.0"
 
 
-def load_trained(path):
-    """Load a model archive and instantiate the matching model class."""
+_MODEL_CLASSES = {cls.kind: cls for cls in (AutoencoderModel, DssmModel, LmModel)}
+
+
+def load_trained(path, kind=None):
+    """Load a model archive and instantiate the matching model class.
+
+    With ``kind`` given, an archive of another kind is rejected. Every
+    unreadable, malformed or mismatched archive raises ArchiveError.
+    """
     archive = load_model(path)
-    cls = {"autoencoder": AutoencoderModel, "dssm": DssmModel, "lstm": LmModel}[
-        archive.kind
-    ]
-    return cls.from_archive(archive)
+    try:
+        return _MODEL_CLASSES[kind or archive.kind].from_archive(archive)
+    except ArchiveError as exc:
+        raise ArchiveError(f"{path}: {exc}") from exc

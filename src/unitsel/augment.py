@@ -23,6 +23,7 @@ from .music import (
     Piece,
     Provenance,
     Unit,
+    _repair_ties,
 )
 
 FULL = "full"
@@ -63,19 +64,13 @@ def _with_tag(prov: Provenance, tag: str) -> Provenance:
     return replace(prov, transform=joined)
 
 
-def transpose(
-    u: Unit, semitones: int, pitch_range: tuple[int, int] = LIBRARY_PITCH_RANGE
-) -> Unit | None:
-    """Shift every non-rest pitch; rhythm, rests and ties are untouched.
-
-    Returns None when any resulting pitch leaves ``pitch_range`` (the
-    transposition is dropped). Transposing by 0 returns the unit itself.
-    """
-    if semitones == 0:
-        return u
+def _shift_measures(
+    measures: tuple[Measure, ...], semitones: int, pitch_range: tuple[int, int]
+) -> tuple[Measure, ...] | None:
+    """Every non-rest pitch moved by ``semitones``; None when one leaves the range."""
     lo, hi = pitch_range
     new_measures = []
-    for m in u.measures:
+    for m in measures:
         notes = []
         for n in m.notes:
             if n.is_rest:
@@ -86,9 +81,24 @@ def transpose(
                 return None
             notes.append(replace(n, pitch=p))
         new_measures.append(Measure(notes=tuple(notes), meter=m.meter))
+    return tuple(new_measures)
+
+
+def transpose(
+    u: Unit, semitones: int, pitch_range: tuple[int, int] = LIBRARY_PITCH_RANGE
+) -> Unit | None:
+    """Shift every non-rest pitch; rhythm, rests and ties are untouched.
+
+    Returns None when any resulting pitch leaves ``pitch_range`` (the
+    transposition is dropped). Transposing by 0 returns the unit itself.
+    """
+    if semitones == 0:
+        return u
+    measures = _shift_measures(u.measures, semitones, pitch_range)
+    if measures is None:
+        return None
     return Unit(
-        measures=tuple(new_measures),
-        provenance=_with_tag(u.provenance, f"t{semitones:+d}"),
+        measures=measures, provenance=_with_tag(u.provenance, f"t{semitones:+d}")
     )
 
 
@@ -96,27 +106,6 @@ def _round_half_away(x: Fraction) -> int:
     if x >= 0:
         return int((2 * x + 1) // 2)
     return -int((2 * (-x) + 1) // 2)
-
-
-def _fix_internal_ties(measures: list[Measure]) -> list[Measure]:
-    """Clear ties between adjacent notes whose pitches no longer match.
-
-    Only interior pairs are touched; the unit's outermost tie flags refer
-    to context beyond the unit and stay as they are.
-    """
-    notes = [n for m in measures for n in m.notes]
-    for k in range(len(notes) - 1):
-        cur, nxt = notes[k], notes[k + 1]
-        if cur.tie_to_next and cur.pitch != nxt.pitch:
-            notes[k] = replace(cur, tie_to_next=False)
-            notes[k + 1] = replace(nxt, tie_from_prev=False)
-    out = []
-    pos = 0
-    for m in measures:
-        count = len(m.notes)
-        out.append(Measure(notes=tuple(notes[pos : pos + count]), meter=m.meter))
-        pos += count
-    return out
 
 
 def interval_transform(
@@ -151,21 +140,15 @@ def interval_transform(
     if any(not lo <= p <= hi for p in new_pitches):
         return None
     it = iter(new_pitches)
-    new_measures = []
-    for m in u.measures:
-        notes = []
-        for n in m.notes:
-            if n.is_rest:
-                notes.append(n)
-            else:
-                notes.append(replace(n, pitch=next(it)))
-        new_measures.append(Measure(notes=tuple(notes), meter=m.meter))
-    new_measures = _fix_internal_ties(new_measures)
+    notes = [n if n.is_rest else replace(n, pitch=next(it)) for n in u.notes]
     if op == "add":
         tag = f"add{int(c):+d}"
     else:
         tag = f"mul{c.numerator}/{c.denominator}" if c.denominator != 1 else f"mul{c.numerator}"
-    return Unit(measures=tuple(new_measures), provenance=_with_tag(u.provenance, tag))
+    return Unit(
+        measures=_repair_ties(u.measures, notes),
+        provenance=_with_tag(u.provenance, tag),
+    )
 
 
 def double_time(m1: Measure, m2: Measure) -> Measure:
@@ -205,20 +188,10 @@ def transpose_piece(
     """Whole-piece transposition; None when any pitch would leave the range."""
     if semitones == 0:
         return p
-    lo, hi = pitch_range
-    new_measures = []
-    for m in p.measures:
-        notes = []
-        for n in m.notes:
-            if n.is_rest:
-                notes.append(n)
-                continue
-            pv = n.pitch + semitones
-            if not lo <= pv <= hi:
-                return None
-            notes.append(replace(n, pitch=pv))
-        new_measures.append(Measure(notes=tuple(notes), meter=m.meter))
-    return Piece(id=f"{p.id}@t{semitones:+d}", measures=tuple(new_measures))
+    measures = _shift_measures(p.measures, semitones, pitch_range)
+    if measures is None:
+        return None
+    return Piece(id=f"{p.id}@t{semitones:+d}", measures=measures)
 
 
 def _coverage_shifts(

@@ -12,32 +12,35 @@ only, no join cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._util import chunked_map
 from .augment import UnitLibrary
-from .corpus import ModelArchive
+from .corpus import ArchivedModel
 from .features import FeatureVocabulary, extract, extract_matrix
 from .music import Piece, Unit, concatenate_units, slice_units
 from .nn import (
     DenseLayer,
     TrainConfig,
     cosine_rows,
-    cosine_softmax_grads,
-    dropout_mask,
-    sgd_step,
+    relevance_batch_loss,
     stream_rng,
+    train_relevance,
 )
 
 EMBED_DIM_DEFAULT = 128
 HIDDEN_DIM_DEFAULT = 512
 
 
-class AutoencoderModel:
+class AutoencoderModel(ArchivedModel):
     """Hourglass dense stack; all layers leaky-rectified."""
 
     kind = "autoencoder"
+    layer_names = ("enc1", "enc2", "dec1", "dec2")
+    hyperparameter_names = ("hidden", "embedding")
+    vocab_class = FeatureVocabulary
 
     def __init__(
         self,
@@ -58,18 +61,6 @@ class AutoencoderModel:
         self.dec2 = DenseLayer(hidden, d, "leaky_relu", rng=rng)
         self.loss_curve: list[float] = []
 
-    @property
-    def vocab_hash(self) -> str:
-        return self.vocab.hash_hex()
-
-    @property
-    def layers(self) -> list[DenseLayer]:
-        return [self.enc1, self.enc2, self.dec1, self.dec2]
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        return [p for layer in self.layers for p in layer.params]
-
     def encode_features(self, x: np.ndarray) -> np.ndarray:
         """Deterministic embedding of feature rows (dropout off)."""
         h, _ = self.enc1.forward(x)
@@ -85,68 +76,10 @@ class AutoencoderModel:
         r, _ = self.dec2.forward(g)
         return r
 
-    def to_archive(self) -> ModelArchive:
-        d = self.vocab.dimension
-        return ModelArchive(
-            kind=self.kind,
-            hyperparameters={"hidden": self.hidden, "embedding": self.embedding},
-            layer_dims=[d, self.hidden, self.embedding, self.hidden, d],
-            weights=[
-                ("enc1.w", self.enc1.w),
-                ("enc1.b", self.enc1.b),
-                ("enc2.w", self.enc2.w),
-                ("enc2.b", self.enc2.b),
-                ("dec1.w", self.dec1.w),
-                ("dec1.b", self.dec1.b),
-                ("dec2.w", self.dec2.w),
-                ("dec2.b", self.dec2.b),
-            ],
-            vocabulary=self.vocab.snapshot(),
-        )
 
-    @classmethod
-    def from_archive(cls, archive: ModelArchive) -> "AutoencoderModel":
-        if archive.kind != "autoencoder":
-            raise ValueError(f"expected an autoencoder archive, got {archive.kind!r}")
-        vocab = FeatureVocabulary.from_snapshot(archive.vocabulary)
-        hp = archive.hyperparameters
-        model = cls(vocab, hidden=int(hp["hidden"]), embedding=int(hp["embedding"]))
-        for layer, name in (
-            (model.enc1, "enc1"),
-            (model.enc2, "enc2"),
-            (model.dec1, "dec1"),
-            (model.dec2, "dec2"),
-        ):
-            w = archive.weight(f"{name}.w")
-            b = archive.weight(f"{name}.b")
-            if w.shape != layer.w.shape or b.shape != layer.b.shape:
-                raise ValueError(f"archive layer {name} has wrong dimensions")
-            layer.w = w
-            layer.b = b
-        return model
-
-
-def _recon_with_dropout(model, x, masks):
-    h1, c1 = model.enc1.forward(x)
-    h1d = h1 * masks[0]
-    e, c2 = model.enc2.forward(h1d)
-    ed = e * masks[1]
-    g1, c3 = model.dec1.forward(ed)
-    g1d = g1 * masks[2]
-    r, c4 = model.dec2.forward(g1d)
-    return r, (c1, c2, c3, c4, masks)
-
-
-def _recon_backward(model, dr, cache):
-    c1, c2, c3, c4, masks = cache
-    dg1d, dw4, db4 = model.dec2.backward(dr, c4)
-    dg1 = dg1d * masks[2]
-    ded, dw3, db3 = model.dec1.backward(dg1, c3)
-    de = ded * masks[1]
-    dh1d, dw2, db2 = model.enc2.backward(de, c2)
-    dh1 = dh1d * masks[0]
-    _, dw1, db1 = model.enc1.backward(dh1, c1)
-    return [dw1, db1, dw2, db2, dw3, db3, dw4, db4]
+def _cases(x: np.ndarray, batch_idx: np.ndarray, negatives: np.ndarray):
+    """Tower inputs (each example, then its negatives) and raw queries."""
+    return x[np.concatenate([batch_idx, negatives.reshape(-1)])], x[batch_idx]
 
 
 def autoencoder_batch_loss(
@@ -162,52 +95,8 @@ def autoencoder_batch_loss(
     are the model's reconstructions of the example itself (truth) and of
     the negative rows. Gradient flows through every reconstruction.
     """
-    b = len(batch_idx)
-    k = negatives.shape[1]
-    rows = np.concatenate([batch_idx, negatives.reshape(-1)])
-    if masks is None:
-        ones = lambda dim: np.ones((len(rows), dim))
-        masks = (ones(model.hidden), ones(model.embedding), ones(model.hidden))
-    recon, cache = _recon_with_dropout(model, x[rows], masks)
-    cands = np.concatenate(
-        [recon[:b][:, None, :], recon[b:].reshape(b, k, -1)], axis=1
-    )
-    truth = np.zeros(b, dtype=int)
-    losses, _, _, dcands = cosine_softmax_grads(
-        x[batch_idx], cands, truth, grad_query=False
-    )
-    dr = np.concatenate(
-        [dcands[:, 0, :], dcands[:, 1:, :].reshape(b * k, -1)], axis=0
-    ) / b
-    grads = _recon_backward(model, dr, cache)
-    return float(losses.mean()), grads
-
-
-def _sample_negatives(
-    rng: np.random.Generator, idx: np.ndarray, n_total: int, k: int
-) -> np.ndarray:
-    """k uniform draws per row from [0, n_total) excluding the row itself."""
-    negs = rng.integers(0, n_total - 1, size=(len(idx), k))
-    negs[negs >= idx[:, None]] += 1
-    return negs
-
-
-def _eval_loss(model: AutoencoderModel, x: np.ndarray, eval_negs: np.ndarray) -> float:
-    n, k = eval_negs.shape
-    total = 0.0
-    for start in range(0, n, 512):
-        idx = np.arange(start, min(start + 512, n))
-        rows = np.concatenate([idx, eval_negs[idx].reshape(-1)])
-        recon = model.reconstruct_features(x[rows])
-        b = len(idx)
-        cands = np.concatenate(
-            [recon[:b][:, None, :], recon[b:].reshape(b, k, -1)], axis=1
-        )
-        losses, _, _, _ = cosine_softmax_grads(
-            x[idx], cands, np.zeros(b, dtype=int), grad_query=False
-        )
-        total += float(losses.sum())
-    return total / n
+    stack, query = _cases(x, batch_idx, negatives)
+    return relevance_batch_loss(model.layers, stack, len(batch_idx), query, masks)
 
 
 def train_autoencoder(
@@ -217,12 +106,8 @@ def train_autoencoder(
     hidden: int = HIDDEN_DIM_DEFAULT,
     embedding: int = EMBED_DIM_DEFAULT,
 ) -> AutoencoderModel:
-    """SGD training of the relevance-reconstruction objective.
-
-    Negatives are re-sampled each epoch; the recorded per-epoch loss comes
-    from an evaluation pass (dropout off, one fixed negative set), so the
-    curve is comparable across epochs.
-    """
+    """SGD training of the relevance-reconstruction objective (see
+    :func:`unitsel.nn.train_relevance` for the epoch loop and loss curve)."""
     n = len(lib.units)
     if n < cfg.negatives + 1:
         raise ValueError(
@@ -232,25 +117,11 @@ def train_autoencoder(
     model = AutoencoderModel(
         vocab, hidden=hidden, embedding=embedding, rng=stream_rng(cfg.seed, "ae-init")
     )
-    eval_negs = _sample_negatives(
-        stream_rng(cfg.seed, "ae-eval-negatives"), np.arange(n), n, cfg.negatives
+    train_relevance(
+        model, n, cfg, "ae", partial(_cases, x),
+        partial(autoencoder_batch_loss, model, x), model.reconstruct_features,
+        query_in_tower=False,
     )
-    for epoch in range(cfg.epochs):
-        order = stream_rng(cfg.seed, "ae-shuffle", epoch).permutation(n)
-        neg_rng = stream_rng(cfg.seed, "ae-negatives", epoch)
-        drop_rng = stream_rng(cfg.seed, "ae-dropout", epoch)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            negs = _sample_negatives(neg_rng, idx, n, cfg.negatives)
-            rows = len(idx) * (1 + cfg.negatives)
-            masks = (
-                dropout_mask(drop_rng, (rows, hidden), cfg.dropout_keep),
-                dropout_mask(drop_rng, (rows, embedding), cfg.dropout_keep),
-                dropout_mask(drop_rng, (rows, hidden), cfg.dropout_keep),
-            )
-            _, grads = autoencoder_batch_loss(model, x, idx, negs, masks)
-            sgd_step(model.params, grads, cfg.learning_rate)
-        model.loss_curve.append(_eval_loss(model, x, eval_negs))
     return model
 
 

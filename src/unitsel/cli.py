@@ -15,11 +15,10 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__
+from . import __version__, load_trained
 from ._util import canonical_json, file_sha256, sha256_hex
 from .augment import FULL, TRANSPOSE_ONLY, AugmentConfig, build_library, transpose_corpus
 from .autoencoder import (
-    AutoencoderModel,
     collision_rate,
     embed_library,
     interpolate,
@@ -33,14 +32,13 @@ from .corpus import (
     CorpusValidationError,
     load_corpus,
     load_library,
-    load_model,
     save_corpus,
     save_library,
     save_model,
     split_corpus,
     Corpus,
 )
-from .dssm import DssmModel, make_training_pairs, train_dssm
+from .dssm import make_training_pairs, train_dssm
 from .engine import (
     DETERMINISTIC,
     SAMPLED,
@@ -50,7 +48,7 @@ from .engine import (
 )
 from .evaluation import REGIME_ORDER, next_unit_ranking, report
 from .features import build_vocab
-from .lm import LmModel, build_note_vocab, tokenize, train_lm
+from .lm import build_note_vocab, tokenize, train_lm
 from .music import Piece, slice_units
 from .nn import TrainConfig, stream_rng
 
@@ -99,15 +97,9 @@ def _load_model_checked(path: str, expected_kind: str):
     if not p.exists():
         raise UserError(f"model file not found: {p}")
     try:
-        archive = load_model(p)
+        return load_trained(p, expected_kind)
     except ArchiveError as exc:
         raise UserError(str(exc)) from exc
-    if archive.kind != expected_kind:
-        raise UserError(f"{p} holds a {archive.kind} model, expected {expected_kind}")
-    cls = {"autoencoder": AutoencoderModel, "dssm": DssmModel, "lstm": LmModel}[
-        expected_kind
-    ]
-    return cls.from_archive(archive)
 
 
 def _out_dir(args) -> Path:

@@ -211,6 +211,70 @@ class ModelArchive:
         raise ArchiveError(f"archive has no weight named {name!r}")
 
 
+class ArchivedModel:
+    """Base of the model classes: named layers and the archive codec.
+
+    A subclass sets ``kind``, the attribute names of its layers in forward
+    order (``layer_names``), the integer constructor arguments recorded as
+    hyperparameters (``hyperparameter_names``) and the class of its
+    ``vocab`` (``vocab_class``). Its constructor takes the vocabulary
+    followed by those hyperparameters as keywords.
+    """
+
+    @property
+    def vocab_hash(self) -> str:
+        return self.vocab.hash_hex()
+
+    @property
+    def layers(self) -> list:
+        return [getattr(self, name) for name in self.layer_names]
+
+    @property
+    def params(self) -> list[np.ndarray]:
+        return [getattr(layer, p) for layer in self.layers for p in layer.param_names]
+
+    def to_archive(self) -> ModelArchive:
+        layers = self.layers
+        return ModelArchive(
+            kind=self.kind,
+            hyperparameters={h: getattr(self, h) for h in self.hyperparameter_names},
+            layer_dims=[layers[0].in_dim] + [layer.out_dim for layer in layers],
+            weights=[
+                (f"{name}.{p}", getattr(layer, p))
+                for name, layer in zip(self.layer_names, layers)
+                for p in layer.param_names
+            ],
+            vocabulary=self.vocab.snapshot(),
+        )
+
+    @classmethod
+    def from_archive(cls, archive: ModelArchive):
+        """Rebuild the model; any mismatch with this class is an ArchiveError."""
+        if archive.kind != cls.kind:
+            raise ArchiveError(
+                f"archive holds a {archive.kind} model, expected {cls.kind}"
+            )
+        try:
+            vocab = cls.vocab_class.from_snapshot(archive.vocabulary)
+            hp = {h: int(archive.hyperparameters[h]) for h in cls.hyperparameter_names}
+            model = cls(vocab, **hp)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ArchiveError(
+                f"{cls.kind} archive has bad vocabulary or hyperparameters ({exc!r})"
+            ) from exc
+        for name, layer in zip(cls.layer_names, model.layers):
+            for p in layer.param_names:
+                arr = archive.weight(f"{name}.{p}")
+                expected = getattr(layer, p).shape
+                if arr.shape != expected:
+                    raise ArchiveError(
+                        f"archive weight {name}.{p} has shape {arr.shape}, "
+                        f"expected {expected}"
+                    )
+                setattr(layer, p, arr)
+        return model
+
+
 def save_model(archive: ModelArchive, path) -> None:
     if archive.kind not in MODEL_KINDS:
         raise ArchiveError(f"unknown model kind {archive.kind!r}")
@@ -235,13 +299,17 @@ def save_model(archive: ModelArchive, path) -> None:
 
 
 def load_model(path) -> ModelArchive:
+    """Read a model archive; every malformed or tampered file is an ArchiveError."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ArchiveError(f"{path}: not a model archive (not UTF-8 text)") from exc
     header, _, body = text.partition("\n")
     parts = header.split()
     if len(parts) != 2 or parts[0] != ARCHIVE_MAGIC:
         raise ArchiveError(f"{path}: not a model archive (bad magic)")
-    if int(parts[1]) != FORMAT_VERSION:
+    if parts[1] != str(FORMAT_VERSION):
         raise ArchiveError(
             f"{path}: unsupported archive version {parts[1]} (expected {FORMAT_VERSION})"
         )
@@ -249,31 +317,37 @@ def load_model(path) -> ModelArchive:
         payload = json.loads(body)
     except json.JSONDecodeError as exc:
         raise ArchiveError(f"{path}: corrupt archive payload ({exc})") from exc
-    if payload.get("format_version") != FORMAT_VERSION:
+    if not isinstance(payload, dict) or payload.get("format_version") != FORMAT_VERSION:
         raise ArchiveError(f"{path}: payload version mismatch")
     kind = payload.get("kind")
     if kind not in MODEL_KINDS:
         raise ArchiveError(f"{path}: unknown model kind {kind!r}")
-    weights: list[tuple[str, np.ndarray]] = []
-    for entry in payload["weights"]:
-        shape = tuple(entry["shape"])
-        raw = bytes.fromhex(entry["data"])
-        expected = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
-        if len(raw) != expected:
-            raise ArchiveError(
-                f"{path}: weight {entry['name']!r} has {len(raw)} bytes, "
-                f"shape {shape} needs {expected}"
-            )
-        arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        weights.append((entry["name"], arr))
-    archive = ModelArchive(
-        kind=kind,
-        hyperparameters=payload["hyperparameters"],
-        layer_dims=list(payload["layer_dims"]),
-        weights=weights,
-        vocabulary=payload["vocabulary"],
-    )
-    if archive.vocab_hash() != payload["vocab_hash"]:
+    try:
+        weights: list[tuple[str, np.ndarray]] = []
+        for entry in payload["weights"]:
+            shape = tuple(int(v) for v in entry["shape"])
+            raw = bytes.fromhex(entry["data"])
+            expected = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
+            if len(raw) != expected:
+                raise ArchiveError(
+                    f"{path}: weight {entry['name']!r} has {len(raw)} bytes, "
+                    f"shape {shape} needs {expected}"
+                )
+            arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            weights.append((str(entry["name"]), arr))
+        archive = ModelArchive(
+            kind=kind,
+            hyperparameters=dict(payload["hyperparameters"]),
+            layer_dims=[int(v) for v in payload["layer_dims"]],
+            weights=weights,
+            vocabulary=dict(payload["vocabulary"]),
+        )
+        vocab_hash = payload["vocab_hash"]
+    except ArchiveError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArchiveError(f"{path}: malformed archive payload ({exc!r})") from exc
+    if archive.vocab_hash() != vocab_hash:
         raise ArchiveError(f"{path}: vocabulary hash mismatch (archive tampered?)")
     return archive
 

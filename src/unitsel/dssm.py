@@ -10,27 +10,31 @@ the query tower and every candidate tower alike.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .corpus import Corpus, ModelArchive
+from .corpus import ArchivedModel, Corpus
 from .features import FeatureVocabulary, extract, extract_matrix
 from .music import Unit, slice_units
 from .nn import (
     DenseLayer,
     TrainConfig,
     cosine_sim,
-    cosine_softmax_grads,
-    dropout_mask,
-    sgd_step,
+    relevance_batch_loss,
     stream_rng,
+    train_relevance,
 )
 
 TOWER_WIDTH = 128
 EMBED_DIM = 128
 
 
-class DssmModel:
+class DssmModel(ArchivedModel):
     kind = "dssm"
+    layer_names = ("h1", "h2", "out")
+    hyperparameter_names = ("width", "embedding")
+    vocab_class = FeatureVocabulary
 
     def __init__(
         self,
@@ -49,18 +53,6 @@ class DssmModel:
         self.out = DenseLayer(width, embedding, "linear", rng=rng)
         self.loss_curve: list[float] = []
 
-    @property
-    def vocab_hash(self) -> str:
-        return self.vocab.hash_hex()
-
-    @property
-    def layers(self) -> list[DenseLayer]:
-        return [self.h1, self.h2, self.out]
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        return [p for layer in self.layers for p in layer.params]
-
     def encode_features(self, x: np.ndarray) -> np.ndarray:
         a, _ = self.h1.forward(x)
         b, _ = self.h2.forward(a)
@@ -69,39 +61,6 @@ class DssmModel:
 
     def encode_unit(self, u: Unit) -> np.ndarray:
         return self.encode_features(extract(u, self.vocab)[None, :])[0]
-
-    def to_archive(self) -> ModelArchive:
-        d = self.vocab.dimension
-        return ModelArchive(
-            kind=self.kind,
-            hyperparameters={"width": self.width, "embedding": self.embedding},
-            layer_dims=[d, self.width, self.width, self.embedding],
-            weights=[
-                ("h1.w", self.h1.w),
-                ("h1.b", self.h1.b),
-                ("h2.w", self.h2.w),
-                ("h2.b", self.h2.b),
-                ("out.w", self.out.w),
-                ("out.b", self.out.b),
-            ],
-            vocabulary=self.vocab.snapshot(),
-        )
-
-    @classmethod
-    def from_archive(cls, archive: ModelArchive) -> "DssmModel":
-        if archive.kind != "dssm":
-            raise ValueError(f"expected a dssm archive, got {archive.kind!r}")
-        vocab = FeatureVocabulary.from_snapshot(archive.vocabulary)
-        hp = archive.hyperparameters
-        model = cls(vocab, width=int(hp["width"]), embedding=int(hp["embedding"]))
-        for layer, name in ((model.h1, "h1"), (model.h2, "h2"), (model.out, "out")):
-            w = archive.weight(f"{name}.w")
-            b = archive.weight(f"{name}.b")
-            if w.shape != layer.w.shape or b.shape != layer.b.shape:
-                raise ValueError(f"archive layer {name} has wrong dimensions")
-            layer.w = w
-            layer.b = b
-        return model
 
 
 def make_training_pairs(
@@ -125,23 +84,11 @@ def make_training_pairs(
     return pairs
 
 
-def _tower_with_dropout(model: DssmModel, x: np.ndarray, masks):
-    a, c1 = model.h1.forward(x)
-    ad = a * masks[0]
-    b, c2 = model.h2.forward(ad)
-    bd = b * masks[1]
-    e, c3 = model.out.forward(bd)
-    return e, (c1, c2, c3, masks)
-
-
-def _tower_backward(model: DssmModel, de: np.ndarray, cache):
-    c1, c2, c3, masks = cache
-    dbd, dw3, db3 = model.out.backward(de, c3)
-    db_ = dbd * masks[1]
-    dad, dw2, db2 = model.h2.backward(db_, c2)
-    da = dad * masks[0]
-    _, dw1, db1 = model.h1.backward(da, c1)
-    return [dw1, db1, dw2, db2, dw3, db3]
+def _cases(prev_x, next_x, batch_idx, negatives):
+    """Tower inputs: predecessors (queries), true successors, then negative
+    successors; no raw queries."""
+    rows = [prev_x[batch_idx], next_x[batch_idx], next_x[negatives.reshape(-1)]]
+    return np.concatenate(rows), None
 
 
 def dssm_batch_loss(
@@ -158,46 +105,8 @@ def dssm_batch_loss(
     other pairs; the query is the predecessor's embedding (it receives
     gradient too, through the shared tower).
     """
-    b = len(batch_idx)
-    k = negatives.shape[1]
-    stack = np.concatenate(
-        [prev_x[batch_idx], next_x[batch_idx], next_x[negatives.reshape(-1)]]
-    )
-    if masks is None:
-        ones = np.ones((len(stack), model.width))
-        masks = (ones, ones)
-    emb, cache = _tower_with_dropout(model, stack, masks)
-    q = emb[:b]
-    cands = np.concatenate(
-        [emb[b : 2 * b][:, None, :], emb[2 * b :].reshape(b, k, -1)], axis=1
-    )
-    truth = np.zeros(b, dtype=int)
-    losses, _, dq, dcands = cosine_softmax_grads(q, cands, truth, grad_query=True)
-    demb = np.concatenate(
-        [dq, dcands[:, 0, :], dcands[:, 1:, :].reshape(b * k, -1)], axis=0
-    ) / b
-    grads = _tower_backward(model, demb, cache)
-    return float(losses.mean()), grads
-
-
-def _eval_loss(model, prev_x, next_x, eval_negs) -> float:
-    n, k = eval_negs.shape
-    total = 0.0
-    for start in range(0, n, 512):
-        idx = np.arange(start, min(start + 512, n))
-        b = len(idx)
-        stack = np.concatenate(
-            [prev_x[idx], next_x[idx], next_x[eval_negs[idx].reshape(-1)]]
-        )
-        emb = model.encode_features(stack)
-        cands = np.concatenate(
-            [emb[b : 2 * b][:, None, :], emb[2 * b :].reshape(b, k, -1)], axis=1
-        )
-        losses, _, _, _ = cosine_softmax_grads(
-            emb[:b], cands, np.zeros(b, dtype=int), grad_query=False
-        )
-        total += float(losses.sum())
-    return total / n
+    stack, _ = _cases(prev_x, next_x, batch_idx, negatives)
+    return relevance_batch_loss(model.layers, stack, len(batch_idx), None, masks)
 
 
 def train_dssm(
@@ -207,11 +116,9 @@ def train_dssm(
     width: int = TOWER_WIDTH,
     embedding: int = EMBED_DIM,
 ) -> DssmModel:
-    """SGD on the consecutive-unit objective; negatives re-sampled per epoch.
-
-    The recorded per-epoch loss uses an evaluation pass (dropout off,
-    fixed negatives) so a zero learning rate yields a flat curve.
-    """
+    """SGD on the consecutive-unit objective (see
+    :func:`unitsel.nn.train_relevance`); a zero learning rate yields a flat
+    loss curve."""
     n = len(pairs)
     if n < cfg.negatives + 1:
         raise ValueError(f"{n} pairs too few for {cfg.negatives} negatives")
@@ -220,25 +127,11 @@ def train_dssm(
     model = DssmModel(
         vocab, width=width, embedding=embedding, rng=stream_rng(cfg.seed, "dssm-init")
     )
-    eval_rng = stream_rng(cfg.seed, "dssm-eval-negatives")
-    eval_negs = eval_rng.integers(0, n - 1, size=(n, cfg.negatives))
-    eval_negs[eval_negs >= np.arange(n)[:, None]] += 1
-    for epoch in range(cfg.epochs):
-        order = stream_rng(cfg.seed, "dssm-shuffle", epoch).permutation(n)
-        neg_rng = stream_rng(cfg.seed, "dssm-negatives", epoch)
-        drop_rng = stream_rng(cfg.seed, "dssm-dropout", epoch)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            negs = neg_rng.integers(0, n - 1, size=(len(idx), cfg.negatives))
-            negs[negs >= idx[:, None]] += 1
-            rows = len(idx) * (2 + cfg.negatives)
-            masks = (
-                dropout_mask(drop_rng, (rows, model.width), cfg.dropout_keep),
-                dropout_mask(drop_rng, (rows, model.width), cfg.dropout_keep),
-            )
-            _, grads = dssm_batch_loss(model, prev_x, next_x, idx, negs, masks)
-            sgd_step(model.params, grads, cfg.learning_rate)
-        model.loss_curve.append(_eval_loss(model, prev_x, next_x, eval_negs))
+    train_relevance(
+        model, n, cfg, "dssm", partial(_cases, prev_x, next_x),
+        partial(dssm_batch_loss, model, prev_x, next_x), model.encode_features,
+        query_in_tower=True,
+    )
     return model
 
 

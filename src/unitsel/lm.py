@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from ._util import canonical_json, chunked_map, sha256_hex
-from .corpus import ModelArchive
+from .corpus import ArchivedModel
 from .music import Piece, Unit
 from .nn import (
     DenseLayer,
@@ -113,8 +113,11 @@ def _one_hot(tokens: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-class LmModel:
+class LmModel(ArchivedModel):
     kind = "lstm"
+    layer_names = ("lstm1", "lstm2", "out")
+    hyperparameter_names = ("hidden", "context_len")
+    vocab_class = NoteVocabulary
 
     def __init__(
         self,
@@ -133,14 +136,6 @@ class LmModel:
         self.out = DenseLayer(hidden, vocab.size, "linear", rng=rng)
         self.perplexity_curve: list[float] = []
 
-    @property
-    def vocab_hash(self) -> str:
-        return self.vocab.hash_hex()
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        return [*self.lstm1.params, *self.lstm2.params, *self.out.params]
-
     def step_distributions(self, x_tokens: np.ndarray) -> np.ndarray:
         """Per-step next-token distributions for a batch of token windows.
 
@@ -157,46 +152,6 @@ class LmModel:
             logits, _ = self.out.forward(h2)
             probs[:, step, :] = softmax(logits)
         return probs
-
-    def to_archive(self) -> ModelArchive:
-        v = self.vocab.size
-        return ModelArchive(
-            kind=self.kind,
-            hyperparameters={"hidden": self.hidden, "context_len": self.context_len},
-            layer_dims=[v, self.hidden, self.hidden, v],
-            weights=[
-                ("lstm1.w", self.lstm1.w),
-                ("lstm1.u", self.lstm1.u),
-                ("lstm1.b", self.lstm1.b),
-                ("lstm2.w", self.lstm2.w),
-                ("lstm2.u", self.lstm2.u),
-                ("lstm2.b", self.lstm2.b),
-                ("out.w", self.out.w),
-                ("out.b", self.out.b),
-            ],
-            vocabulary=self.vocab.snapshot(),
-        )
-
-    @classmethod
-    def from_archive(cls, archive: ModelArchive) -> "LmModel":
-        if archive.kind != "lstm":
-            raise ValueError(f"expected an lstm archive, got {archive.kind!r}")
-        vocab = NoteVocabulary.from_snapshot(archive.vocabulary)
-        hp = archive.hyperparameters
-        model = cls(
-            vocab, hidden=int(hp["hidden"]), context_len=int(hp["context_len"])
-        )
-        for obj, name, attr in (
-            (model.lstm1, "lstm1", ("w", "u", "b")),
-            (model.lstm2, "lstm2", ("w", "u", "b")),
-            (model.out, "out", ("w", "b")),
-        ):
-            for a in attr:
-                arr = archive.weight(f"{name}.{a}")
-                if arr.shape != getattr(obj, a).shape:
-                    raise ValueError(f"archive weight {name}.{a} has wrong dimensions")
-                setattr(obj, a, arr)
-        return model
 
 
 def make_windows(

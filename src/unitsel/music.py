@@ -210,8 +210,12 @@ def assemble_piece(measures: Sequence[Measure], piece_id: str) -> Piece:
     """
     if not measures:
         raise ValueError("cannot assemble an empty piece")
-    repaired = _repair_ties(list(measures))
-    return Piece(id=piece_id, measures=tuple(repaired))
+    notes = [n for m in measures for n in m.notes]
+    if notes[0].tie_from_prev:
+        notes[0] = replace(notes[0], tie_from_prev=False)
+    if notes[-1].tie_to_next:
+        notes[-1] = replace(notes[-1], tie_to_next=False)
+    return Piece(id=piece_id, measures=_repair_ties(measures, notes))
 
 
 def concatenate_units(units: Sequence[Unit], piece_id: str) -> Piece:
@@ -227,16 +231,13 @@ def concatenate_units(units: Sequence[Unit], piece_id: str) -> Piece:
     return assemble_piece(measures, piece_id)
 
 
-def _repair_ties(measures: list[Measure]) -> list[Measure]:
-    notes: list[Note] = []
-    bounds: list[int] = []
-    for m in measures:
-        bounds.append(len(m.notes))
-        notes.extend(m.notes)
-    if notes[0].tie_from_prev:
-        notes[0] = replace(notes[0], tie_from_prev=False)
-    if notes[-1].tie_to_next:
-        notes[-1] = replace(notes[-1], tie_to_next=False)
+def _repair_ties(measures: Sequence[Measure], notes: list[Note]) -> tuple[Measure, ...]:
+    """Regroup ``notes`` into measures shaped like ``measures``, keeping a
+    tie between adjacent notes only if both sides agree (tie_to_next on the
+    left, tie_from_prev on the right) and the pitches are equal; otherwise
+    both flags are cleared, in ``notes`` itself. The outermost flags are
+    left as they are.
+    """
     for k in range(len(notes) - 1):
         cur, nxt = notes[k], notes[k + 1]
         tied = cur.tie_to_next and nxt.tie_from_prev and cur.pitch == nxt.pitch
@@ -246,10 +247,11 @@ def _repair_ties(measures: list[Measure]) -> list[Measure]:
             notes[k + 1] = replace(nxt, tie_from_prev=tied)
     out: list[Measure] = []
     pos = 0
-    for m, count in zip(measures, bounds):
+    for m in measures:
+        count = len(m.notes)
         out.append(Measure(notes=tuple(notes[pos : pos + count]), meter=m.meter))
         pos += count
-    return out
+    return tuple(out)
 
 
 def slice_units(

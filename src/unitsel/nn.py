@@ -1,9 +1,10 @@
 """Minimal neural toolkit with manual backpropagation.
 
-Dense layers (linear / rectified / leaky-rectified), an LSTM cell, the
-cosine-softmax relevance loss, inverted dropout, plain SGD, and a central
-finite-difference gradient checker. Everything is float64 numpy; forward
-passes on frozen parameters are pure and thread-safe.
+Dense layers (linear / rectified / leaky-rectified) and dense stacks, an
+LSTM cell, the cosine-softmax relevance loss with the training loop shared
+by the autoencoder and the relevance model, inverted dropout, plain SGD,
+and a central finite-difference gradient checker. Everything is float64
+numpy; forward passes on frozen parameters are pure and thread-safe.
 
 Randomness is reproducible: every stochastic choice draws from a stream
 generator derived from one master seed via splitmix64 (see
@@ -83,6 +84,8 @@ LEAKY_ALPHA_DEFAULT = 0.001
 class DenseLayer:
     """Fully connected layer y = act(x W^T + b) with explicit backward."""
 
+    param_names = ("w", "b")
+
     def __init__(
         self,
         in_dim: int,
@@ -131,19 +134,17 @@ class DenseLayer:
         dx = dz @ self.w
         return dx, dw, db
 
-    @property
-    def params(self) -> list[np.ndarray]:
-        return [self.w, self.b]
-
 
 class LstmLayer:
     """Single LSTM cell; gates packed as [input, forget, candidate, output]."""
+
+    param_names = ("w", "u", "b")
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator | None = None):
         if rng is None:
             rng = np.random.default_rng(0)
         self.in_dim = in_dim
-        self.hidden = hidden
+        self.hidden = self.out_dim = hidden
         self.w = glorot_uniform(rng, 4 * hidden, in_dim)
         self.u = glorot_uniform(rng, 4 * hidden, hidden)
         self.b = np.zeros(4 * hidden)
@@ -195,10 +196,6 @@ class LstmLayer:
         du = da.T @ h
         db = da.sum(axis=0)
         return dx, dh_prev, dc_prev, dw, du, db
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        return [self.w, self.u, self.b]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -306,6 +303,131 @@ def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> No
         if p.shape != g.shape:
             raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
         p -= lr * g
+
+
+def dense_stack_forward(
+    layers: list[DenseLayer], x: np.ndarray, masks=None
+) -> tuple[np.ndarray, list[tuple]]:
+    """Forward through a stack of dense layers; ``masks[i]`` (dropout)
+    multiplies the output of every layer but the last. None disables dropout.
+    """
+    caches = []
+    for i, layer in enumerate(layers):
+        x, cache = layer.forward(x)
+        caches.append(cache)
+        if masks is not None and i < len(masks):
+            x = x * masks[i]
+    return x, caches
+
+
+def dense_stack_backward(
+    layers: list[DenseLayer], dy: np.ndarray, caches: list[tuple], masks=None
+) -> list[np.ndarray]:
+    """Gradients of every layer parameter, in forward order."""
+    grads: list[np.ndarray] = []
+    for i in reversed(range(len(layers))):
+        if masks is not None and i < len(masks):
+            dy = dy * masks[i]
+        dy, dw, db = layers[i].backward(dy, caches[i])
+        grads[:0] = [dw, db]
+    return grads
+
+
+def sample_negatives(
+    rng: np.random.Generator, idx: np.ndarray, n_total: int, k: int
+) -> np.ndarray:
+    """k uniform draws per row from [0, n_total) excluding the row itself."""
+    negs = rng.integers(0, n_total - 1, size=(len(idx), k))
+    negs[negs >= idx[:, None]] += 1
+    return negs
+
+
+def _relevance_losses(
+    out: np.ndarray, b: int, raw_query: np.ndarray | None, grad: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-case losses from tower outputs laid out as [queries], truths,
+    negatives; with ``grad``, also the gradient for every output row."""
+    q, cand_rows = (out[:b], out[b:]) if raw_query is None else (raw_query, out)
+    negs = cand_rows[b:].reshape(b, -1, cand_rows.shape[1])
+    cands = np.concatenate([cand_rows[:b][:, None, :], negs], axis=1)
+    losses, _, dq, dcands = cosine_softmax_grads(
+        q, cands, np.zeros(b, dtype=int), grad_query=grad and raw_query is None
+    )
+    if not grad:
+        return losses, None
+    parts = [dcands[:, 0, :], dcands[:, 1:, :].reshape(-1, dcands.shape[2])]
+    return losses, np.concatenate(parts if dq is None else [dq, *parts], axis=0)
+
+
+def relevance_batch_loss(
+    layers: list[DenseLayer],
+    stack: np.ndarray,
+    b: int,
+    raw_query: np.ndarray | None = None,
+    masks=None,
+) -> tuple[float, list[np.ndarray]]:
+    """Mean cosine-softmax relevance loss of ``b`` cases with the gradient of
+    every layer parameter.
+
+    ``stack`` holds the tower inputs: the b queries (left out when
+    ``raw_query`` gives them as fixed vectors, which get no gradient), the b
+    true candidates, then k negatives per case, case-major. Gradient flows
+    through every tower output.
+    """
+    out, caches = dense_stack_forward(layers, stack, masks)
+    losses, dout = _relevance_losses(out, b, raw_query, grad=True)
+    dout /= b
+    return float(losses.mean()), dense_stack_backward(layers, dout, caches, masks)
+
+
+def train_relevance(
+    model,
+    n: int,
+    cfg: TrainConfig,
+    label: str,
+    cases,
+    batch_loss,
+    encode,
+    query_in_tower: bool,
+) -> None:
+    """SGD epochs of a relevance model over ``n`` cases; negatives are
+    re-sampled each epoch from the ``{label}-negatives`` stream.
+
+    ``cases(idx, negs)`` gives the tower inputs and raw queries (None when
+    ``query_in_tower``) as :func:`relevance_batch_loss` takes them, and
+    ``batch_loss(idx, negs, masks)`` one batch's loss and gradients. The
+    loss appended to ``model.loss_curve`` after each epoch comes from
+    ``encode`` with dropout off and one fixed negative set, so the curve is
+    comparable across epochs.
+    """
+    k = cfg.negatives
+    eval_negs = sample_negatives(
+        stream_rng(cfg.seed, f"{label}-eval-negatives"), np.arange(n), n, k
+    )
+    rows_per_case = k + (2 if query_in_tower else 1)
+    for epoch in range(cfg.epochs):
+        order = stream_rng(cfg.seed, f"{label}-shuffle", epoch).permutation(n)
+        neg_rng = stream_rng(cfg.seed, f"{label}-negatives", epoch)
+        drop_rng = stream_rng(cfg.seed, f"{label}-dropout", epoch)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            negs = sample_negatives(neg_rng, idx, n, k)
+            rows = len(idx) * rows_per_case
+            masks = [
+                dropout_mask(drop_rng, (rows, layer.out_dim), cfg.dropout_keep)
+                for layer in model.layers[:-1]
+            ]
+            _, grads = batch_loss(idx, negs, masks)
+            sgd_step(model.params, grads, cfg.learning_rate)
+        total = 0.0
+        for start in range(0, n, 512):
+            idx = np.arange(start, min(start + 512, n))
+            stack, raw_query = cases(idx, eval_negs[idx])
+            out = encode(stack)
+            del stack  # free the inputs before the loss allocates its temporaries
+            losses, _ = _relevance_losses(out, len(idx), raw_query, grad=False)
+            total += float(losses.sum())
+        model.loss_curve.append(total / n)
 
 
 def grad_check(

@@ -1,0 +1,44 @@
+"""The benchmark's tracer must find every name it wraps.
+
+``perfbench/spans.py`` looks each traced attribute up in its owner's own
+``vars()``, so a method moved into a base class, or a function no longer
+imported by name where the tracer expects it, fails a traced benchmark run.
+These checks load the tracer's tables and resolve them without running it.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import unitsel  # noqa: F401  (imports every traced module)
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SPANS = _load_spans()
+
+
+@pytest.mark.parametrize(
+    "module_name,path", [(entry[0], entry[1]) for entry in SPANS.TRACED]
+)
+def test_traced_attribute_is_owned(module_name, path):
+    owner = importlib.import_module(module_name)
+    *parents, attr = path.split(".")
+    for part in parents:
+        owner = getattr(owner, part)
+    assert attr in vars(owner), f"{module_name}.{path} is not defined on its owner"
+    assert callable(vars(owner)[attr])
+
+
+@pytest.mark.parametrize("module_name,attr", SPANS.REQUIRED_BINDINGS)
+def test_required_binding_exists(module_name, attr):
+    assert callable(getattr(importlib.import_module(module_name), attr, None))

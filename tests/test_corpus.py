@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from unitsel import load_trained
 from unitsel.augment import AugmentConfig, build_library
-from unitsel.autoencoder import AutoencoderModel, train_autoencoder
+from unitsel.autoencoder import train_autoencoder
+from unitsel.cli import main as cli_main
 from unitsel.corpus import (
     ArchiveError,
     Corpus,
@@ -18,7 +20,9 @@ from unitsel.corpus import (
     save_model,
     split_corpus,
 )
+from unitsel.dssm import make_training_pairs, train_dssm
 from unitsel.features import build_vocab
+from unitsel.lm import build_note_vocab, tokenize, train_lm
 from unitsel.nn import TrainConfig
 
 from conftest import FIXTURE_CORPUS
@@ -139,25 +143,103 @@ def tiny_ae(fixture_corpus):
     return model, lib
 
 
-class TestModelArchive:
-    def test_round_trip_identical_outputs(self, tmp_path, tiny_ae):
-        model, _ = tiny_ae
-        path = tmp_path / "ae.model"
-        save_model(model.to_archive(), path)
-        loaded = AutoencoderModel.from_archive(load_model(path))
-        rng = np.random.default_rng(0)
-        x = rng.random((100, model.vocab.dimension))
-        np.testing.assert_array_equal(
-            model.reconstruct_features(x), loaded.reconstruct_features(x)
-        )
+@pytest.fixture(scope="module")
+def tiny_models(fixture_corpus, tiny_ae):
+    """One small trained model of each archive kind."""
+    ae, _ = tiny_ae
+    dssm = train_dssm(
+        make_training_pairs(fixture_corpus, 1),
+        ae.vocab,
+        TrainConfig(epochs=1, seed=5, batch_size=16),
+        width=32,
+        embedding=8,
+    )
+    note_vocab = build_note_vocab(fixture_corpus)
+    lm = train_lm(
+        [tokenize(p, note_vocab) for p in fixture_corpus.pieces],
+        note_vocab,
+        TrainConfig(epochs=1, seed=5),
+        hidden=8,
+    )
+    return {"autoencoder": ae, "dssm": dssm, "lstm": lm}
 
-    def test_save_load_save_byte_identical(self, tmp_path, tiny_ae):
-        model, _ = tiny_ae
+
+def model_outputs(model) -> np.ndarray:
+    """What each kind computes: reconstructions, embeddings or next-note
+    distributions of fixed random inputs."""
+    rng = np.random.default_rng(0)
+    if model.kind == "lstm":
+        return model.step_distributions(rng.integers(0, model.vocab.size, size=(4, 12)))
+    x = rng.random((100, model.vocab.dimension))
+    if model.kind == "autoencoder":
+        return model.reconstruct_features(x)
+    return model.encode_features(x)
+
+
+def _edit_payload(edit):
+    def apply(header, payload):
+        edit(payload)
+        return header, payload
+
+    return apply
+
+
+# Each case turns a valid dssm archive (header line, payload) into a bad one.
+MALFORMED_ARCHIVES = {
+    "wrong-weight-shape": _edit_payload(
+        lambda p: p["weights"][1].update(shape=[1, *p["weights"][1]["shape"]])
+    ),
+    "no-weights-key": _edit_payload(lambda p: p.pop("weights")),
+    "missing-hyperparameter": _edit_payload(
+        lambda p: p["hyperparameters"].pop("width")
+    ),
+    "missing-weight": _edit_payload(lambda p: p["weights"].pop()),
+    "version-not-an-integer": lambda header, payload: ("UNITSEL-MODEL x", payload),
+}
+
+
+class TestModelArchive:
+    @pytest.mark.parametrize("kind", ["autoencoder", "dssm", "lstm"])
+    def test_round_trip_identical_outputs(self, tmp_path, tiny_models, kind):
+        model = tiny_models[kind]
+        path = tmp_path / f"{kind}.model"
+        save_model(model.to_archive(), path)
+        loaded = load_trained(path)
+        assert type(loaded) is type(model)
+        np.testing.assert_array_equal(model_outputs(model), model_outputs(loaded))
+
+    @pytest.mark.parametrize("kind", ["autoencoder", "dssm", "lstm"])
+    def test_save_load_save_byte_identical(self, tmp_path, tiny_models, kind):
         p1 = tmp_path / "a.model"
         p2 = tmp_path / "b.model"
-        save_model(model.to_archive(), p1)
-        save_model(load_model(p1), p2)
+        save_model(tiny_models[kind].to_archive(), p1)
+        save_model(load_trained(p1).to_archive(), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ARCHIVES))
+    def test_malformed_archive_is_user_error(
+        self, tmp_path, tiny_ae, tiny_models, case, capsys
+    ):
+        good = tmp_path / "dssm.model"
+        save_model(tiny_models["dssm"].to_archive(), good)
+        header, body = good.read_text().split("\n", 1)
+        header, payload = MALFORMED_ARCHIVES[case](header, json.loads(body))
+        bad = tmp_path / "bad.model"
+        bad.write_text(header + "\n" + json.dumps(payload) + "\n")
+        with pytest.raises(ArchiveError):
+            load_trained(bad)
+
+        save_library(tiny_ae[1], tmp_path / "lib.lib")
+        save_model(tiny_models["lstm"].to_archive(), tmp_path / "lstm.model")
+        code = cli_main([
+            "generate", "--seed-piece", str(FIXTURE_CORPUS),
+            "--library", str(tmp_path / "lib.lib"), "--dssm", str(bad),
+            "--lm", str(tmp_path / "lstm.model"), "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err
+        assert "Traceback" not in err
 
     def test_version_mismatch(self, tmp_path, tiny_ae):
         model, _ = tiny_ae
