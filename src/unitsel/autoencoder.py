@@ -139,13 +139,26 @@ class EmbeddedLibrary:
 
 
 def embed_library(model, lib: UnitLibrary, threads: int = 1) -> EmbeddedLibrary:
-    """Embed every unit with a frozen model; parallel over fixed chunks."""
+    """Embed every unit with a frozen model; parallel over fixed chunks.
+
+    A unit that embeds to a zero-norm vector has no cosine similarity to
+    anything, so it is rejected here (ValueError naming the first such unit)
+    rather than failing every later query against the library.
+    """
     units = lib.units
 
     def emb_chunk(start: int, stop: int) -> np.ndarray:
-        return model.encode_features(
-            extract_matrix(units[start:stop], model.vocab)
-        )
+        emb = model.encode_features(extract_matrix(units[start:stop], model.vocab))
+        zero = np.flatnonzero(np.linalg.norm(emb, axis=1) == 0.0)
+        if len(zero):
+            i = start + int(zero[0])
+            prov = units[i].provenance
+            raise ValueError(
+                f"library unit {i} (piece {prov.source_id!r}, measure {prov.offset}, "
+                f"transform {prov.transform!r}) embeds to a zero-norm vector; "
+                f"the {model.kind} model cannot rank it"
+            )
+        return emb
 
     chunks = chunked_map(emb_chunk, len(units), threads)
     return EmbeddedLibrary(

@@ -102,6 +102,13 @@ def _load_model_checked(path: str, expected_kind: str):
         raise UserError(str(exc)) from exc
 
 
+def _embed_checked(model, lib, threads: int):
+    try:
+        return embed_library(model, lib, threads)
+    except ValueError as exc:
+        raise UserError(f"cannot embed the library: {exc}") from exc
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -218,7 +225,7 @@ def cmd_reconstruct(args) -> None:
     corpus = _load_corpus_checked(args.corpus)
     lib = _load_library_checked(args.library)
     model = _load_model_checked(args.model, "autoencoder")
-    elib = embed_library(model, lib, args.threads)
+    elib = _embed_checked(model, lib, args.threads)
     pieces = []
     for p in corpus.pieces:
         try:
@@ -250,7 +257,7 @@ def cmd_interpolate(args) -> None:
             raise UserError(f"piece {piece_id!r} is shorter than one unit")
         return units[0]
 
-    elib = embed_library(model, lib, args.threads)
+    elib = _embed_checked(model, lib, args.threads)
     a, b = head_unit(args.piece_a), head_unit(args.piece_b)
     pieces = []
     for alpha in args.alphas:
@@ -283,7 +290,7 @@ def cmd_generate(args) -> None:
     lib = _load_library_checked(args.library)
     dssm_model = _load_model_checked(args.dssm, "dssm")
     lm_model = _load_model_checked(args.lm, "lstm")
-    elib = embed_library(dssm_model, lib, args.threads)
+    elib = _embed_checked(dssm_model, lib, args.threads)
     cfg = _generation_config(args, lib.unit_length)
     audit: list = []
     pieces = []
@@ -338,7 +345,7 @@ def cmd_eval_rank50(args) -> None:
     out = _out_dir(args)
     lib = _load_library_checked(args.library)
     model = _load_model_checked(args.model, "autoencoder")
-    elib = embed_library(model, lib, args.threads)
+    elib = _embed_checked(model, lib, args.threads)
     probes = list(lib.units)
     if args.max_probes and len(probes) > args.max_probes:
         sel = stream_rng(args.seed, "rank50-probes").choice(
@@ -377,7 +384,7 @@ def cmd_eval_nextunit(args) -> None:
     lib = _load_library_checked(args.library)
     dssm_model = _load_model_checked(args.dssm, "dssm")
     lm_model = _load_model_checked(args.lm, "lstm")
-    elib = embed_library(dssm_model, lib, args.threads)
+    elib = _embed_checked(dssm_model, lib, args.threads)
     probes = make_training_pairs(corpus, lib.unit_length, strict=False)
     if not probes:
         raise UserError("corpus yields no probe pairs at this unit length")

@@ -376,36 +376,59 @@ def save_library(lib, path) -> None:
 
 
 def load_library(path):
+    """Read a unit library; every malformed file is an ArchiveError naming it."""
     from .augment import UnitLibrary  # local import to avoid a cycle
 
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ArchiveError(f"{path}: not a unit library (not UTF-8 text)") from exc
     if not lines:
         raise ArchiveError(f"{path}: empty library file")
     parts = lines[0].split()
     if len(parts) != 2 or parts[0] != LIBRARY_MAGIC:
         raise ArchiveError(f"{path}: not a unit library (bad magic)")
-    if int(parts[1]) != FORMAT_VERSION:
+    if parts[1] != str(FORMAT_VERSION):
         raise ArchiveError(f"{path}: unsupported library version {parts[1]}")
-    header = json.loads(lines[1])
-    meter = _fraction_from_pair(header["meter"], "meter")
-    unit_length = int(header["unit_length"])
+    if len(lines) < 2:
+        raise ArchiveError(f"{path}: missing library header line")
+    try:
+        header = json.loads(lines[1])
+        meter = _fraction_from_pair(header["meter"], "meter")
+        unit_length = int(header["unit_length"])
+        count = header["count"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArchiveError(f"{path}:2: malformed library header ({exc!r})") from exc
     units: list[Unit] = []
     origins: list[tuple[Provenance, ...]] = []
-    for line in lines[2:]:
+    for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        fake = piece_from_dict({"id": "", "meter": header["meter"], "measures": obj["measures"]})
-        provs = tuple(
-            Provenance(source_id=o[0], offset=int(o[1]), transform=o[2])
-            for o in obj["origins"]
-        )
-        units.append(Unit(measures=fake.measures, provenance=provs[0]))
+        try:
+            obj = json.loads(line)
+            fake = piece_from_dict(
+                {"id": "", "meter": header["meter"], "measures": obj["measures"]}
+            )
+            provs = tuple(
+                Provenance(source_id=o[0], offset=int(o[1]), transform=o[2])
+                for o in obj["origins"]
+            )
+            unit = Unit(measures=fake.measures, provenance=provs[0])
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise ArchiveError(
+                f"{path}:{lineno}: malformed library unit ({exc!r})"
+            ) from exc
+        if len(unit.measures) != unit_length:
+            raise ArchiveError(
+                f"{path}:{lineno}: unit has {len(unit.measures)} measures, "
+                f"header says {unit_length}"
+            )
+        units.append(unit)
         origins.append(provs)
-    if len(units) != header["count"]:
+    if len(units) != count:
         raise ArchiveError(
-            f"{path}: header says {header['count']} units, file has {len(units)}"
+            f"{path}: header says {count} units, file has {len(units)}"
         )
     return UnitLibrary(
         units=tuple(units),

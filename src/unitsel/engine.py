@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -61,6 +62,11 @@ class GenerationConfig:
             raise ValueError("temperature must be positive")
 
 
+def shortlist_size(n: int, fraction: float) -> int:
+    """Shortlist length for a pool of ``n`` candidates: ceil(fraction*n), at least 1."""
+    return max(1, math.ceil(fraction * n))
+
+
 @dataclass
 class CombinedRanking:
     """Result of the two-stage procedure over one candidate pool.
@@ -99,7 +105,7 @@ def combined_order(
     sem_order = np.lexsort((idx, jitter, -sims))
     sem_rank = np.empty(n, dtype=np.int64)
     sem_rank[sem_order] = idx + 1
-    k = max(1, math.ceil(fraction * n))
+    k = shortlist_size(n, fraction)
     shortlist = sem_order[:k]
     costs_short = np.asarray(cost_fn(shortlist), dtype=float)
     all_costs = np.full(n, np.nan)
@@ -142,49 +148,56 @@ def rank_candidates(
     lm_model: LmModel,
     cfg: GenerationConfig,
     threads: int = 1,
+    *,
+    top: int | None = None,
 ) -> list[RankedCandidate]:
-    """Full library ranking for one selection step, best candidate first.
+    """Library ranking for one selection step, best candidate first.
 
     All tie-breaks are deterministic: semantic ties by library order, join
-    ties by semantic rank then library order.
+    ties by semantic rank then library order. ``top`` keeps only the first
+    ``top`` entries of the ordering; with ``top`` equal to the shortlist
+    size that is exactly the shortlist, sorted by combined key. None
+    returns the full ranking.
     """
     if len(elib) == 0:
         raise ValueError("empty library")
+    if top is not None and top < 1:
+        raise ValueError(f"top must be at least 1, got {top}")
     if elib.kind != "dssm" or elib.vocab_hash != dssm_model.vocab_hash:
         raise ValueError("library must be embedded with the given relevance model")
     q = dssm_model.encode_unit(seed_unit)
     sims = library_similarities(q, elib, threads)
+    units = elib.library.units
 
     def shortlist_costs(indices: np.ndarray) -> np.ndarray:
-        units = [elib.library.units[i] for i in indices]
-        return first_note_costs(prev_tokens, units, lm_model)
+        return first_note_costs(prev_tokens, [units[i] for i in indices], lm_model)
 
     ranking = combined_order(sims, shortlist_costs, cfg.shortlist_fraction)
-    out = []
-    shortlisted = set(int(i) for i in ranking.shortlist)
-    for i in ranking.order:
-        i = int(i)
-        in_short = i in shortlisted
-        out.append(
-            RankedCandidate(
-                index=i,
-                unit=elib.library.units[i],
-                relevance=float(sims[i]),
-                semantic_rank=int(ranking.semantic_rank[i]),
-                concat_rank=int(ranking.concat_rank[i]) if in_short else None,
-                combined_key=int(ranking.combined[i]) if in_short else None,
-                concat_cost=float(ranking.costs[i]) if in_short else None,
-            )
+    order = ranking.order[:top]
+    # the ordering starts with the whole shortlist, so only its head has join fields
+    head = order[: len(ranking.shortlist)]
+    joins = zip(
+        ranking.concat_rank[head].tolist(),
+        ranking.combined[head].tolist(),
+        ranking.costs[head].tolist(),
+    )
+    return [
+        RankedCandidate(i, units[i], relevance, sem_rank, *join)
+        for i, relevance, sem_rank, join in zip_longest(
+            order.tolist(),
+            sims[order].tolist(),
+            ranking.semantic_rank[order].tolist(),
+            joins,
+            fillvalue=(None, None, None),
         )
-    return out
+    ]
 
 
 def _pick(
-    ranked: list[RankedCandidate], cfg: GenerationConfig, step: int
+    shortlist: list[RankedCandidate], cfg: GenerationConfig, step: int
 ) -> RankedCandidate:
     if cfg.mode == DETERMINISTIC:
-        return ranked[0]
-    shortlist = [rc for rc in ranked if rc.combined_key is not None]
+        return shortlist[0]
     keys = np.array([rc.combined_key for rc in shortlist], dtype=float)
     weights = np.exp(-(keys - keys.min()) / cfg.temperature)
     weights /= weights.sum()
@@ -204,11 +217,12 @@ def _selection_loop(
     audit: list | None,
 ) -> list[Unit]:
     picked: list[Unit] = []
+    k = shortlist_size(len(elib), cfg.shortlist_fraction)
     for step in range(n_units):
-        ranked = rank_candidates(
-            current, context, elib, dssm_model, lm_model, cfg, threads
+        shortlist = rank_candidates(
+            current, context, elib, dssm_model, lm_model, cfg, threads, top=k
         )
-        pick = _pick(ranked, cfg, step)
+        pick = _pick(shortlist, cfg, step)
         if audit is not None:
             audit.append(
                 {
@@ -223,8 +237,7 @@ def _selection_loop(
                             "relevance": rc.relevance,
                             "concat_cost": rc.concat_cost,
                         }
-                        for rc in ranked
-                        if rc.combined_key is not None
+                        for rc in shortlist
                     ],
                 }
             )

@@ -22,7 +22,7 @@ from .autoencoder import EmbeddedLibrary
 from .dssm import DssmModel
 from .engine import combined_order
 from .features import extract_matrix
-from .lm import LmModel, context_window, note_distributions, tokenize_unit
+from .lm import LmModel, context_window, first_tokens, note_distributions, tokenize_unit
 from .music import Unit
 from .nn import stream_rng
 
@@ -45,12 +45,6 @@ class RankingRow:
     mean_rank: float
     probe_count: int
     seed: int
-
-
-def _first_tokens(units: Sequence[Unit], lm_model: LmModel) -> np.ndarray:
-    return np.array(
-        [tokenize_unit(u, lm_model.vocab)[0] for u in units], dtype=np.int64
-    )
 
 
 def next_unit_ranking(
@@ -107,8 +101,8 @@ def next_unit_ranking(
             ]
         )
         dists = note_distributions(contexts, lm_model, threads)
-        lib_first = _first_tokens(elib.library.units, lm_model)
-        truth_first = _first_tokens(truths, lm_model)
+        lib_first = first_tokens(elib.library.units, lm_model.vocab)
+        truth_first = first_tokens(truths, lm_model.vocab)
 
     unit_len = elib.library.unit_length
     ranks = np.empty(n)

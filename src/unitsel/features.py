@@ -107,6 +107,7 @@ class FeatureVocabulary:
             self._offsets[fam] = offset
             offset += len(syms) + 1  # +1 for the family OOV slot
         self.dimension = offset + N_TIE_FLAGS
+        self._hash_hex: str | None = None
 
     def family_size(self, family: str) -> int:
         return len(self.family_symbols[family])
@@ -142,7 +143,11 @@ class FeatureVocabulary:
         )
 
     def hash_hex(self) -> str:
-        return sha256_hex(canonical_json(self.snapshot()))
+        """sha256 of the canonical snapshot, computed once: a vocabulary is
+        never changed after construction."""
+        if self._hash_hex is None:
+            self._hash_hex = sha256_hex(canonical_json(self.snapshot()))
+        return self._hash_hex
 
 
 def build_vocab(units: Iterable[Unit]) -> FeatureVocabulary:

@@ -47,6 +47,7 @@ class NoteVocabulary:
         self._map = {s: i + 2 for i, s in enumerate(self.symbols)}
         if len(self._map) != len(self.symbols):
             raise ValueError("duplicate note symbols")
+        self._hash_hex: str | None = None
 
     @property
     def size(self) -> int:
@@ -73,7 +74,11 @@ class NoteVocabulary:
         return cls([(p, Fraction(n, d)) for p, n, d in snap["symbols"]])
 
     def hash_hex(self) -> str:
-        return sha256_hex(canonical_json(self.snapshot()))
+        """sha256 of the canonical snapshot, computed once: a vocabulary is
+        never changed after construction."""
+        if self._hash_hex is None:
+            self._hash_hex = sha256_hex(canonical_json(self.snapshot()))
+        return self._hash_hex
 
 
 def build_note_vocab(pieces: Sequence[Piece]) -> NoteVocabulary:
@@ -341,6 +346,12 @@ def concat_cost(
     return total / j
 
 
+def first_tokens(units: Sequence[Unit], vocab: NoteVocabulary) -> np.ndarray:
+    """Token id of each unit's first note (OOV when outside the vocabulary)."""
+    firsts = (u.measures[0].notes[0] for u in units)
+    return np.array([vocab.encode((n.pitch, n.duration)) for n in firsts], dtype=np.int64)
+
+
 def first_note_costs(
     prev_context: Sequence[int], units: Sequence[Unit], model: LmModel
 ) -> np.ndarray:
@@ -350,5 +361,4 @@ def first_note_costs(
     the shared context distribution once.
     """
     dist = note_distribution(context_window(prev_context, model.context_len), model)
-    firsts = [tokenize_unit(u, model.vocab)[0] for u in units]
-    return -np.log(dist[firsts])
+    return -np.log(dist[first_tokens(units, model.vocab)])

@@ -3,7 +3,9 @@
 ``perfbench/spans.py`` looks each traced attribute up in its owner's own
 ``vars()``, so a method moved into a base class, or a function no longer
 imported by name where the tracer expects it, fails a traced benchmark run.
-These checks load the tracer's tables and resolve them without running it.
+These checks load the tracer's tables and resolve them, and run one small
+generation under the tracer to see that the selection loop still calls every
+span a traced generate run requires.
 """
 
 import importlib
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import unitsel  # noqa: F401  (imports every traced module)
+from unitsel import engine
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -42,3 +45,23 @@ def test_traced_attribute_is_owned(module_name, path):
 @pytest.mark.parametrize("module_name,attr", SPANS.REQUIRED_BINDINGS)
 def test_required_binding_exists(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr, None))
+
+
+def test_selection_loop_hits_traced_spans(small_setup):
+    s = small_setup
+    cfg = engine.GenerationConfig(unit_length=1, n_units=2)
+    tracer = SPANS.Tracer()
+    with tracer.installed():
+        engine.continue_piece(
+            s["corpus"].pieces[0], 2, s["dssm_elib"], s["dssm"], s["lm"], cfg, audit=[]
+        )
+    calls = {name: row["calls"] for name, row in tracer.aggregate().items()}
+    for name in (
+        "engine.rank_candidates",
+        "engine.combined_order",
+        "lm.first_note_costs",
+        "autoencoder.library_similarities",
+        "nn.cosine_rows",
+        "lm.LmModel.step_distributions",
+    ):
+        assert calls.get(name, 0) >= 1, f"{name} recorded no calls"

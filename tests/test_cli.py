@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from unitsel import load_trained
+from unitsel.autoencoder import embed_library
 from unitsel.cli import main
-from unitsel.corpus import load_corpus, load_library
+from unitsel.corpus import load_corpus, load_library, save_model
 from unitsel.music import validate_piece
 
 from conftest import FIXTURE_CORPUS
@@ -191,6 +193,29 @@ class TestErrors:
         ])
         assert code == 1
         assert "expected dssm" in capsys.readouterr().err
+
+    def test_zero_norm_embedding_is_user_error(self, pipeline, tmp_path, capsys):
+        # a zero head embeds every unit to the zero vector
+        dssm = load_trained(pipeline["dssm"], "dssm")
+        dssm.out.w[:] = 0.0
+        dssm.out.b[:] = 0.0
+        lib = load_library(pipeline["lib"])
+        with pytest.raises(ValueError, match="library unit 0 .*zero-norm") as err:
+            embed_library(dssm, lib)
+        assert repr(lib.units[0].provenance.source_id) in str(err.value)
+
+        zeroed = tmp_path / "zero.model"
+        save_model(dssm.to_archive(), zeroed)
+        common = ["--library", pipeline["lib"], "--dssm", str(zeroed), "--lm", pipeline["lm"]]
+        for argv in (
+            ["generate", "--seed-piece", pipeline["test"], *common],
+            ["eval-nextunit", "--corpus", pipeline["test"], *common],
+        ):
+            code = main([*argv, "--out", str(tmp_path / argv[0])])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert "error:" in err and "zero-norm" in err
+            assert "Traceback" not in err
 
     def test_invalid_corpus_diagnosed(self, tmp_path, capsys):
         bad = tmp_path / "bad.cor"

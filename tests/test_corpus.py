@@ -279,6 +279,40 @@ class TestModelArchive:
             load_model(path)
 
 
+def _edit_unit(edit):
+    def apply(lines):
+        unit = json.loads(lines[2])
+        edit(unit)
+        return lines[:2] + [json.dumps(unit)] + lines[3:]
+
+    return apply
+
+
+def _edit_header(edit):
+    def apply(lines):
+        header = json.loads(lines[1])
+        edit(header)
+        return [lines[0], json.dumps(header)] + lines[2:]
+
+    return apply
+
+
+# Each case edits the lines of a good library file.
+MALFORMED_LIBRARIES = {
+    "version-not-an-integer": lambda lines: ["UNITSEL-LIB x"] + lines[1:],
+    "no-header-line": lambda lines: lines[:1],
+    "header-not-json": lambda lines: [lines[0], "{"] + lines[2:],
+    "header-missing-key": _edit_header(lambda h: h.pop("meter")),
+    "truncated-unit-line": lambda lines: lines[:2] + [lines[2][: len(lines[2]) // 2]],
+    "unit-line-not-json": lambda lines: lines[:2] + ["not json"] + lines[3:],
+    "unit-missing-key": _edit_unit(lambda u: u.pop("origins")),
+    "unit-no-origins": _edit_unit(lambda u: u.update(origins=[])),
+    "measure-not-an-object": _edit_unit(lambda u: u.update(measures=[[]])),
+    "note-without-dur": _edit_unit(lambda u: u["measures"][0]["notes"][0].pop("dur")),
+    "unit-wrong-length": _edit_unit(lambda u: u.update(measures=u["measures"] * 2)),
+}
+
+
 class TestLibraryArchive:
     def test_round_trip(self, tmp_path, tiny_ae):
         _, lib = tiny_ae
@@ -306,3 +340,19 @@ class TestLibraryArchive:
         path.write_text("\n".join(lines[:-1]) + "\n")  # drop one unit
         with pytest.raises(ArchiveError, match="units"):
             load_library(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LIBRARIES))
+    def test_malformed_library_is_user_error(self, tmp_path, tiny_ae, case, capsys):
+        good = tmp_path / "good.lib"
+        save_library(tiny_ae[1], good)
+        bad = tmp_path / "bad.lib"
+        lines = MALFORMED_LIBRARIES[case](good.read_text().splitlines())
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ArchiveError, match="bad.lib"):
+            load_library(bad)
+
+        code = cli_main(["train-ae", "--library", str(bad), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err
+        assert "Traceback" not in err

@@ -6,6 +6,7 @@ import pytest
 from unitsel.augment import UnitLibrary
 from unitsel.autoencoder import embed_library
 from unitsel.engine import (
+    DETERMINISTIC,
     SAMPLED,
     GenerationConfig,
     combined_order,
@@ -14,8 +15,9 @@ from unitsel.engine import (
     generate,
     generate_note_level,
     rank_candidates,
+    shortlist_size,
 )
-from unitsel.lm import NoteVocabulary, train_lm
+from unitsel.lm import NoteVocabulary, tokenize_unit, train_lm
 from unitsel.music import (
     Provenance,
     Unit,
@@ -114,6 +116,26 @@ class TestRankCandidates:
                 if rc.semantic_rank == 1 and rc.concat_rank == 1:
                     assert rc is ranked[0]
 
+    @pytest.mark.parametrize(
+        "seed_idx,context_from", [(0, None), (3, 7), (11, 20), (25, 2)]
+    )
+    @pytest.mark.parametrize("top", [1, 5, 40])
+    def test_top_is_head_of_full_ranking(
+        self, small_setup, seed_idx, context_from, top
+    ):
+        # this 51-unit library's shortlist has 3 entries; 5 and 40 reach past it
+        s = small_setup
+        units = s["lib"].units
+        prev = (
+            [] if context_from is None
+            else tokenize_unit(units[context_from], s["lm"].vocab)
+        )
+        cfg = GenerationConfig(unit_length=1, n_units=1)
+        args = (units[seed_idx], prev, s["dssm_elib"], s["dssm"], s["lm"], cfg)
+        full = rank_candidates(*args)
+        head = rank_candidates(*args, top=top)
+        assert head == full[:top]
+
     def test_threads_identical(self, small_setup):
         s = small_setup
         cfg = GenerationConfig(unit_length=1, n_units=1)
@@ -124,6 +146,14 @@ class TestRankCandidates:
             s["lib"].units[2], [], s["dssm_elib"], s["dssm"], s["lm"], cfg, threads=4
         )
         assert [rc.index for rc in r1] == [rc.index for rc in r4]
+
+    def test_top_below_one_rejected(self, small_setup):
+        s = small_setup
+        cfg = GenerationConfig(unit_length=1, n_units=1)
+        with pytest.raises(ValueError, match="top"):
+            rank_candidates(
+                s["lib"].units[0], [], s["dssm_elib"], s["dssm"], s["lm"], cfg, top=0
+            )
 
     def test_wrong_library_kind_rejected(self, small_setup):
         s = small_setup
@@ -203,6 +233,37 @@ class TestGenerate:
         assert len(out.measures) == len(piece.measures) + 2
         assert out.measures[: len(piece.measures)] == piece.measures
         assert validate_piece(out) == []
+
+    @pytest.mark.parametrize("mode", [DETERMINISTIC, SAMPLED])
+    def test_audit_shortlists_are_heads_of_full_rankings(self, small_setup, mode):
+        s = small_setup
+        elib, lm = s["dssm_elib"], s["lm"]
+        piece = s["corpus"].pieces[2]
+        cfg = GenerationConfig(unit_length=1, n_units=3, mode=mode, seed=4)
+        audit: list = []
+        continue_piece(piece, 3, elib, s["dssm"], lm, cfg, audit=audit)
+        k = shortlist_size(len(elib), cfg.shortlist_fraction)
+        current = Unit(
+            measures=piece.measures[-1:],
+            provenance=Provenance(piece.id, len(piece.measures) - 1),
+        )
+        context = [lm.vocab.encode((n.pitch, n.duration)) for n in piece.notes]
+        assert len(audit) == 3
+        for record in audit:
+            full = rank_candidates(current, context, elib, s["dssm"], lm, cfg)
+            assert record["shortlist"] == [
+                {
+                    "index": rc.index,
+                    "semantic_rank": rc.semantic_rank,
+                    "concat_rank": rc.concat_rank,
+                    "combined": rc.combined_key,
+                    "relevance": rc.relevance,
+                    "concat_cost": rc.concat_cost,
+                }
+                for rc in full[:k]
+            ]
+            current = elib.library.units[record["selected"]]
+            context.extend(tokenize_unit(current, lm.vocab))
 
 
 def degenerate_lm(symbol, n=80, epochs=30):
