@@ -25,6 +25,8 @@ from .nn import (
     DenseLayer,
     TrainConfig,
     cosine_rows,
+    draw_pool,
+    rank_order,
     relevance_batch_loss,
     stream_rng,
     train_relevance,
@@ -194,7 +196,7 @@ def select_nearest(
     if len(elib) == 0:
         raise ValueError("empty library")
     sims = library_similarities(query_emb, elib, threads)
-    order = np.argsort(-sims, kind="stable")[: min(k, len(sims))]
+    order = rank_order(-sims)[:k]
     return [(elib.library.units[i], float(sims[i])) for i in order]
 
 
@@ -259,14 +261,10 @@ def rank_at_50(
         if truth_idx is None:
             raise ValueError(f"probe {i} is not in the library")
         rng = stream_rng(seed, "rank50", i)
-        draw = rng.choice(n - 1, size=pool_size - 1, replace=False)
-        draw[draw >= truth_idx] += 1
-        pool = np.concatenate([[truth_idx], draw])
+        pool = np.concatenate([[truth_idx], draw_pool(rng, n, truth_idx, pool_size - 1)])
         sims = cosine_rows(q_emb[i], elib.embeddings[pool])
-        jitter = rng.random(pool_size)
-        better = np.sum(sims > sims[0])
-        tied = np.sum((sims == sims[0]) & (jitter < jitter[0]))
-        ranks[i] = 1 + better + tied
+        order = rank_order(-sims, rng.random(pool_size))
+        ranks[i] = int(np.where(order == 0)[0][0]) + 1
     return float(ranks.mean()), float(np.mean(ranks == 1))
 
 

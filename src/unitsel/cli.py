@@ -72,32 +72,19 @@ def _fraction_list(text: str) -> tuple[Fraction, ...]:
     return tuple(_fraction_arg(v) for v in text.split(",") if v.strip())
 
 
-def _load_corpus_checked(path: str):
+def _load_checked(path: str, kind: str):
+    """Load an input file: a "corpus", a "library" or a model archive of
+    ``kind``. A missing file or one the loader rejects is a UserError."""
     p = Path(path)
     if not p.exists():
-        raise UserError(f"corpus file not found: {p}")
+        what = kind if kind in ("corpus", "library") else "model"
+        raise UserError(f"{what} file not found: {p}")
     try:
-        return load_corpus(p)
+        if kind == "corpus":
+            return load_corpus(p)
+        return load_library(p) if kind == "library" else load_trained(p, kind)
     except (CorpusFormatError, CorpusValidationError) as exc:
         raise UserError(f"invalid corpus {p}: {exc}") from exc
-
-
-def _load_library_checked(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise UserError(f"library file not found: {p}")
-    try:
-        return load_library(p)
-    except ArchiveError as exc:
-        raise UserError(str(exc)) from exc
-
-
-def _load_model_checked(path: str, expected_kind: str):
-    p = Path(path)
-    if not p.exists():
-        raise UserError(f"model file not found: {p}")
-    try:
-        return load_trained(p, expected_kind)
     except ArchiveError as exc:
         raise UserError(str(exc)) from exc
 
@@ -161,7 +148,7 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_build_lib(args) -> None:
     out = _out_dir(args)
-    corpus = _load_corpus_checked(args.corpus)
+    corpus = _load_checked(args.corpus, "corpus")
     cfg = _augment_config(args, args.mode)
     lib = build_library(corpus, cfg)
     save_library(lib, out / "library.lib")
@@ -171,7 +158,7 @@ def cmd_build_lib(args) -> None:
 
 def cmd_train_ae(args) -> None:
     out = _out_dir(args)
-    lib = _load_library_checked(args.library)
+    lib = _load_checked(args.library, "library")
     vocab = build_vocab(lib)
     model = train_autoencoder(
         lib, vocab, _train_config(args), hidden=args.hidden, embedding=args.embedding
@@ -186,7 +173,7 @@ def cmd_train_ae(args) -> None:
 
 def cmd_train_dssm(args) -> None:
     out = _out_dir(args)
-    corpus = _load_corpus_checked(args.corpus)
+    corpus = _load_checked(args.corpus, "corpus")
     cfg = _augment_config(args, TRANSPOSE_ONLY)
     tcorp = transpose_corpus(corpus, cfg)
     try:
@@ -206,7 +193,7 @@ def cmd_train_dssm(args) -> None:
 
 def cmd_train_lm(args) -> None:
     out = _out_dir(args)
-    corpus = _load_corpus_checked(args.corpus)
+    corpus = _load_checked(args.corpus, "corpus")
     cfg = _augment_config(args, TRANSPOSE_ONLY)
     tcorp = transpose_corpus(corpus, cfg)
     vocab = build_note_vocab(tcorp)
@@ -222,9 +209,9 @@ def cmd_train_lm(args) -> None:
 
 def cmd_reconstruct(args) -> None:
     out = _out_dir(args)
-    corpus = _load_corpus_checked(args.corpus)
-    lib = _load_library_checked(args.library)
-    model = _load_model_checked(args.model, "autoencoder")
+    corpus = _load_checked(args.corpus, "corpus")
+    lib = _load_checked(args.library, "library")
+    model = _load_checked(args.model, "autoencoder")
     elib = _embed_checked(model, lib, args.threads)
     pieces = []
     for p in corpus.pieces:
@@ -241,9 +228,9 @@ def cmd_reconstruct(args) -> None:
 
 def cmd_interpolate(args) -> None:
     out = _out_dir(args)
-    corpus = _load_corpus_checked(args.corpus)
-    lib = _load_library_checked(args.library)
-    model = _load_model_checked(args.model, "autoencoder")
+    corpus = _load_checked(args.corpus, "corpus")
+    lib = _load_checked(args.library, "library")
+    model = _load_checked(args.model, "autoencoder")
     by_id = {p.id: p for p in corpus.pieces}
     for which in (args.piece_a, args.piece_b):
         if which not in by_id:
@@ -286,10 +273,10 @@ def _generation_config(args, unit_length: int) -> GenerationConfig:
 
 def cmd_generate(args) -> None:
     out = _out_dir(args)
-    seed_corpus = _load_corpus_checked(args.seed_piece)
-    lib = _load_library_checked(args.library)
-    dssm_model = _load_model_checked(args.dssm, "dssm")
-    lm_model = _load_model_checked(args.lm, "lstm")
+    seed_corpus = _load_checked(args.seed_piece, "corpus")
+    lib = _load_checked(args.library, "library")
+    dssm_model = _load_checked(args.dssm, "dssm")
+    lm_model = _load_checked(args.lm, "lstm")
     elib = _embed_checked(dssm_model, lib, args.threads)
     cfg = _generation_config(args, lib.unit_length)
     audit: list = []
@@ -323,8 +310,8 @@ def cmd_generate(args) -> None:
 
 def cmd_generate_notes(args) -> None:
     out = _out_dir(args)
-    seed_corpus = _load_corpus_checked(args.seed_piece)
-    lm_model = _load_model_checked(args.lm, "lstm")
+    seed_corpus = _load_checked(args.seed_piece, "corpus")
+    lm_model = _load_checked(args.lm, "lstm")
     cfg = GenerationConfig(
         mode=SAMPLED if args.sample else DETERMINISTIC,
         temperature=args.temperature,
@@ -343,8 +330,8 @@ def cmd_generate_notes(args) -> None:
 
 def cmd_eval_rank50(args) -> None:
     out = _out_dir(args)
-    lib = _load_library_checked(args.library)
-    model = _load_model_checked(args.model, "autoencoder")
+    lib = _load_checked(args.library, "library")
+    model = _load_checked(args.model, "autoencoder")
     elib = _embed_checked(model, lib, args.threads)
     probes = list(lib.units)
     if args.max_probes and len(probes) > args.max_probes:
@@ -380,10 +367,10 @@ def cmd_eval_rank50(args) -> None:
 
 def cmd_eval_nextunit(args) -> None:
     out = _out_dir(args)
-    corpus = _load_corpus_checked(args.corpus)
-    lib = _load_library_checked(args.library)
-    dssm_model = _load_model_checked(args.dssm, "dssm")
-    lm_model = _load_model_checked(args.lm, "lstm")
+    corpus = _load_checked(args.corpus, "corpus")
+    lib = _load_checked(args.library, "library")
+    dssm_model = _load_checked(args.dssm, "dssm")
+    lm_model = _load_checked(args.lm, "lstm")
     elib = _embed_checked(dssm_model, lib, args.threads)
     probes = make_training_pairs(corpus, lib.unit_length, strict=False)
     if not probes:
@@ -420,7 +407,7 @@ def cmd_eval_nextunit(args) -> None:
 
 def cmd_split(args) -> None:
     out = _out_dir(args)
-    corpus = _load_corpus_checked(args.corpus)
+    corpus = _load_checked(args.corpus, "corpus")
     try:
         train, test = split_corpus(corpus, args.train_fraction, args.seed)
     except ValueError as exc:
@@ -576,8 +563,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Config file supplies defaults; explicit flags win."""
+def _apply_config_file(argv: list[str]) -> list[str]:
+    """Config file supplies defaults; explicit flags win.
+
+    Each value is injected as one ``--flag=value`` word, so a value that
+    starts with "-" is not read as a flag; a JSON list is joined with commas.
+    """
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
@@ -600,8 +591,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         if isinstance(value, bool):
             if value:
                 injected.append(flag)
+        elif isinstance(value, list):
+            injected.append(f"{flag}={','.join(str(v) for v in value)}")
         else:
-            injected.extend([flag, str(value)])
+            injected.append(f"{flag}={value}")
     # insert after the subcommand so argparse scopes them correctly
     return argv[:1] + injected + argv[1:] if injected else argv
 
@@ -611,7 +604,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, list(argv))
+        argv = _apply_config_file(list(argv))
         args = parser.parse_args(argv)
         args.func(args)
         return 0

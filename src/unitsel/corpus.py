@@ -75,23 +75,33 @@ def _fraction_from_pair(pair, what: str) -> Fraction:
 
 
 def piece_from_dict(obj: dict) -> Piece:
+    """Build a piece from its corpus-line object.
+
+    A wrong shape or type is a CorpusFormatError; values that parse but
+    break a model invariant (an empty measure, a pitch outside MIDI range)
+    raise a plain ValueError, which ``load_corpus`` reports as a diagnostic.
+    """
     if not isinstance(obj, dict) or "id" not in obj or "measures" not in obj:
         raise CorpusFormatError("piece object needs 'id' and 'measures'")
     meter = _fraction_from_pair(obj.get("meter", [1, 1]), "meter")
     measures = []
-    for m in obj["measures"]:
-        notes = []
-        for n in m.get("notes", []):
-            dur = _fraction_from_pair(n["dur"], "dur")
-            notes.append(
+    try:
+        for m in obj["measures"]:
+            notes = [
                 Note(
+                    duration=_fraction_from_pair(n["dur"], "dur"),
                     pitch=int(n["pitch"]),
-                    duration=dur,
                     tie_from_prev=bool(n.get("tie_prev", False)),
                     tie_to_next=bool(n.get("tie_next", False)),
                 )
-            )
-        measures.append(Measure(notes=tuple(notes), meter=meter))
+                for n in m.get("notes", [])
+            ]
+            measures.append(Measure(notes=tuple(notes), meter=meter))
+    except (AttributeError, KeyError, OverflowError, TypeError) as exc:
+        raise CorpusFormatError(
+            f"'measures' must be a list of objects whose 'notes' have 'pitch' "
+            f"and 'dur' ({exc!r})"
+        ) from exc
     return Piece(id=str(obj["id"]), measures=tuple(measures))
 
 
@@ -130,6 +140,7 @@ def load_corpus(path) -> Corpus:
     if not lines:
         raise CorpusFormatError(f"{path}: empty corpus file")
     pieces: list[Piece] = []
+    ids: set[str] = set()
     diagnostics: list[str] = []
     for lineno, line in enumerate(lines, start=1):
         try:
@@ -145,6 +156,9 @@ def load_corpus(path) -> Corpus:
             continue
         for violation in validate_piece(piece):
             diagnostics.append(f"piece {piece.id}: {violation}")
+        if piece.id in ids:
+            diagnostics.append(f"piece {piece.id}: duplicate piece id at line {lineno}")
+        ids.add(piece.id)
         pieces.append(piece)
     if diagnostics:
         raise CorpusValidationError(diagnostics)
@@ -415,7 +429,7 @@ def load_library(path):
                 for o in obj["origins"]
             )
             unit = Unit(measures=fake.measures, provenance=provs[0])
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise ArchiveError(
                 f"{path}:{lineno}: malformed library unit ({exc!r})"
             ) from exc

@@ -11,7 +11,7 @@ choice unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -26,6 +26,7 @@ from .lm import (
     context_window,
     first_note_costs,
     note_distribution,
+    tokenize,
     tokenize_unit,
 )
 from .music import (
@@ -36,9 +37,8 @@ from .music import (
     Provenance,
     Unit,
     assemble_piece,
-    concatenate_units,
 )
-from .nn import stream_rng
+from .nn import rank_order, stream_rng
 
 DETERMINISTIC = "deterministic"
 SAMPLED = "sampled"
@@ -94,30 +94,26 @@ def combined_order(
 
     ``cost_fn(indices)`` returns join costs for the shortlisted indices
     only. ``jitter`` (optional, same length as sims) breaks score ties in
-    the semantic stage; by default ties break by candidate index.
+    the semantic stage; by default ties break by candidate index. Join and
+    combined ties break by semantic rank (see ``nn.rank_order``).
     """
     n = len(sims)
     if n == 0:
         raise ValueError("empty candidate pool")
-    idx = np.arange(n)
-    if jitter is None:
-        jitter = np.zeros(n)
-    sem_order = np.lexsort((idx, jitter, -sims))
+    sem_order = rank_order(-sims, jitter)
     sem_rank = np.empty(n, dtype=np.int64)
-    sem_rank[sem_order] = idx + 1
+    sem_rank[sem_order] = np.arange(1, n + 1)
     k = shortlist_size(n, fraction)
+    # the shortlist is in semantic order, so index order within it is semantic rank
     shortlist = sem_order[:k]
     costs_short = np.asarray(cost_fn(shortlist), dtype=float)
     all_costs = np.full(n, np.nan)
     all_costs[shortlist] = costs_short
-    by_cost = shortlist[np.lexsort((shortlist, sem_rank[shortlist], costs_short))]
     concat_rank = np.zeros(n, dtype=np.int64)
-    concat_rank[by_cost] = np.arange(1, k + 1)
+    concat_rank[shortlist[rank_order(costs_short)]] = np.arange(1, k + 1)
     combined = np.zeros(n, dtype=np.int64)
     combined[shortlist] = sem_rank[shortlist] + concat_rank[shortlist]
-    head = shortlist[
-        np.lexsort((shortlist, sem_rank[shortlist], combined[shortlist]))
-    ]
+    head = shortlist[rank_order(combined[shortlist])]
     order = np.concatenate([head, sem_order[k:]])
     return CombinedRanking(
         order=order,
@@ -205,18 +201,66 @@ def _pick(
     return shortlist[int(rng.choice(len(shortlist), p=weights))]
 
 
-def _selection_loop(
-    current: Unit,
-    context: list[int],
+def generate(
+    seed: Unit,
     n_units: int,
     elib: EmbeddedLibrary,
     dssm_model: DssmModel,
     lm_model: LmModel,
     cfg: GenerationConfig,
-    threads: int,
-    audit: list | None,
-) -> list[Unit]:
-    picked: list[Unit] = []
+    piece_id: str = "generated",
+    threads: int = 1,
+    audit: list | None = None,
+) -> Piece:
+    """Iteratively select and append ``n_units`` units after the seed.
+
+    This is ``continue_piece`` on the one-unit piece of the seed, returned
+    under ``piece_id``.
+    """
+    if len(seed.measures) != elib.library.unit_length:
+        raise ValueError(
+            f"seed has {len(seed.measures)} measures, library units have "
+            f"{elib.library.unit_length}"
+        )
+    piece = continue_piece(
+        Piece(piece_id, seed.measures), n_units, elib, dssm_model, lm_model, cfg,
+        threads, audit,
+    )
+    return replace(piece, id=piece_id)
+
+
+def continue_piece(
+    piece: Piece,
+    n_units: int,
+    elib: EmbeddedLibrary,
+    dssm_model: DssmModel,
+    lm_model: LmModel,
+    cfg: GenerationConfig,
+    threads: int = 1,
+    audit: list | None = None,
+) -> Piece:
+    """Extend a whole piece by ``n_units`` selected units.
+
+    The piece's last unit seeds the selection; the note context handed to
+    the join cost is the last 36 tokens of everything emitted so far,
+    crossing unit boundaries. Pass ``audit`` to collect one record per
+    step with the shortlist and both ranks.
+    """
+    length = elib.library.unit_length
+    if len(piece.measures) < length:
+        raise ValueError(
+            f"seed piece needs at least {length} measures, has {len(piece.measures)}"
+        )
+    meter = elib.library.meter
+    other = next((m.meter for m in piece.measures if m.meter != meter), None)
+    if other is not None:
+        raise ValueError(f"seed piece has meter {other}, library units have {meter}")
+    current = Unit(
+        measures=tuple(piece.measures[-length:]),
+        provenance=Provenance(piece.id, len(piece.measures) - length),
+    )
+    context = tokenize(piece, lm_model.vocab)
+    measures = list(piece.measures)
     k = shortlist_size(len(elib), cfg.shortlist_fraction)
     for step in range(n_units):
         shortlist = rank_candidates(
@@ -241,69 +285,9 @@ def _selection_loop(
                     ],
                 }
             )
-        picked.append(pick.unit)
-        context.extend(tokenize_unit(pick.unit, lm_model.vocab))
         current = pick.unit
-    return picked
-
-
-def generate(
-    seed: Unit,
-    n_units: int,
-    elib: EmbeddedLibrary,
-    dssm_model: DssmModel,
-    lm_model: LmModel,
-    cfg: GenerationConfig,
-    piece_id: str = "generated",
-    threads: int = 1,
-    audit: list | None = None,
-) -> Piece:
-    """Iteratively select and append ``n_units`` units after the seed.
-
-    The note context handed to the join cost is the last 36 tokens of
-    everything emitted so far, crossing unit boundaries. Pass ``audit`` to
-    collect one record per step with the shortlist and both ranks.
-    """
-    if len(seed.measures) != elib.library.unit_length:
-        raise ValueError(
-            f"seed has {len(seed.measures)} measures, library units have "
-            f"{elib.library.unit_length}"
-        )
-    context = tokenize_unit(seed, lm_model.vocab)
-    picked = _selection_loop(
-        seed, context, n_units, elib, dssm_model, lm_model, cfg, threads, audit
-    )
-    return concatenate_units([seed] + picked, piece_id)
-
-
-def continue_piece(
-    piece: Piece,
-    n_units: int,
-    elib: EmbeddedLibrary,
-    dssm_model: DssmModel,
-    lm_model: LmModel,
-    cfg: GenerationConfig,
-    threads: int = 1,
-    audit: list | None = None,
-) -> Piece:
-    """Extend a whole piece: its last unit seeds the selection, its entire
-    note stream primes the join-cost context."""
-    length = elib.library.unit_length
-    if len(piece.measures) < length:
-        raise ValueError(
-            f"seed piece needs at least {length} measures, has {len(piece.measures)}"
-        )
-    current = Unit(
-        measures=tuple(piece.measures[-length:]),
-        provenance=Provenance(piece.id, len(piece.measures) - length),
-    )
-    context = [lm_model.vocab.encode((n.pitch, n.duration)) for n in piece.notes]
-    picked = _selection_loop(
-        current, context, n_units, elib, dssm_model, lm_model, cfg, threads, audit
-    )
-    measures = list(piece.measures)
-    for u in picked:
-        measures.extend(u.measures)
+        measures.extend(current.measures)
+        context.extend(tokenize_unit(current, lm_model.vocab))
     return assemble_piece(measures, f"{piece.id}+{n_units}u")
 
 
@@ -353,14 +337,41 @@ def _symbols_to_measures(
     return measures
 
 
-def _note_loop(
-    context: list[int],
-    meter: Fraction,
+def generate_note_level(
+    seed: Unit,
     n_measures: int,
     lm_model: LmModel,
     cfg: GenerationConfig,
-) -> list[Measure]:
+    piece_id: str = "generated-notes",
+) -> Piece:
+    """Seed plus ``n_measures`` of note-by-note generation.
+
+    This is ``continue_piece_notes`` on the one-unit piece of the seed,
+    returned under ``piece_id``.
+    """
+    piece = continue_piece_notes(Piece(piece_id, seed.measures), n_measures, lm_model, cfg)
+    return replace(piece, id=piece_id)
+
+
+def continue_piece_notes(
+    piece: Piece,
+    n_measures: int,
+    lm_model: LmModel,
+    cfg: GenerationConfig,
+) -> Piece:
+    """Extend a whole piece note by note; the full piece primes the context.
+
+    PAD and OOV are masked out of the predictive distribution, so the
+    greedy choice is always a real note; sampled mode applies temperature
+    to the masked distribution.
+    """
+    if n_measures < 1:
+        raise ValueError("n_measures must be >= 1")
+    if not piece.measures:
+        raise ValueError("seed piece is empty")
     vocab = lm_model.vocab
+    context = tokenize(piece, vocab)
+    meter = piece.measures[0].meter
     target = meter * n_measures
     acc = Fraction(0)
     symbols: list[tuple[int, Fraction]] = []
@@ -382,41 +393,5 @@ def _note_loop(
         context.append(tok)
         acc += dur
         step += 1
-    return _symbols_to_measures(symbols, meter, n_measures)
-
-
-def generate_note_level(
-    seed: Unit,
-    n_measures: int,
-    lm_model: LmModel,
-    cfg: GenerationConfig,
-    piece_id: str = "generated-notes",
-) -> Piece:
-    """Seed plus ``n_measures`` of note-by-note generation.
-
-    PAD and OOV are masked out of the predictive distribution, so the
-    greedy choice is always a real note; sampled mode applies temperature
-    to the masked distribution.
-    """
-    if n_measures < 1:
-        raise ValueError("n_measures must be >= 1")
-    context = tokenize_unit(seed, lm_model.vocab)
-    generated = _note_loop(context, seed.meter, n_measures, lm_model, cfg)
-    return assemble_piece(list(seed.measures) + generated, piece_id)
-
-
-def continue_piece_notes(
-    piece: Piece,
-    n_measures: int,
-    lm_model: LmModel,
-    cfg: GenerationConfig,
-) -> Piece:
-    """Extend a whole piece note by note; the full piece primes the context."""
-    if n_measures < 1:
-        raise ValueError("n_measures must be >= 1")
-    if not piece.measures:
-        raise ValueError("seed piece is empty")
-    context = [lm_model.vocab.encode((n.pitch, n.duration)) for n in piece.notes]
-    meter = piece.measures[0].meter
-    generated = _note_loop(context, meter, n_measures, lm_model, cfg)
+    generated = _symbols_to_measures(symbols, meter, n_measures)
     return assemble_piece(list(piece.measures) + generated, f"{piece.id}+{n_measures}m")

@@ -24,7 +24,7 @@ from .engine import combined_order
 from .features import extract_matrix
 from .lm import LmModel, context_window, first_tokens, note_distributions, tokenize_unit
 from .music import Unit
-from .nn import stream_rng
+from .nn import cosine_rows, draw_pool, rank_order, stream_rng
 
 REGIME_LSTM = "lstm"
 REGIME_DSSM = "dssm"
@@ -61,7 +61,8 @@ def next_unit_ranking(
     """Rank each probe's true successor among seeded random distractors.
 
     Distractor draws exclude the truth unit and are reproducible by seed;
-    re-running with the same inputs gives identical numbers.
+    re-running with the same inputs gives identical numbers. A zero-norm
+    context or truth embedding is a ValueError, as in ``nn.cosine_rows``.
     """
     if regime not in REGIME_ORDER:
         raise ValueError(f"unknown regime {regime!r}")
@@ -108,38 +109,29 @@ def next_unit_ranking(
     ranks = np.empty(n)
     for i in range(n):
         rng = stream_rng(seed, "nextunit", i)
-        truth_idx = elib.library.index_of(truths[i])
-        if truth_idx is None:
-            draw = rng.choice(n_lib, size=pool_size - 1, replace=False)
-        else:
-            draw = rng.choice(n_lib - 1, size=pool_size - 1, replace=False)
-            draw[draw >= truth_idx] += 1
+        draw = draw_pool(rng, n_lib, elib.library.index_of(truths[i]), pool_size - 1)
         jitter = rng.random(pool_size)
-        pool_idx = np.arange(pool_size)
 
         if needs_dssm:
             cand_emb = np.concatenate(
                 [truth_emb[i][None, :], elib.embeddings[draw]], axis=0
             )
-            qn = np.linalg.norm(prev_emb[i])
-            cn = np.linalg.norm(cand_emb, axis=1)
-            sims = (cand_emb @ prev_emb[i]) / (qn * cn)
+            sims = cosine_rows(prev_emb[i], cand_emb)
         if needs_lstm:
             firsts = np.concatenate([[truth_first[i]], lib_first[draw]])
             costs = -np.log(dists[i][firsts])
 
         if regime == REGIME_DSSM:
-            order = np.lexsort((pool_idx, jitter, -sims))
+            order = rank_order(-sims, jitter)
         elif regime == REGIME_LSTM:
-            order = np.lexsort((pool_idx, jitter, costs))
+            order = rank_order(costs, jitter)
         elif regime == REGIME_COMBINED:
             ranking = combined_order(
                 sims, lambda idxs: costs[idxs], shortlist_fraction, jitter
             )
             order = ranking.order
         else:
-            scores = rng.random(pool_size)
-            order = np.lexsort((pool_idx, -scores))
+            order = rank_order(-rng.random(pool_size))
         ranks[i] = int(np.where(order == 0)[0][0]) + 1
 
     return RankingRow(

@@ -234,6 +234,25 @@ def cosine_rows(q: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return (mat @ q) / (norms * nq)
 
 
+def rank_order(key: np.ndarray, jitter: np.ndarray | None = None) -> np.ndarray:
+    """Indices by ascending key, ties broken by jitter, then by index.
+
+    This is the one tie policy of selection and evaluation; pass ``-score``
+    to rank best-first. ``np.lexsort`` is stable, so equal (key, jitter)
+    pairs keep index order.
+    """
+    return np.lexsort((key,) if jitter is None else (jitter, key))
+
+
+def draw_pool(rng: np.random.Generator, n: int, truth: int | None, size: int) -> np.ndarray:
+    """``size`` distinct indices from range(n), never ``truth`` (None excludes nothing)."""
+    if truth is None:
+        return rng.choice(n, size=size, replace=False)
+    draw = rng.choice(n - 1, size=size, replace=False)
+    draw[draw >= truth] += 1
+    return draw
+
+
 def softmax_relevance(
     q: np.ndarray, candidates: list[np.ndarray] | np.ndarray, truth_index: int
 ) -> tuple[np.ndarray, float]:

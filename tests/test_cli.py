@@ -225,6 +225,37 @@ class TestErrors:
         assert code == 1
         assert "duration-mismatch" in capsys.readouterr().err
 
+    def test_seed_meter_differs_from_library(self, pipeline, tmp_path, capsys):
+        seed = tmp_path / "waltz.cor"
+        seed.write_text('{"id": "w", "meter": [3, 4], "measures": '
+                        '[{"notes": [{"pitch": 60, "dur": [3, 4]}]}]}\n')
+        code = main([
+            "generate", "--seed-piece", str(seed), "--library", pipeline["lib"],
+            "--dssm", pipeline["dssm"], "--lm", pipeline["lm"], "--out", str(tmp_path / "g"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "cannot extend w" in err and "meter 3/4" in err
+
+    @pytest.mark.parametrize(
+        "measures",
+        [
+            '[{"notes": [{"pitch": 60}]}]',
+            '[{"notes": [{"dur": [1, 1]}]}]',
+            "[[]]",
+            '{"notes": []}',
+        ],
+        ids=["note-without-dur", "note-without-pitch", "measure-not-an-object", "measures-not-a-list"],
+    )
+    def test_malformed_corpus_line_is_user_error(self, tmp_path, capsys, measures):
+        bad = tmp_path / "bad.cor"
+        bad.write_text(f'{{"id": "p", "measures": {measures}}}\n')
+        code = main(["build-lib", "--corpus", str(bad), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: invalid corpus" in err and f"{bad}:1:" in err
+        assert "Traceback" not in err
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, pipeline, tmp_path):
@@ -239,3 +270,22 @@ class TestConfigFile:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["train_fraction"] == 0.8  # from config file
         assert manifest["seed"] == 7  # explicit flag beat the config value
+
+    @pytest.mark.parametrize("shifts", [[-1, 0, 1], "-1,0,1"], ids=["list", "string"])
+    def test_config_shifts_match_the_flag(self, tmp_path, shifts):
+        def manifest_config(name, *extra):
+            out = tmp_path / name
+            code = main([
+                "build-lib", "--corpus", CORPUS, "--mode", "transpose_only",
+                "--out", str(out), *extra,
+            ])
+            assert code == 0
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            config.pop("out")
+            return config
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"shifts": shifts}))
+        from_file = manifest_config("file", "--config", str(cfg))
+        assert from_file == manifest_config("flag", "--shifts=-1,0,1")
+        assert from_file["shifts"] == [-1, 0, 1]

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from unitsel import load_trained
 from unitsel.augment import AugmentConfig, build_library
@@ -65,6 +66,13 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError):
             load_corpus(path)
 
+    def test_duplicate_piece_id_diagnosed(self, tmp_path):
+        line = '{"id": "a", "measures": [{"notes": [{"pitch": 60, "dur": [1, 1]}]}]}\n'
+        path = tmp_path / "dup.cor"
+        path.write_text(line * 2)
+        with pytest.raises(CorpusValidationError, match="piece a: duplicate piece id at line 2"):
+            load_corpus(path)
+
     def test_round_trip_preserves_pieces(self, tmp_path, fixture_corpus):
         path = tmp_path / "copy.cor"
         save_corpus(fixture_corpus, path)
@@ -89,6 +97,57 @@ class TestLoadCorpus:
         )
         with pytest.raises(CorpusValidationError, match="mixed meters"):
             load_corpus(path)
+
+
+# Any JSON value; each corpus field below is either well formed or one of these.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-300, 300) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _or_junk(valid):
+    return valid | JSON_VALUES
+
+
+_PAIRS = st.lists(st.integers(-1, 8), min_size=2, max_size=2)
+_NOTES = st.fixed_dictionaries(
+    {},
+    optional={
+        "pitch": _or_junk(st.integers(-2, 128)),
+        "dur": _or_junk(_PAIRS),
+        "tie_prev": _or_junk(st.booleans()),
+        "tie_next": _or_junk(st.booleans()),
+    },
+)
+_MEASURES = st.fixed_dictionaries(
+    {}, optional={"notes": _or_junk(st.lists(_or_junk(_NOTES), max_size=4))}
+)
+_PIECES = st.fixed_dictionaries(
+    {
+        "id": _or_junk(st.sampled_from(["a", "b"])),
+        "measures": _or_junk(st.lists(_or_junk(_MEASURES), max_size=3)),
+    },
+    optional={"meter": _or_junk(_PAIRS)},
+)
+_LINES = st.one_of(
+    _or_junk(_PIECES).map(json.dumps),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+    st.sampled_from(FIXTURE_CORPUS.read_text(encoding="utf-8").splitlines()),
+)
+
+
+class TestCorpusFuzz:
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(_LINES, min_size=1, max_size=3))
+    def test_any_line_loads_or_is_a_corpus_error(self, tmp_path, lines):
+        path = tmp_path / "fuzz.cor"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            assert isinstance(load_corpus(path), Corpus)
+        except (CorpusFormatError, CorpusValidationError):
+            pass
 
 
 class TestSplitCorpus:

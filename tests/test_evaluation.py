@@ -55,6 +55,19 @@ class TestNextUnitRanking:
         row = next_unit_ranking(many, elib, constant, None, "dssm", seed=3)
         assert abs(row.mean_rank - 25.5) < 1.5
 
+    def test_zero_norm_probe_embedding_rejected(self, small_setup, probes):
+        s = small_setup
+        model = DssmModel(s["vocab"], width=8, embedding=4)
+        for layer in model.layers:
+            layer.w[:] = 0.0
+            layer.b[:] = 0.0
+        model.out.b[:] = 1.0
+        elib = embed_library(model, s["lib"])
+        model.out.b[:] = 0.0  # the library stays embedded; every probe now embeds to zero
+        for regime in ("dssm", "dssm+lstm"):
+            with pytest.raises(ValueError, match="zero-norm"):
+                next_unit_ranking(probes, elib, model, s["lm"], regime, seed=3)
+
     def test_lstm_regime_matches_independent_recomputation(self, small_setup, probes):
         s = small_setup
         lm = s["lm"]

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitsel.autoencoder import AutoencoderModel, autoencoder_batch_loss
 from unitsel.dssm import DssmModel, dssm_batch_loss
@@ -14,8 +15,10 @@ from unitsel.nn import (
     TrainConfig,
     cosine_sim,
     derive_seed,
+    draw_pool,
     dropout_mask,
     grad_check,
+    rank_order,
     sgd_step,
     softmax_relevance,
     stream_rng,
@@ -45,6 +48,41 @@ class TestCosine:
             c = float(rng.uniform(0.1, 10.0))
             assert cosine_sim(x, c * x) == pytest.approx(1.0, abs=1e-12)
             assert cosine_sim(x, -x) == pytest.approx(-1.0, abs=1e-12)
+
+
+# Few distinct values, so most draws hold ties in the key and in the jitter.
+TIE_HEAVY = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 3.0, np.inf, np.nan])
+
+
+class TestRankOrder:
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(TIE_HEAVY, st.integers(0, 3), st.sampled_from([0.0, 0.25, 0.75])),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_matches_lexsort_with_index_key(self, rows):
+        key, int_key, jitter = (np.array(column) for column in zip(*rows))
+        index = np.arange(len(rows))
+        no_jitter = np.zeros(len(rows))
+        np.testing.assert_array_equal(
+            rank_order(key, jitter), np.lexsort((index, jitter, key))
+        )
+        np.testing.assert_array_equal(rank_order(key), np.lexsort((index, no_jitter, key)))
+        np.testing.assert_array_equal(
+            rank_order(int_key), np.lexsort((index, no_jitter, int_key))
+        )
+
+    @settings(deadline=None)
+    @given(st.integers(2, 80), st.data())
+    def test_draw_pool_excludes_truth(self, n, data):
+        truth = data.draw(st.none() | st.integers(0, n - 1))
+        size = data.draw(st.integers(1, n - 1))
+        draw = draw_pool(stream_rng(data.draw(st.integers(0, 99)), "pool"), n, truth, size)
+        assert len(set(draw.tolist())) == size
+        assert all(0 <= i < n and i != truth for i in draw.tolist())
 
 
 class TestSoftmaxRelevance:
