@@ -566,20 +566,26 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config_file(argv: list[str]) -> list[str]:
     """Config file supplies defaults; explicit flags win.
 
-    Each value is injected as one ``--flag=value`` word, so a value that
-    starts with "-" is not read as a flag; a JSON list is joined with commas.
+    The path is given as ``--config PATH`` or ``--config=PATH``. Each value
+    is injected as one ``--flag=value`` word, so a value that starts with
+    "-" is not read as a flag; a JSON list is joined with commas.
     """
-    if "--config" not in argv:
+    for at, word in enumerate(argv):
+        if word == "--config":
+            if at + 1 >= len(argv):
+                raise UserError("--config needs a file path")
+            cfg_path = Path(argv[at + 1])
+            break
+        if word.startswith("--config="):
+            cfg_path = Path(word[len("--config=") :])
+            break
+    else:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        raise UserError("--config needs a file path")
-    cfg_path = Path(argv[at + 1])
-    if not cfg_path.exists():
+    if not cfg_path.is_file():
         raise UserError(f"config file not found: {cfg_path}")
     try:
         overrides = json.loads(cfg_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise UserError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise UserError("config file must hold a JSON object of flag values")

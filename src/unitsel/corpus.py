@@ -412,7 +412,7 @@ def load_library(path):
         meter = _fraction_from_pair(header["meter"], "meter")
         unit_length = int(header["unit_length"])
         count = header["count"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ArchiveError(f"{path}:2: malformed library header ({exc!r})") from exc
     units: list[Unit] = []
     origins: list[tuple[Provenance, ...]] = []
@@ -429,7 +429,7 @@ def load_library(path):
                 for o in obj["origins"]
             )
             unit = Unit(measures=fake.measures, provenance=provs[0])
-        except (IndexError, KeyError, TypeError, ValueError) as exc:
+        except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ArchiveError(
                 f"{path}:{lineno}: malformed library unit ({exc!r})"
             ) from exc

@@ -141,22 +141,30 @@ class LmModel(ArchivedModel):
         self.out = DenseLayer(hidden, vocab.size, "linear", rng=rng)
         self.perplexity_curve: list[float] = []
 
-    def step_distributions(self, x_tokens: np.ndarray) -> np.ndarray:
+    def step_distributions(
+        self, x_tokens: np.ndarray, last_only: bool = False
+    ) -> np.ndarray:
         """Per-step next-token distributions for a batch of token windows.
 
-        x_tokens: (batch, T) ints -> (batch, T, vocab) probabilities.
+        x_tokens: (batch, T) ints -> (batch, T, vocab) probabilities, or with
+        ``last_only`` the (batch, vocab) distributions after the final step,
+        equal bit for bit to ``[:, -1, :]`` of the full result. Layer 1's
+        input projection is the row gather ``w.T[tokens]``, one step at a
+        time.
         """
         b, t = x_tokens.shape
+        if last_only and t == 0:
+            raise ValueError("last_only needs at least one timestep")
         h1, c1 = self.lstm1.zero_state(b)
         h2, c2 = self.lstm2.zero_state(b)
-        probs = np.empty((b, t, self.vocab.size))
+        w1t = self.lstm1.w.T
+        probs = None if last_only else np.empty((b, t, self.vocab.size))
         for step in range(t):
-            x = _one_hot(x_tokens[:, step], self.vocab.size)
-            h1, c1, _ = self.lstm1.step(x, h1, c1)
+            h1, c1, _ = self.lstm1.cell(w1t[x_tokens[:, step]], h1, c1)
             h2, c2, _ = self.lstm2.step(h1, h2, c2)
-            logits, _ = self.out.forward(h2)
-            probs[:, step, :] = softmax(logits)
-        return probs
+            if not last_only:
+                probs[:, step, :] = softmax(self.out.forward(h2)[0])
+        return softmax(self.out.forward(h2)[0]) if last_only else probs
 
 
 def make_windows(
@@ -310,7 +318,7 @@ def note_distribution(ctx: Sequence[int], model: LmModel) -> np.ndarray:
         raise ValueError(f"context must have exactly {model.context_len} tokens")
     if np.any(ctx < 0) or np.any(ctx >= model.vocab.size):
         raise ValueError("context contains tokens outside the vocabulary")
-    return model.step_distributions(ctx[None, :])[0, -1, :]
+    return model.step_distributions(ctx[None, :], last_only=True)[0]
 
 
 def note_distributions(
@@ -320,7 +328,7 @@ def note_distributions(
     contexts = np.asarray(contexts, dtype=np.int64)
 
     def chunk(start: int, stop: int) -> np.ndarray:
-        return model.step_distributions(contexts[start:stop])[:, -1, :]
+        return model.step_distributions(contexts[start:stop], last_only=True)
 
     return np.vstack(chunked_map(chunk, len(contexts), threads))
 

@@ -158,12 +158,24 @@ class LstmLayer:
         self, x: np.ndarray, h: np.ndarray, c: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, tuple]:
         """One timestep. x: (batch, in_dim); h, c: (batch, hidden)."""
-        a = x @ self.w.T + h @ self.u.T + self.b
+        return self.cell(x @ self.w.T, h, c, x)
+
+    def cell(
+        self, xw: np.ndarray, h: np.ndarray, c: np.ndarray, x: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """One timestep from its input projection ``xw = x @ w.T``.
+
+        Inference over one-hot inputs passes the rows ``w.T[tokens]``, which
+        equal the one-hot product bit for bit; ``x`` is kept in the cache
+        only for :meth:`backward_step`. The four gates are views of one
+        (batch, 4*hidden) block: the sigmoid runs over all of it and the
+        candidate slot is overwritten with its tanh.
+        """
+        a = xw + h @ self.u.T + self.b
         hh = self.hidden
-        i = _sigmoid(a[:, :hh])
-        f = _sigmoid(a[:, hh : 2 * hh])
-        g = np.tanh(a[:, 2 * hh : 3 * hh])
-        o = _sigmoid(a[:, 3 * hh :])
+        gates = _sigmoid(a)
+        gates[:, 2 * hh : 3 * hh] = np.tanh(a[:, 2 * hh : 3 * hh])
+        i, f, g, o = (gates[:, k * hh : (k + 1) * hh] for k in range(4))
         c2 = f * c + i * g
         h2 = o * np.tanh(c2)
         cache = (x, h, c, i, f, g, o, c2)
@@ -199,12 +211,10 @@ class LstmLayer:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Overflow-free logistic: 1/(1+e) for z >= 0 and e/(1+e) below, with
+    e = exp(-|z|) <= 1 (NaN stays NaN)."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def dropout_mask(rng: np.random.Generator, shape: tuple, keep: float) -> np.ndarray:

@@ -4,8 +4,8 @@
 ``vars()``, so a method moved into a base class, or a function no longer
 imported by name where the tracer expects it, fails a traced benchmark run.
 These checks load the tracer's tables and resolve them, and run one small
-generation under the tracer to see that the selection loop still calls every
-span a traced generate run requires.
+generation and one LSTM ranking under the tracer to see that the selection
+loop and the join cost still call every span a traced run requires.
 """
 
 import importlib
@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import unitsel  # noqa: F401  (imports every traced module)
-from unitsel import engine
+from unitsel import engine, evaluation
+from unitsel.dssm import make_training_pairs
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -63,5 +64,18 @@ def test_selection_loop_hits_traced_spans(small_setup):
         "autoencoder.library_similarities",
         "nn.cosine_rows",
         "lm.LmModel.step_distributions",
+        "nn.LstmLayer.step",
     ):
+        assert calls.get(name, 0) >= 1, f"{name} recorded no calls"
+
+
+def test_lstm_ranking_hits_traced_spans(small_setup):
+    # the benchmark's generate and score workloads expect both LSTM spans
+    s = small_setup
+    pairs = make_training_pairs(s["corpus"], 1)[:4]
+    tracer = SPANS.Tracer()
+    with tracer.installed():
+        evaluation.next_unit_ranking(pairs, s["dssm_elib"], None, s["lm"], "lstm", seed=3)
+    calls = {name: row["calls"] for name, row in tracer.aggregate().items()}
+    for name in ("lm.LmModel.step_distributions", "nn.LstmLayer.step"):
         assert calls.get(name, 0) >= 1, f"{name} recorded no calls"

@@ -271,6 +271,23 @@ class TestConfigFile:
         assert manifest["config"]["train_fraction"] == 0.8  # from config file
         assert manifest["seed"] == 7  # explicit flag beat the config value
 
+    def test_config_path_joined_with_equals(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train_fraction": 0.8}))
+        for name, flag in (("spaced", ["--config", str(cfg)]), ("joined", [f"--config={cfg}"])):
+            out = tmp_path / name
+            assert main(["split", "--corpus", CORPUS, "--out", str(out), *flag]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["train_fraction"] == 0.8, name
+            assert len(load_corpus(out / "train.cor").pieces) == 10, name
+
+    @pytest.mark.parametrize("path", ["", "."], ids=["empty", "directory"])
+    def test_config_path_that_is_not_a_file_is_a_user_error(self, tmp_path, capsys, path):
+        code = main(["split", "--corpus", CORPUS, "--out", str(tmp_path / "o"), f"--config={path}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config file not found" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("shifts", [[-1, 0, 1], "-1,0,1"], ids=["list", "string"])
     def test_config_shifts_match_the_flag(self, tmp_path, shifts):
         def manifest_config(name, *extra):

@@ -1,11 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from unitsel import load_trained
-from unitsel.augment import AugmentConfig, build_library
+from unitsel.augment import AugmentConfig, UnitLibrary, build_library
 from unitsel.autoencoder import train_autoencoder
 from unitsel.cli import main as cli_main
 from unitsel.corpus import (
@@ -147,6 +148,70 @@ class TestCorpusFuzz:
         try:
             assert isinstance(load_corpus(path), Corpus)
         except (CorpusFormatError, CorpusValidationError):
+            pass
+
+
+# A valid library of the fixture's first three measures; the fuzz damages it.
+_FIXTURE_MEASURES = json.loads(FIXTURE_CORPUS.read_text().splitlines()[0])["measures"][:3]
+_GOOD_LIBRARY = [
+    "UNITSEL-LIB 1",
+    json.dumps({"count": 3, "meter": [1, 1], "unit_length": 1}),
+    *(
+        json.dumps({"measures": [m], "origins": [["toy-2025-000", i, "t+1"]]})
+        for i, m in enumerate(_FIXTURE_MEASURES)
+    ),
+]
+_JUNK_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+def _damage(draw, value):
+    """``value`` with one nested item replaced by any JSON value or removed."""
+    if isinstance(value, (dict, list)) and value and draw(st.booleans()):
+        copy = dict(value) if isinstance(value, dict) else list(value)
+        key = draw(st.sampled_from(list(copy) if isinstance(copy, dict) else range(len(copy))))
+        if draw(st.integers(0, 3)) == 0:
+            del copy[key]
+        else:
+            copy[key] = _damage(draw, copy[key])
+        return copy
+    return draw(JSON_VALUES | st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def _damaged_libraries(draw):
+    """Some JSON lines damaged by value, then up to two lines replaced by junk
+    text, cut short or dropped."""
+    lines = _GOOD_LIBRARY[:1] + [
+        json.dumps(_damage(draw, json.loads(line))) if draw(st.booleans()) else line
+        for line in _GOOD_LIBRARY[1:]
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(["text", "cut", "drop"]))
+        if how == "text":
+            lines[at] = draw(_JUNK_TEXT)
+        elif how == "cut":
+            lines[at] = lines[at][: draw(st.integers(0, len(lines[at])))]
+        elif len(lines) > 1:
+            del lines[at]
+    return lines
+
+
+class TestLibraryFuzz:
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_damaged_libraries())
+    @example(  # json.loads reads Infinity, and int() of it overflows
+        _GOOD_LIBRARY[:1]
+        + [json.dumps({"count": 3, "meter": [1, 1], "unit_length": math.inf})]
+        + _GOOD_LIBRARY[2:]
+    )
+    @example(_GOOD_LIBRARY[:2] + [_GOOD_LIBRARY[2].replace('0, "t+1"', 'Infinity, "t+1"')] * 3)
+    def test_any_file_loads_or_is_an_archive_error(self, tmp_path, lines):
+        path = tmp_path / "fuzz.lib"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            assert isinstance(load_library(path), UnitLibrary)
+        except ArchiveError:
             pass
 
 

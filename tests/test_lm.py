@@ -23,7 +23,7 @@ from unitsel.lm import (
     train_lm,
 )
 from unitsel.music import Measure, Note, Piece, Provenance, Unit, whole_rest_measure, REST
-from unitsel.nn import TrainConfig
+from unitsel.nn import TrainConfig, softmax
 
 Q = Fraction(1, 4)
 
@@ -178,6 +178,60 @@ class TestNoteDistribution:
         _, _, model = toy_lm
         with pytest.raises(ValueError):
             note_distribution(np.zeros(10, dtype=np.int64), model)
+
+
+def _pad_heavy_windows(vocab, batch, seed):
+    """Windows whose first 28 to 35 positions are PAD, as short histories give."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(2, vocab.size, size=(batch, CONTEXT_LEN))
+    for row, pads in enumerate(rng.integers(28, CONTEXT_LEN, size=batch)):
+        x[row, :pads] = PAD
+    x[0, -1] = OOV
+    return x
+
+
+def _one_hot_distributions(model, x):
+    """All-steps distributions through one-hot inputs and ``LstmLayer.step``,
+    the form that the gathered input rows replaced."""
+    b, t = x.shape
+    h1, c1 = model.lstm1.zero_state(b)
+    h2, c2 = model.lstm2.zero_state(b)
+    probs = np.empty((b, t, model.vocab.size))
+    for step in range(t):
+        h1, c1, _ = model.lstm1.step(np.eye(model.vocab.size)[x[:, step]], h1, c1)
+        h2, c2, _ = model.lstm2.step(h1, h2, c2)
+        probs[:, step, :] = softmax(model.out.forward(h2)[0])
+    return probs
+
+
+class TestStepDistributions:
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_last_only_is_the_last_column_bit_for_bit(self, toy_lm, batch):
+        _, vocab, model = toy_lm
+        x = _pad_heavy_windows(vocab, batch, seed=batch)
+        every = model.step_distributions(x)
+        last = model.step_distributions(x, last_only=True)
+        assert last.shape == (batch, vocab.size)
+        assert np.array_equal(last, every[:, -1, :])
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_gathered_rows_equal_one_hot_inputs_bit_for_bit(self, toy_lm, batch):
+        _, vocab, model = toy_lm
+        x = _pad_heavy_windows(vocab, batch, seed=10 + batch)
+        assert np.array_equal(model.step_distributions(x), _one_hot_distributions(model, x))
+
+    def test_note_distributions_read_the_final_step(self, toy_lm):
+        _, vocab, model = toy_lm
+        x = _pad_heavy_windows(vocab, 7, seed=3)
+        every = model.step_distributions(x)
+        assert np.array_equal(note_distributions(x, model), every[:, -1, :])
+        one = model.step_distributions(x[4:5])  # batch 1 takes BLAS's matrix-vector path
+        assert np.array_equal(note_distribution(x[4], model), one[0, -1, :])
+
+    def test_last_only_needs_a_step(self, toy_lm):
+        _, _, model = toy_lm
+        with pytest.raises(ValueError):
+            model.step_distributions(np.zeros((2, 0), dtype=np.int64), last_only=True)
 
 
 def unit_from_measures(piece, start, count):

@@ -13,6 +13,7 @@ from unitsel.nn import (
     DenseLayer,
     LstmLayer,
     TrainConfig,
+    _sigmoid,
     cosine_sim,
     derive_seed,
     draw_pool,
@@ -272,6 +273,43 @@ class TestLstmLayer:
         h2, c2, _ = layer.step(x, h, c)
         np.testing.assert_array_equal(h1, h2)
         np.testing.assert_array_equal(c1, c2)
+
+
+def _masked_sigmoid(z):
+    """The boolean-mask logistic that ``_sigmoid`` replaced, kept as its bit
+    reference: 1/(1+exp(-z)) where z >= 0, exp(z)/(1+exp(z)) elsewhere."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+_TINY = np.finfo(float).tiny
+_SIGMOID_EDGES = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 745.0, -745.0, 746.0, -746.0,
+    5e-324, -5e-324, _TINY / 2, -_TINY / 2, _TINY, -_TINY, 36.7, -36.7, 709.8, -709.8,
+]
+
+
+class TestSigmoid:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.lists(st.floats() | st.sampled_from(_SIGMOID_EDGES), min_size=1, max_size=80),
+        st.integers(1, 4),
+    )
+    def test_same_bits_as_the_masked_form(self, values, rows):
+        z = np.resize(np.array(values), (rows, len(values)))
+        assert np.array_equal(_sigmoid(z), _masked_sigmoid(z), equal_nan=True)
+
+    def test_packed_gate_block_same_bits(self):
+        # the shape the LSTM cell passes: (batch, 4*hidden), every edge included
+        z = stream_rng(3, "sigmoid").normal(scale=40.0, size=(7, 512))
+        z.flat[: len(_SIGMOID_EDGES)] = _SIGMOID_EDGES
+        out = _sigmoid(z)
+        assert np.array_equal(out, _masked_sigmoid(z), equal_nan=True)
+        assert out[0, 2] == 1.0 and out[0, 3] == 0.0 and np.isnan(out[0, 4])
 
 
 class TestTrainConfig:
