@@ -74,35 +74,76 @@ def _fraction_from_pair(pair, what: str) -> Fraction:
     return Fraction(pair[0], pair[1])
 
 
-def piece_from_dict(obj: dict) -> Piece:
-    """Build a piece from its corpus-line object.
+def _note_from_dict(n) -> Note:
+    return Note(
+        duration=_fraction_from_pair(n["dur"], "dur"),
+        pitch=int(n["pitch"]),
+        tie_from_prev=bool(n.get("tie_prev", False)),
+        tie_to_next=bool(n.get("tie_next", False)),
+    )
 
-    A wrong shape or type is a CorpusFormatError; values that parse but
-    break a model invariant (an empty measure, a pitch outside MIDI range)
-    raise a plain ValueError, which ``load_corpus`` reports as a diagnostic.
+
+def _interned_note(n, cache: dict) -> Note:
+    """The note of a corpus-line object, shared with equal notes in ``cache``.
+
+    Only exact ``int`` pitch and duration entries and ``bool`` (or absent)
+    tie flags form a key: ``(1.0, 2) == (1, 2)``, so a looser key would let
+    a float duration through once its int twin is cached. Anything else,
+    and the first sight of each key, takes the validating path, which
+    raises the same errors as ever; only a note that validated is cached.
     """
-    if not isinstance(obj, dict) or "id" not in obj or "measures" not in obj:
-        raise CorpusFormatError("piece object needs 'id' and 'measures'")
-    meter = _fraction_from_pair(obj.get("meter", [1, 1]), "meter")
+    if type(n) is dict:
+        pitch = n.get("pitch")
+        dur = n.get("dur")
+        tie_prev = n.get("tie_prev", False)
+        tie_next = n.get("tie_next", False)
+        if (
+            type(pitch) is int
+            and type(dur) is list
+            and len(dur) == 2
+            and type(dur[0]) is int
+            and type(dur[1]) is int
+            and type(tie_prev) is bool
+            and type(tie_next) is bool
+        ):
+            key = (pitch, dur[0], dur[1], tie_prev, tie_next)
+            note = cache.get(key)
+            if note is None:
+                note = cache[key] = _note_from_dict(n)
+            return note
+    return _note_from_dict(n)
+
+
+def _measures_from_list(raw, meter: Fraction, cache: dict) -> tuple[Measure, ...]:
+    """The measures of a corpus-line object; see ``piece_from_dict``."""
     measures = []
     try:
-        for m in obj["measures"]:
-            notes = [
-                Note(
-                    duration=_fraction_from_pair(n["dur"], "dur"),
-                    pitch=int(n["pitch"]),
-                    tie_from_prev=bool(n.get("tie_prev", False)),
-                    tie_to_next=bool(n.get("tie_next", False)),
-                )
-                for n in m.get("notes", [])
-            ]
-            measures.append(Measure(notes=tuple(notes), meter=meter))
+        for m in raw:
+            notes = tuple(_interned_note(n, cache) for n in m.get("notes", []))
+            measures.append(Measure(notes=notes, meter=meter))
     except (AttributeError, KeyError, OverflowError, TypeError) as exc:
         raise CorpusFormatError(
             f"'measures' must be a list of objects whose 'notes' have 'pitch' "
             f"and 'dur' ({exc!r})"
         ) from exc
-    return Piece(id=str(obj["id"]), measures=tuple(measures))
+    return tuple(measures)
+
+
+def piece_from_dict(obj: dict, note_cache: dict | None = None) -> Piece:
+    """Build a piece from its corpus-line object.
+
+    A wrong shape or type is a CorpusFormatError; values that parse but
+    break a model invariant (an empty measure, a pitch outside MIDI range)
+    raise a plain ValueError, which ``load_corpus`` reports as a diagnostic.
+    Equal notes share one frozen ``Note`` through ``note_cache`` when given.
+    """
+    if not isinstance(obj, dict) or "id" not in obj or "measures" not in obj:
+        raise CorpusFormatError("piece object needs 'id' and 'measures'")
+    meter = _fraction_from_pair(obj.get("meter", [1, 1]), "meter")
+    measures = _measures_from_list(
+        obj["measures"], meter, {} if note_cache is None else note_cache
+    )
+    return Piece(id=str(obj["id"]), measures=measures)
 
 
 def piece_to_dict(p: Piece) -> dict:
@@ -142,13 +183,14 @@ def load_corpus(path) -> Corpus:
     pieces: list[Piece] = []
     ids: set[str] = set()
     diagnostics: list[str] = []
+    notes: dict = {}
     for lineno, line in enumerate(lines, start=1):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusFormatError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
         try:
-            piece = piece_from_dict(obj)
+            piece = piece_from_dict(obj, notes)
         except CorpusFormatError as exc:
             raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
         except ValueError as exc:
@@ -389,6 +431,22 @@ def save_library(lib, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _provenance_from_json(o) -> Provenance:
+    """An origin entry: ``[source_id, offset, transform]`` as str, int, str."""
+    if (
+        type(o) is not list
+        or len(o) != 3
+        or type(o[0]) is not str
+        or type(o[1]) is not int
+        or type(o[2]) is not str
+    ):
+        raise ValueError(
+            f"origin must be a [str, int, str] list "
+            f"(source id, measure offset, transform), got {o!r}"
+        )
+    return Provenance(source_id=o[0], offset=o[1], transform=o[2])
+
+
 def load_library(path):
     """Read a unit library; every malformed file is an ArchiveError naming it."""
     from .augment import UnitLibrary  # local import to avoid a cycle
@@ -416,19 +474,15 @@ def load_library(path):
         raise ArchiveError(f"{path}:2: malformed library header ({exc!r})") from exc
     units: list[Unit] = []
     origins: list[tuple[Provenance, ...]] = []
+    notes: dict = {}
     for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            fake = piece_from_dict(
-                {"id": "", "meter": header["meter"], "measures": obj["measures"]}
-            )
-            provs = tuple(
-                Provenance(source_id=o[0], offset=int(o[1]), transform=o[2])
-                for o in obj["origins"]
-            )
-            unit = Unit(measures=fake.measures, provenance=provs[0])
+            measures = _measures_from_list(obj["measures"], meter, notes)
+            provs = tuple(_provenance_from_json(o) for o in obj["origins"])
+            unit = Unit(measures=measures, provenance=provs[0])
         except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ArchiveError(
                 f"{path}:{lineno}: malformed library unit ({exc!r})"

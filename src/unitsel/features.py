@@ -5,6 +5,10 @@ class-duration tuples, and the pitch/duration/class bigrams) plus two tie
 flags. Family vocabularies are corpus-derived; every family carries one
 out-of-vocabulary slot so held-out material never fails extraction.
 Bigrams run across barlines inside a unit but never across units.
+
+Symbols are looked up by an all-integer key (a duration is its numerator
+and denominator), the same lists of ints the vocabulary snapshot stores,
+so counting never hashes a Fraction.
 """
 
 from __future__ import annotations
@@ -28,27 +32,11 @@ FAMILIES = (
     "class_bigram",
 )
 
+# The families counted once per note, and once per adjacent pair of notes.
+NOTE_FAMILIES = FAMILIES[:5]
+PAIR_FAMILIES = FAMILIES[5:]
+
 N_TIE_FLAGS = 2
-
-
-def _unit_events(u: Unit) -> dict[str, list]:
-    """All countable symbols of a unit, keyed by family."""
-    notes = u.notes
-    events: dict[str, list] = {
-        "note": [(n.pitch, n.duration) for n in notes],
-        "pitch": [n.pitch for n in notes],
-        "dur": [n.duration for n in notes],
-        "class": [pitch_class(n.pitch) for n in notes],
-        "class_dur": [(pitch_class(n.pitch), n.duration) for n in notes],
-        "pitch_bigram": [],
-        "dur_bigram": [],
-        "class_bigram": [],
-    }
-    for a, b in zip(notes, notes[1:]):
-        events["pitch_bigram"].append((a.pitch, b.pitch))
-        events["dur_bigram"].append((a.duration, b.duration))
-        events["class_bigram"].append((pitch_class(a.pitch), pitch_class(b.pitch)))
-    return events
 
 
 def _frac_json(d: Fraction) -> list[int]:
@@ -69,6 +57,12 @@ def _symbol_json(family: str, sym) -> list | int:
     if family == "dur_bigram":
         return [*_frac_json(sym[0]), *_frac_json(sym[1])]
     raise ValueError(f"unknown family {family!r}")
+
+
+def _symbol_key(family: str, sym):
+    """The hashable all-integer form of a symbol: its JSON form, as a tuple."""
+    raw = _symbol_json(family, sym)
+    return tuple(raw) if isinstance(raw, list) else raw
 
 
 def _symbol_from_json(family: str, raw):
@@ -98,12 +92,14 @@ class FeatureVocabulary:
         self.family_symbols = {
             fam: tuple(family_symbols.get(fam, ())) for fam in FAMILIES
         }
-        self._maps: dict[str, dict] = {}
+        self._columns: dict[str, dict] = {}
         self._offsets: dict[str, int] = {}
         offset = 0
         for fam in FAMILIES:
             syms = self.family_symbols[fam]
-            self._maps[fam] = {sym: i for i, sym in enumerate(syms)}
+            self._columns[fam] = {
+                _symbol_key(fam, sym): offset + i for i, sym in enumerate(syms)
+            }
             self._offsets[fam] = offset
             offset += len(syms) + 1  # +1 for the family OOV slot
         self.dimension = offset + N_TIE_FLAGS
@@ -114,10 +110,18 @@ class FeatureVocabulary:
 
     def index(self, family: str, symbol) -> int:
         """Global index of a symbol; unseen symbols map to the family OOV slot."""
-        local = self._maps[family].get(symbol)
-        if local is None:
-            local = len(self.family_symbols[family])
-        return self._offsets[family] + local
+        return self._columns[family].get(
+            _symbol_key(family, symbol), self.oov_index(family)
+        )
+
+    def columns(self, families: Sequence[str], keys: list[tuple]) -> np.ndarray:
+        """Global indices of symbol keys: row ``r`` holds the index of
+        ``keys[r][j]`` in ``families[j]`` (OOV slot when unseen)."""
+        lookups = [
+            (self._columns[fam].get, self.oov_index(fam)) for fam in families
+        ]
+        cols = [get(key, oov) for row in keys for (get, oov), key in zip(lookups, row)]
+        return np.array(cols, dtype=np.intp).reshape(-1, len(families))
 
     def oov_index(self, family: str) -> int:
         return self._offsets[family] + len(self.family_symbols[family])
@@ -150,37 +154,116 @@ class FeatureVocabulary:
         return self._hash_hex
 
 
+def _note_keys(note: tuple) -> tuple:
+    """Keys of a (pitch, numerator, denominator) note in NOTE_FAMILIES."""
+    pitch, num, den = note
+    cls = pitch_class(pitch)
+    return (note, pitch, (num, den), cls, (cls, num, den))
+
+
+def _pair_keys(a: tuple, b: tuple) -> tuple:
+    """Keys of two adjacent (pitch, numerator, denominator) notes in PAIR_FAMILIES."""
+    return ((a[0], b[0]), (*a[1:], *b[1:]), (pitch_class(a[0]), pitch_class(b[0])))
+
+
+class _NoteTable:
+    """The notes of some units as small integer ids over their distinct values.
+
+    ``ids`` holds one id per note, units concatenated in order; id ``k``
+    stands for ``distinct[k]``, a (pitch, numerator, denominator) triple.
+    Notes are matched by object identity first, so a library whose notes
+    are shared (see ``corpus.load_library``) reads each distinct note's
+    value once. ``pair_at`` lists the positions ``i`` whose pair
+    ``(i, i + 1)`` lies inside one unit, ``pairs`` the distinct pairs among
+    them and ``pair_of`` the pair at each such position.
+    """
+
+    def __init__(self, units: Iterable[Unit]):
+        # the list keeps every note alive, so no id() is reused meanwhile
+        units = list(units)
+        by_object: dict[int, int] = {}
+        by_value: dict[tuple, int] = {}
+        ids: list[int] = []
+        lengths: list[int] = []
+        for u in units:
+            start = len(ids)
+            for m in u.measures:
+                for n in m.notes:
+                    k = by_object.get(id(n))
+                    if k is None:
+                        d = n.duration
+                        k = by_value.setdefault(
+                            (n.pitch, d.numerator, d.denominator), len(by_value)
+                        )
+                        by_object[id(n)] = k
+                    ids.append(k)
+            lengths.append(len(ids) - start)
+        self.distinct = list(by_value)
+        self.ids = np.array(ids, dtype=np.intp)
+        self.lengths = np.array(lengths, dtype=np.intp)
+        inner = np.ones(max(len(ids) - 1, 0), dtype=bool)
+        inner[np.cumsum(self.lengths)[:-1] - 1] = False
+        self.pair_at = np.flatnonzero(inner)
+        n_distinct = max(len(self.distinct), 1)
+        codes = self.ids[self.pair_at] * n_distinct + self.ids[self.pair_at + 1]
+        codes, self.pair_of = np.unique(codes, return_inverse=True)
+        self.pairs = [
+            (self.distinct[a], self.distinct[b])
+            for a, b in zip(*np.divmod(codes, n_distinct))
+        ]
+
+    def note_keys(self) -> list[tuple]:
+        return [_note_keys(v) for v in self.distinct]
+
+    def pair_keys(self) -> list[tuple]:
+        return [_pair_keys(a, b) for a, b in self.pairs]
+
+
 def build_vocab(units: Iterable[Unit]) -> FeatureVocabulary:
     """Index every symbol occurring in the given units (a UnitLibrary works)."""
-    units = getattr(units, "units", units)
-    seen: dict[str, set] = {fam: set() for fam in FAMILIES}
-    count = 0
-    for u in units:
-        count += 1
-        for fam, events in _unit_events(u).items():
-            seen[fam].update(events)
-    if count == 0:
+    table = _NoteTable(getattr(units, "units", units))
+    if len(table.lengths) == 0:
         raise ValueError("cannot build a vocabulary from an empty library")
-    return FeatureVocabulary({fam: sorted(seen[fam]) for fam in FAMILIES})
+    families: dict[str, list] = {}
+    for fams, rows in (
+        (NOTE_FAMILIES, table.note_keys()),
+        (PAIR_FAMILIES, table.pair_keys()),
+    ):
+        for j, fam in enumerate(fams):
+            families[fam] = sorted(
+                _symbol_from_json(fam, key) for key in {row[j] for row in rows}
+            )
+    return FeatureVocabulary(families)
+
+
+def _count_rows(units: Sequence[Unit], vocab: FeatureVocabulary) -> np.ndarray:
+    """Feature rows of the units: the family columns of every note and of
+    every inner pair are counted into one flat view of the output.
+
+    ``extract`` calls this, not ``extract_matrix``, so that a tracer wrapped
+    around ``extract_matrix`` counts only the batch calls.
+    """
+    table = _NoteTable(units)
+    dim = vocab.dimension
+    out = np.zeros((len(table.lengths), dim))
+    flat = out.reshape(-1)
+    row = np.repeat(np.arange(len(table.lengths), dtype=np.intp) * dim, table.lengths)
+    note_cols = vocab.columns(NOTE_FAMILIES, table.note_keys())[table.ids]
+    np.add.at(flat, (row[:, None] + note_cols).ravel(), 1.0)
+    pair_cols = vocab.columns(PAIR_FAMILIES, table.pair_keys())[table.pair_of]
+    np.add.at(flat, (row[table.pair_at, None] + pair_cols).ravel(), 1.0)
+    out[:, -2] = [u.measures[0].notes[0].tie_from_prev for u in units]
+    out[:, -1] = [u.measures[-1].notes[-1].tie_to_next for u in units]
+    return out
 
 
 def extract(u: Unit, vocab: FeatureVocabulary) -> np.ndarray:
     """Count vector of a unit under the vocabulary (never all-zero)."""
-    vec = np.zeros(vocab.dimension)
-    for fam, events in _unit_events(u).items():
-        for sym in events:
-            vec[vocab.index(fam, sym)] += 1.0
-    notes = u.notes
-    vec[-2] = 1.0 if notes[0].tie_from_prev else 0.0
-    vec[-1] = 1.0 if notes[-1].tie_to_next else 0.0
-    return vec
+    return _count_rows([u], vocab)[0]
 
 
 def extract_matrix(
     units: Sequence[Unit], vocab: FeatureVocabulary
 ) -> np.ndarray:
     """Feature rows for many units: shape (len(units), vocab.dimension)."""
-    out = np.zeros((len(units), vocab.dimension))
-    for i, u in enumerate(units):
-        out[i] = extract(u, vocab)
-    return out
+    return _count_rows(units, vocab)

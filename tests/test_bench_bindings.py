@@ -4,18 +4,20 @@
 ``vars()``, so a method moved into a base class, or a function no longer
 imported by name where the tracer expects it, fails a traced benchmark run.
 These checks load the tracer's tables and resolve them, and run one small
-generation and one LSTM ranking under the tracer to see that the selection
-loop and the join cost still call every span a traced run requires.
+generation, one LSTM ranking and one library load and embedding under the
+tracer to see that the selection loop, the join cost and the set-up still
+call every span a traced run requires.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import unitsel  # noqa: F401  (imports every traced module)
-from unitsel import engine, evaluation
+from unitsel import autoencoder, corpus, dssm, engine, evaluation, features
 from unitsel.dssm import make_training_pairs
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -79,3 +81,24 @@ def test_lstm_ranking_hits_traced_spans(small_setup):
     calls = {name: row["calls"] for name, row in tracer.aggregate().items()}
     for name in ("lm.LmModel.step_distributions", "nn.LstmLayer.step"):
         assert calls.get(name, 0) >= 1, f"{name} recorded no calls"
+
+
+def test_library_set_up_hits_traced_spans(small_setup, tmp_path):
+    # the benchmark's generate set-up expects both spans of loading and embedding
+    path = tmp_path / "small.lib"
+    corpus.save_library(small_setup["lib"], path)
+    tracer = SPANS.Tracer()
+    with tracer.installed():
+        lib = corpus.load_library(path)
+        elib = autoencoder.embed_library(small_setup["dssm"], lib)
+    calls = {name: row["calls"] for name, row in tracer.aggregate().items()}
+    for name in ("corpus.load_library", "features.extract_matrix"):
+        assert calls.get(name, 0) >= 1, f"{name} recorded no calls"
+    assert len(elib) == len(small_setup["lib"].units)
+    # the importing modules call the one module-level featuriser, which
+    # returns dense float64 rows
+    for module in (autoencoder, dssm, evaluation):
+        assert module.extract_matrix is features.extract_matrix
+    rows = features.extract_matrix(lib.units[:3], small_setup["dssm"].vocab)
+    assert type(rows) is np.ndarray and rows.dtype == np.float64
+    assert rows.shape == (3, small_setup["dssm"].vocab.dimension)

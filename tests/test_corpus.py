@@ -480,3 +480,111 @@ class TestLibraryArchive:
         assert code == 1
         assert "error:" in err
         assert "Traceback" not in err
+
+
+def _library_text(measures, origins) -> str:
+    return "\n".join(
+        [
+            "UNITSEL-LIB 1",
+            json.dumps({"count": 1, "meter": [1, 1], "unit_length": 1}),
+            json.dumps({"measures": measures, "origins": origins}),
+        ]
+    ) + "\n"
+
+
+_HALF = {"pitch": 60, "dur": [1, 2]}
+
+
+class TestSharedNotes:
+    """Loaders share one Note per distinct note; exact types guard the cache."""
+
+    @pytest.mark.parametrize("dur", [[1.0, 2], [1, 2.0]])
+    def test_float_twin_after_cached_note_is_a_format_error(self, tmp_path, dur):
+        # a cached [1, 2] note must not let its equal float twin through
+        path = tmp_path / "twin.cor"
+        twin = {"pitch": 60, "dur": dur}
+        path.write_text(json.dumps({"id": "a", "measures": [{"notes": [_HALF, twin]}]}))
+        with pytest.raises(CorpusFormatError, match=r"twin\.cor:1: dur"):
+            load_corpus(path)
+
+    def test_float_twin_on_a_later_line_is_a_format_error(self, tmp_path):
+        path = tmp_path / "twin.cor"
+        path.write_text(
+            json.dumps({"id": "a", "measures": [{"notes": [_HALF, _HALF]}]})
+            + "\n"
+            + json.dumps({"id": "b", "measures": [{"notes": [_HALF, {"pitch": 60, "dur": [1.0, 2]}]}]})
+            + "\n"
+        )
+        with pytest.raises(CorpusFormatError, match=r"twin\.cor:2: dur"):
+            load_corpus(path)
+
+    def test_float_twin_in_a_library_is_an_archive_error(self, tmp_path):
+        path = tmp_path / "twin.lib"
+        path.write_text(
+            _library_text(
+                [{"notes": [_HALF, {"pitch": 60, "dur": [1.0, 2]}]}], [["p", 0, ""]]
+            )
+        )
+        with pytest.raises(ArchiveError, match=r"twin\.lib:3:"):
+            load_library(path)
+
+    def test_corpus_notes_are_shared(self):
+        _assert_equal_notes_are_one_object(
+            n for p in load_corpus(FIXTURE_CORPUS).pieces for n in p.notes
+        )
+
+    def test_library_notes_are_shared(self, tmp_path, tiny_ae):
+        path = tmp_path / "lib.lib"
+        save_library(tiny_ae[1], path)
+        _assert_equal_notes_are_one_object(
+            n for u in load_library(path).units for n in u.notes
+        )
+
+
+def _assert_equal_notes_are_one_object(notes):
+    first: dict = {}
+    count = 0
+    for n in notes:
+        count += 1
+        assert first.setdefault(n, n) is n, n
+    assert len(first) < count  # the check saw repeated notes
+
+
+# Each origin entry is one an archive must refuse.
+BAD_ORIGINS = {
+    "int-source-float-offset-int-transform-extra": [5, 1.5, 7, "x"],
+    "int-source": [5, 1, "x"],
+    "int-transform": ["p", 1, 7],
+    "null-transform": ["p", 1, None],
+    "float-offset": ["p", 1.5, "x"],
+    "integral-float-offset": ["p", 1.0, "x"],
+    "bool-offset": ["p", True, "x"],
+    "string-offset": ["p", "1", "x"],
+    "two-entries": ["p", 1],
+    "four-entries": ["p", 1, "x", "y"],
+    "not-a-list": "p",
+    "object": {"source_id": "p", "offset": 1, "transform": "x"},
+}
+
+
+class TestLibraryOrigins:
+    @pytest.mark.parametrize("case", sorted(BAD_ORIGINS))
+    def test_bad_origin_is_an_archive_error(self, tmp_path, case):
+        path = tmp_path / "bad.lib"
+        origins = [["p", 0, ""], BAD_ORIGINS[case]]
+        path.write_text(_library_text([{"notes": [{"pitch": 60, "dur": [1, 1]}]}], origins))
+        with pytest.raises(ArchiveError, match=r"bad\.lib:3: .*origin"):
+            load_library(path)
+
+    def test_good_origins_load_as_given(self, tmp_path):
+        path = tmp_path / "good.lib"
+        path.write_text(
+            _library_text(
+                [{"notes": [{"pitch": 60, "dur": [1, 1]}]}], [["p", 0, ""], ["q", 3, "t+1"]]
+            )
+        )
+        (origins,) = load_library(path).origins
+        assert [(o.source_id, o.offset, o.transform) for o in origins] == [
+            ("p", 0, ""),
+            ("q", 3, "t+1"),
+        ]

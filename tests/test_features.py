@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from unitsel.augment import AugmentConfig, build_library
 from unitsel.features import (
@@ -204,3 +205,135 @@ class TestSnapshot:
         mat = extract_matrix(lib.units[:5], vocab)
         for i, u in enumerate(lib.units[:5]):
             np.testing.assert_array_equal(mat[i], extract(u, vocab))
+
+
+# --- equivalence with the per-unit reference featuriser ---------------------
+#
+# The reference below is the straightforward per-unit featuriser: list every
+# symbol of a unit by family, then look each one up. ``extract_matrix`` and
+# ``build_vocab`` must agree with it exactly, whatever the mix of units.
+
+
+def _ref_unit_events(u: Unit) -> dict[str, list]:
+    notes = u.notes
+    events: dict[str, list] = {
+        "note": [(n.pitch, n.duration) for n in notes],
+        "pitch": [n.pitch for n in notes],
+        "dur": [n.duration for n in notes],
+        "class": [pitch_class(n.pitch) for n in notes],
+        "class_dur": [(pitch_class(n.pitch), n.duration) for n in notes],
+        "pitch_bigram": [],
+        "dur_bigram": [],
+        "class_bigram": [],
+    }
+    for a, b in zip(notes, notes[1:]):
+        events["pitch_bigram"].append((a.pitch, b.pitch))
+        events["dur_bigram"].append((a.duration, b.duration))
+        events["class_bigram"].append((pitch_class(a.pitch), pitch_class(b.pitch)))
+    return events
+
+
+def _ref_build_vocab(units) -> FeatureVocabulary:
+    seen: dict[str, set] = {fam: set() for fam in FAMILIES}
+    for u in units:
+        for fam, events in _ref_unit_events(u).items():
+            seen[fam].update(events)
+    return FeatureVocabulary({fam: sorted(seen[fam]) for fam in FAMILIES})
+
+
+def _ref_extract(u: Unit, vocab: FeatureVocabulary) -> np.ndarray:
+    offset, index = 0, {}
+    for fam in FAMILIES:
+        syms = vocab.family_symbols[fam]
+        local = {s: i for i, s in enumerate(syms)}
+        index[fam] = (offset, local, len(syms))
+        offset += len(syms) + 1
+    vec = np.zeros(vocab.dimension)
+    for fam, events in _ref_unit_events(u).items():
+        base, local, oov = index[fam]
+        for sym in events:
+            vec[base + local.get(sym, oov)] += 1.0
+    vec[-2] = 1.0 if u.notes[0].tie_from_prev else 0.0
+    vec[-1] = 1.0 if u.notes[-1].tie_to_next else 0.0
+    return vec
+
+
+@pytest.fixture(scope="module")
+def loaded_units(fixture_corpus, tmp_path_factory):
+    """Units read back from a saved library, so equal notes are one object."""
+    from unitsel.corpus import load_library, save_library
+
+    path = tmp_path_factory.mktemp("lib") / "fixture.lib"
+    save_library(
+        build_library(fixture_corpus, AugmentConfig(unit_length=2, transpose_shifts=(0,))),
+        path,
+    )
+    return load_library(path).units
+
+
+# A small alphabet, so that notes and pairs repeat and a vocabulary built
+# from a few units leaves many symbols out of vocabulary.
+_PITCHES = st.sampled_from([REST, 48, 60, 61, 67, 72, 127])
+_DURS = st.sampled_from([Q, Fraction(1, 8), Fraction(3, 8), Fraction(1, 2), WHOLE])
+
+
+@st.composite
+def _notes(draw):
+    pitch, dur = draw(_PITCHES), draw(_DURS)
+    if pitch == REST:
+        return Note(pitch, dur)
+    return Note(pitch, dur, tie_from_prev=draw(st.booleans()), tie_to_next=draw(st.booleans()))
+
+
+@st.composite
+def _unit_mixes(draw, loaded):
+    """Fresh units (one-note ones among them, notes drawn from a shared pool
+    so one Note object recurs), loaded units and their transpositions."""
+    from unitsel.augment import transpose
+
+    pool = draw(st.lists(_notes(), min_size=1, max_size=6))
+    pick = st.integers(0, len(pool) - 1).map(lambda i: pool[i])
+    measure = st.lists(pick, min_size=1, max_size=4).map(lambda ns: Measure(tuple(ns)))
+    fresh = st.builds(
+        lambda ms: Unit(measures=tuple(ms), provenance=Provenance("h", 0)),
+        st.sampled_from([1, 2, 4]).flatmap(lambda k: st.lists(measure, min_size=k, max_size=k)),
+    )
+    from_lib = st.integers(0, len(loaded) - 1).map(lambda i: loaded[i])
+    moved = st.tuples(from_lib, st.integers(-3, 3)).map(lambda a: transpose(*a))
+    units = draw(st.lists(st.one_of(fresh, from_lib, moved), min_size=1, max_size=8))
+    return [u for u in units if u is not None] or [loaded[0]]
+
+
+class TestMatchesReference:
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matrix_and_vocab_match_reference(self, loaded_units, data):
+        units = data.draw(_unit_mixes(loaded_units))
+        train = units[: data.draw(st.integers(1, len(units)))]
+        vocab = build_vocab(train)
+        assert vocab.snapshot() == _ref_build_vocab(train).snapshot()
+        expected = np.array([_ref_extract(u, vocab) for u in units])
+        got = extract_matrix(units, vocab)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, expected)
+        assert np.array_equal(extract(units[-1], vocab), expected[-1])
+
+    def test_one_note_units_and_barline_bigrams(self):
+        one = unit_of([(60, Q)])
+        a, b = Note(60, Q), Note(62, Fraction(3, 4))
+        across = Unit(
+            measures=(Measure((a, b)), Measure((b, a))), provenance=Provenance("t", 0)
+        )
+        units = [one, across, one]
+        vocab = build_vocab(units)
+        assert vocab.snapshot() == _ref_build_vocab(units).snapshot()
+        # the barline pair (b, b) is counted; no pair joins two units
+        assert (62, 62) in vocab.family_symbols["pitch_bigram"]
+        assert (60, 60) not in vocab.family_symbols["pitch_bigram"]
+        assert np.array_equal(
+            extract_matrix(units, vocab), np.array([_ref_extract(u, vocab) for u in units])
+        )
+
+    def test_empty_input_gives_no_rows(self, c4_run):
+        vocab = build_vocab([c4_run])
+        assert extract_matrix([], vocab).shape == (0, vocab.dimension)
