@@ -11,7 +11,7 @@ only, no join cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -20,6 +20,7 @@ from ._util import chunked_map
 from .augment import UnitLibrary
 from .corpus import ArchivedModel
 from .features import FeatureVocabulary, extract, extract_matrix
+from .lm import NoteVocabulary, first_tokens
 from .music import Piece, Unit, concatenate_units, slice_units
 from .nn import (
     DenseLayer,
@@ -28,6 +29,7 @@ from .nn import (
     draw_pool,
     rank_order,
     relevance_batch_loss,
+    row_norms,
     stream_rng,
     train_relevance,
 )
@@ -129,15 +131,38 @@ def train_autoencoder(
 
 @dataclass
 class EmbeddedLibrary:
-    """A unit library with precomputed embeddings from one frozen model."""
+    """A unit library with precomputed embeddings from one frozen model.
+
+    It is also the selection index: the per-library work of a selection
+    step is done once here. ``norms`` caches each embedding row's norm
+    (computed 256 rows at a time when not given), and ``first_tokens``
+    caches the first-note token ids of every unit per note vocabulary.
+    """
 
     library: UnitLibrary
     embeddings: np.ndarray
     vocab_hash: str
     kind: str
+    norms: np.ndarray | None = None
+    _first_ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.norms is None:
+            self.norms = row_norms(self.embeddings)
 
     def __len__(self) -> int:
         return len(self.library.units)
+
+    def first_tokens(self, vocab: NoteVocabulary) -> np.ndarray:
+        """Every unit's first-note token id under ``vocab`` (read-only),
+        computed once per vocabulary."""
+        key = vocab.hash_hex()
+        ids = self._first_ids.get(key)
+        if ids is None:
+            ids = first_tokens(self.library.units, vocab)
+            ids.flags.writeable = False
+            self._first_ids[key] = ids
+        return ids
 
 
 def embed_library(model, lib: UnitLibrary, threads: int = 1) -> EmbeddedLibrary:
@@ -148,10 +173,13 @@ def embed_library(model, lib: UnitLibrary, threads: int = 1) -> EmbeddedLibrary:
     rather than failing every later query against the library.
     """
     units = lib.units
+    if not units:
+        raise ValueError("the library has no units to embed")
 
-    def emb_chunk(start: int, stop: int) -> np.ndarray:
+    def emb_chunk(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         emb = model.encode_features(extract_matrix(units[start:stop], model.vocab))
-        zero = np.flatnonzero(np.linalg.norm(emb, axis=1) == 0.0)
+        norms = np.linalg.norm(emb, axis=1)
+        zero = np.flatnonzero(norms == 0.0)
         if len(zero):
             i = start + int(zero[0])
             prov = units[i].provenance
@@ -160,14 +188,15 @@ def embed_library(model, lib: UnitLibrary, threads: int = 1) -> EmbeddedLibrary:
                 f"transform {prov.transform!r}) embeds to a zero-norm vector; "
                 f"the {model.kind} model cannot rank it"
             )
-        return emb
+        return emb, norms
 
-    chunks = chunked_map(emb_chunk, len(units), threads)
+    embs, norms = zip(*chunked_map(emb_chunk, len(units), threads))
     return EmbeddedLibrary(
         library=lib,
-        embeddings=np.vstack(chunks),
+        embeddings=np.vstack(embs),
         vocab_hash=model.vocab_hash,
         kind=model.kind,
+        norms=np.concatenate(norms),
     )
 
 
@@ -181,12 +210,12 @@ def _require_match(model, elib: EmbeddedLibrary) -> None:
 def library_similarities(
     query_emb: np.ndarray, elib: EmbeddedLibrary, threads: int = 1
 ) -> np.ndarray:
-    """Cosine similarity of one embedding against the whole library."""
+    """Cosine similarity of one embedding against the whole library.
 
-    def sims_chunk(start: int, stop: int) -> np.ndarray:
-        return cosine_rows(query_emb, elib.embeddings[start:stop])
-
-    return np.concatenate(chunked_map(sims_chunk, len(elib), threads))
+    One ``cosine_rows`` call with the library's cached row norms.
+    ``threads`` is accepted for compatibility and has no effect.
+    """
+    return cosine_rows(query_emb, elib.embeddings, elib.norms)
 
 
 def select_nearest(
@@ -196,7 +225,7 @@ def select_nearest(
     if len(elib) == 0:
         raise ValueError("empty library")
     sims = library_similarities(query_emb, elib, threads)
-    order = rank_order(-sims)[:k]
+    order = rank_order(-sims, top=k)
     return [(elib.library.units[i], float(sims[i])) for i in order]
 
 
@@ -279,7 +308,7 @@ def collision_rate(
     n = len(elib)
     if n < 2:
         return 0.0
-    norms = np.linalg.norm(elib.embeddings, axis=1)
+    norms = elib.norms
     if np.any(norms == 0.0):
         raise ValueError("zero-norm embedding in library")
     unit_vecs = elib.embeddings / norms[:, None]

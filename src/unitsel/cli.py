@@ -612,6 +612,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config_file(list(argv))
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            raise UserError(f"--threads must be at least 1, got {args.threads}")
         args.func(args)
         return 0
     except SystemExit as exc:

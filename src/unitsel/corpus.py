@@ -312,7 +312,14 @@ class ArchivedModel:
             )
         try:
             vocab = cls.vocab_class.from_snapshot(archive.vocabulary)
-            hp = {h: int(archive.hyperparameters[h]) for h in cls.hyperparameter_names}
+            hp = {h: archive.hyperparameters[h] for h in cls.hyperparameter_names}
+            for h, value in hp.items():
+                # exact integers only: 1.5 is refused, not truncated, and
+                # JSON's 1e999 (a float infinity) is refused too
+                if type(value) is not int or value < 1:
+                    raise ValueError(
+                        f"hyperparameter {h!r} is {value!r}, expected a positive integer"
+                    )
             model = cls(vocab, **hp)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ArchiveError(
@@ -354,6 +361,13 @@ def save_model(archive: ModelArchive, path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _exact_ints(values, what: str) -> list[int]:
+    """A JSON list of exact integers: 1.5 and 1e999 are refused, not truncated."""
+    if type(values) is not list or any(type(v) is not int for v in values):
+        raise ValueError(f"{what} must be a list of integers, got {values!r}")
+    return values
+
+
 def load_model(path) -> ModelArchive:
     """Read a model archive; every malformed or tampered file is an ArchiveError."""
     path = Path(path)
@@ -381,7 +395,7 @@ def load_model(path) -> ModelArchive:
     try:
         weights: list[tuple[str, np.ndarray]] = []
         for entry in payload["weights"]:
-            shape = tuple(int(v) for v in entry["shape"])
+            shape = tuple(_exact_ints(entry["shape"], f"shape of weight {entry['name']!r}"))
             raw = bytes.fromhex(entry["data"])
             expected = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
             if len(raw) != expected:
@@ -394,14 +408,14 @@ def load_model(path) -> ModelArchive:
         archive = ModelArchive(
             kind=kind,
             hyperparameters=dict(payload["hyperparameters"]),
-            layer_dims=[int(v) for v in payload["layer_dims"]],
+            layer_dims=_exact_ints(payload["layer_dims"], "layer_dims"),
             weights=weights,
             vocabulary=dict(payload["vocabulary"]),
         )
         vocab_hash = payload["vocab_hash"]
     except ArchiveError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ArchiveError(f"{path}: malformed archive payload ({exc!r})") from exc
     if archive.vocab_hash() != vocab_hash:
         raise ArchiveError(f"{path}: vocabulary hash mismatch (archive tampered?)")

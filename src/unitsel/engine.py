@@ -73,7 +73,9 @@ class CombinedRanking:
 
     ``order`` lists candidate indices best-first: the shortlist sorted by
     combined key, then everything else in semantic order. Ranks are
-    1-based; concat_rank and combined are 0 outside the shortlist.
+    1-based; concat_rank and combined are 0 outside the shortlist. A
+    head-only ranking (``combined_order(..., top=)``) has only the shortlist
+    in ``order``, and its semantic_rank is 0 outside the shortlist too.
     """
 
     order: np.ndarray
@@ -89,21 +91,25 @@ def combined_order(
     cost_fn,
     fraction: float,
     jitter: np.ndarray | None = None,
+    top: int | None = None,
 ) -> CombinedRanking:
     """Rank a candidate pool by the combined semantic/join procedure.
 
     ``cost_fn(indices)`` returns join costs for the shortlisted indices
     only. ``jitter`` (optional, same length as sims) breaks score ties in
     the semantic stage; by default ties break by candidate index. Join and
-    combined ties break by semantic rank (see ``nn.rank_order``).
+    combined ties break by semantic rank (see ``nn.rank_order``). A caller
+    that reads no more than the first ``top`` entries, with ``top`` at most
+    the shortlist size, gets a head-only ranking: only the shortlist is
+    sorted, and every field it holds equals the full ranking's.
     """
     n = len(sims)
     if n == 0:
         raise ValueError("empty candidate pool")
-    sem_order = rank_order(-sims, jitter)
-    sem_rank = np.empty(n, dtype=np.int64)
-    sem_rank[sem_order] = np.arange(1, n + 1)
     k = shortlist_size(n, fraction)
+    sem_order = rank_order(-sims, jitter, top=k if top is not None and top <= k else None)
+    sem_rank = np.zeros(n, dtype=np.int64)
+    sem_rank[sem_order] = np.arange(1, len(sem_order) + 1)
     # the shortlist is in semantic order, so index order within it is semantic rank
     shortlist = sem_order[:k]
     costs_short = np.asarray(cost_fn(shortlist), dtype=float)
@@ -164,11 +170,12 @@ def rank_candidates(
     q = dssm_model.encode_unit(seed_unit)
     sims = library_similarities(q, elib, threads)
     units = elib.library.units
+    first_ids = elib.first_tokens(lm_model.vocab)
 
     def shortlist_costs(indices: np.ndarray) -> np.ndarray:
-        return first_note_costs(prev_tokens, [units[i] for i in indices], lm_model)
+        return first_note_costs(prev_tokens, first_ids[indices], lm_model)
 
-    ranking = combined_order(sims, shortlist_costs, cfg.shortlist_fraction)
+    ranking = combined_order(sims, shortlist_costs, cfg.shortlist_fraction, top=top)
     order = ranking.order[:top]
     # the ordering starts with the whole shortlist, so only its head has join fields
     head = order[: len(ranking.shortlist)]

@@ -102,7 +102,7 @@ def next_unit_ranking(
             ]
         )
         dists = note_distributions(contexts, lm_model, threads)
-        lib_first = first_tokens(elib.library.units, lm_model.vocab)
+        lib_first = elib.first_tokens(lm_model.vocab)
         truth_first = first_tokens(truths, lm_model.vocab)
 
     unit_len = elib.library.unit_length

@@ -361,12 +361,14 @@ def first_tokens(units: Sequence[Unit], vocab: NoteVocabulary) -> np.ndarray:
 
 
 def first_note_costs(
-    prev_context: Sequence[int], units: Sequence[Unit], model: LmModel
+    prev_context: Sequence[int], units: Sequence[Unit] | np.ndarray, model: LmModel
 ) -> np.ndarray:
     """J=1 concatenation costs of many candidate units for one context.
 
     Equal to concat_cost(prev_context, u, 1, model) per unit, but computes
-    the shared context distribution once.
+    the shared context distribution once. ``units`` may also be an integer
+    array of the units' first-note token ids, as ``first_tokens`` returns.
     """
+    ids = units if isinstance(units, np.ndarray) else first_tokens(units, model.vocab)
     dist = note_distribution(context_window(prev_context, model.context_len), model)
-    return -np.log(dist[first_tokens(units, model.vocab)])
+    return -np.log(dist[ids])

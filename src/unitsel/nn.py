@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import CHUNK
+
 _M64 = (1 << 64) - 1
 
 
@@ -235,23 +237,55 @@ def cosine_sim(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x, y) / (nx * ny))
 
 
-def cosine_rows(q: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Cosine similarity of one query against every row of a matrix."""
+def row_norms(mat: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(mat, axis=1)``, taken CHUNK rows at a time so that
+    no temporary of the whole matrix is made."""
+    norms = np.empty(len(mat))
+    for start in range(0, len(mat), CHUNK):
+        norms[start : start + CHUNK] = np.linalg.norm(mat[start : start + CHUNK], axis=1)
+    return norms
+
+
+def cosine_rows(
+    q: np.ndarray, mat: np.ndarray, norms: np.ndarray | None = None
+) -> np.ndarray:
+    """Cosine similarity of one query against every row of a matrix.
+
+    ``norms`` are the rows' norms (``row_norms(mat)``) when the caller has
+    them cached. The product is taken CHUNK rows at a time: how BLAS
+    splits one larger product among its threads can move the last bit of
+    a row, and fixed blocks give the same bits for any thread count.
+    """
     nq = np.linalg.norm(q)
-    norms = np.linalg.norm(mat, axis=1)
+    if norms is None:
+        norms = row_norms(mat)
     if nq == 0.0 or np.any(norms == 0.0):
         raise ValueError("cosine similarity undefined for zero-norm vector")
-    return (mat @ q) / (norms * nq)
+    dots = np.empty(len(mat))
+    for start in range(0, len(mat), CHUNK):
+        np.matmul(mat[start : start + CHUNK], q, out=dots[start : start + CHUNK])
+    return dots / (norms * nq)
 
 
-def rank_order(key: np.ndarray, jitter: np.ndarray | None = None) -> np.ndarray:
+def rank_order(
+    key: np.ndarray, jitter: np.ndarray | None = None, top: int | None = None
+) -> np.ndarray:
     """Indices by ascending key, ties broken by jitter, then by index.
 
     This is the one tie policy of selection and evaluation; pass ``-score``
     to rank best-first. ``np.lexsort`` is stable, so equal (key, jitter)
-    pairs keep index order.
+    pairs keep index order. With ``top``, the result is exactly
+    ``rank_order(key, jitter)[:top]``, but only the head is sorted: a
+    partition finds the ``top``-th key, and only the keys not above it
+    (every tie at that boundary, and NaN) go to ``lexsort``.
     """
-    return np.lexsort((key,) if jitter is None else (jitter, key))
+    keys = (key,) if jitter is None else (jitter, key)
+    if top is None or not 1 <= top < len(key):
+        return np.lexsort(keys)[:top]
+    key = np.asarray(key)
+    kth = np.partition(key, top - 1)[top - 1]
+    keep = np.flatnonzero(~(key > kth))
+    return keep[np.lexsort(tuple(np.asarray(k)[keep] for k in keys))][:top]
 
 
 def draw_pool(rng: np.random.Generator, n: int, truth: int | None, size: int) -> np.ndarray:

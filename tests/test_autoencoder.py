@@ -139,6 +139,12 @@ class TestSelectNearest:
         with pytest.raises(ValueError, match="empty"):
             select_nearest(np.ones(24), empty, 1)
 
+    def test_embedding_an_empty_library_rejected(self, trained, toy_lib):
+        model, _ = trained
+        _, lib, _ = toy_lib
+        with pytest.raises(ValueError, match="no units"):
+            embed_library(model, UnitLibrary((), (), lib.unit_length, lib.meter))
+
     def test_threads_do_not_change_embeddings(self, trained, toy_lib):
         model, elib = trained
         _, lib, _ = toy_lib

@@ -306,3 +306,22 @@ class TestConfigFile:
         from_file = manifest_config("file", "--config", str(cfg))
         assert from_file == manifest_config("flag", "--shifts=-1,0,1")
         assert from_file["shifts"] == [-1, 0, 1]
+
+
+class TestThreadCount:
+    # Only counts below 1 are run here: a large count would start that many threads.
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_thread_count_below_one_is_a_user_error(self, tmp_path, capsys, count, source):
+        if source == "flag":
+            extra = ["--threads", count]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"threads": int(count)}))
+            extra = ["--config", str(cfg)]
+        out = tmp_path / "o"
+        code = main(["split", "--corpus", CORPUS, "--out", str(out), *extra])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and "--threads" in err and "Traceback" not in err
+        assert not out.exists()

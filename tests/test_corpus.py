@@ -10,6 +10,7 @@ from unitsel.augment import AugmentConfig, UnitLibrary, build_library
 from unitsel.autoencoder import train_autoencoder
 from unitsel.cli import main as cli_main
 from unitsel.corpus import (
+    ArchivedModel,
     ArchiveError,
     Corpus,
     CorpusFormatError,
@@ -588,3 +589,96 @@ class TestLibraryOrigins:
             ("p", 0, ""),
             ("q", 3, "t+1"),
         ]
+
+
+# JSON text that a damaged archive may hold in place of a value: junk types,
+# non-integers and 1e999, which json reads as a float infinity.
+_JUNK_TOKENS = [
+    "1e999", "-1e999", "NaN", "1.5", "2.0", "0", "-1", "3", "true", "null",
+    '"x"', '""', "[]", "[1.5]", "{}", '{"a": 1}',
+]
+_JUNK_SLOT = "@@junk@@"
+
+
+def _value_slots(payload):
+    """(container, key) of every hyperparameter, layer size and weight field."""
+    slots = [(payload["hyperparameters"], h) for h in payload["hyperparameters"]]
+    slots += [(payload["layer_dims"], i) for i in range(len(payload["layer_dims"]))]
+    for weight in payload["weights"]:
+        slots += [(weight, field) for field in weight]
+        slots += [(weight["shape"], i) for i in range(len(weight["shape"]))]
+    return slots
+
+
+@st.composite
+def _damaged_archive(draw, text):
+    """A saved archive's text with one value replaced by a junk token, then
+    up to three edits: a cut, a flipped byte or an inserted JSON token."""
+    header, body = text.split("\n", 1)
+    if draw(st.booleans()):
+        payload = json.loads(body)
+        container, key = draw(st.sampled_from(_value_slots(payload)))
+        container[key] = _JUNK_SLOT
+        body = json.dumps(payload).replace(
+            json.dumps(_JUNK_SLOT), draw(st.sampled_from(_JUNK_TOKENS))
+        ) + "\n"
+    data = bytearray((header + "\n" + body).encode("utf-8"))
+    for _ in range(draw(st.integers(0, 3))):
+        how = draw(st.sampled_from(["cut", "flip", "insert"]))
+        at = draw(st.integers(0, len(data)))
+        if how == "cut":
+            del data[at:]
+        elif how == "flip" and at < len(data):
+            data[at] ^= draw(st.integers(1, 255))
+        elif how == "insert":
+            token = draw(st.sampled_from(_JUNK_TOKENS + [",", ":", "[", "]", "{", "}"]))
+            data[at:at] = token.encode()
+    return bytes(data)
+
+
+class TestArchiveFuzz:
+    @pytest.mark.parametrize("kind", ["autoencoder", "dssm", "lstm"])
+    def test_damaged_archive_loads_or_is_an_archive_error(
+        self, tmp_path, tiny_models, kind
+    ):
+        good = tmp_path / f"{kind}.model"
+        save_model(tiny_models[kind].to_archive(), good)
+        bad = tmp_path / "bad.model"
+
+        @settings(deadline=None, max_examples=60)
+        @given(_damaged_archive(good.read_text(encoding="utf-8")))
+        def check(data):
+            bad.write_bytes(data)
+            try:
+                assert isinstance(load_trained(bad), ArchivedModel)
+            except ArchiveError:
+                pass
+
+        check()
+
+    @pytest.mark.parametrize("value", ["1e999", "1.5"])
+    def test_hyperparameter_must_be_an_exact_integer(
+        self, tmp_path, tiny_ae, tiny_models, value, capsys
+    ):
+        good = tmp_path / "dssm.model"
+        save_model(tiny_models["dssm"].to_archive(), good)
+        header, body = good.read_text().split("\n", 1)
+        payload = json.loads(body)
+        payload["hyperparameters"]["width"] = _JUNK_SLOT
+        bad = tmp_path / "bad.model"
+        body = json.dumps(payload).replace(json.dumps(_JUNK_SLOT), value)
+        bad.write_text(header + "\n" + body + "\n")
+        with pytest.raises(ArchiveError, match="hyperparameter 'width'"):
+            load_trained(bad)
+
+        save_library(tiny_ae[1], tmp_path / "lib.lib")
+        save_model(tiny_models["lstm"].to_archive(), tmp_path / "lstm.model")
+        code = cli_main([
+            "generate", "--seed-piece", str(FIXTURE_CORPUS),
+            "--library", str(tmp_path / "lib.lib"), "--dssm", str(bad),
+            "--lm", str(tmp_path / "lstm.model"), "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and "width" in err
+        assert "Traceback" not in err

@@ -1,10 +1,11 @@
+import copy
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from unitsel.augment import UnitLibrary
-from unitsel.autoencoder import embed_library
+from unitsel.autoencoder import EmbeddedLibrary, embed_library, library_similarities
 from unitsel.engine import (
     DETERMINISTIC,
     SAMPLED,
@@ -17,7 +18,7 @@ from unitsel.engine import (
     rank_candidates,
     shortlist_size,
 )
-from unitsel.lm import NoteVocabulary, tokenize_unit, train_lm
+from unitsel.lm import NoteVocabulary, first_note_costs, first_tokens, tokenize_unit, train_lm
 from unitsel.music import (
     Provenance,
     Unit,
@@ -324,3 +325,74 @@ class TestGenerationConfig:
             GenerationConfig(mode="other")
         with pytest.raises(ValueError):
             GenerationConfig(temperature=0.0)
+
+
+def _chunked_similarities(q, mat):
+    """The library scan as it was: one cosine per 256-row chunk, with the
+    chunk's row norms computed in the chunk."""
+    return np.concatenate(
+        [
+            (mat[s : s + 256] @ q)
+            / (np.linalg.norm(mat[s : s + 256], axis=1) * np.linalg.norm(q))
+            for s in range(0, len(mat), 256)
+        ]
+    )
+
+
+class TestSelectionIndex:
+    @pytest.mark.parametrize("fraction", [0.05, 0.2, 1.0])
+    def test_all_ties_library_head_is_library_order(self, small_setup, fraction):
+        # a zero output layer with a constant bias embeds every unit alike
+        s = small_setup
+        model = copy.deepcopy(s["dssm"])
+        model.out.w = np.zeros_like(model.out.w)
+        model.out.b = np.full_like(model.out.b, 0.5)
+        elib = embed_library(model, s["lib"])
+        assert np.all(elib.embeddings == elib.embeddings[0])
+        units = s["lib"].units
+        cfg = GenerationConfig(unit_length=1, n_units=1, shortlist_fraction=fraction)
+        k = shortlist_size(len(units), fraction)
+        args = (units[4], tokenize_unit(units[7], s["lm"].vocab), elib, model, s["lm"], cfg)
+        full = rank_candidates(*args)
+        head = rank_candidates(*args, top=k)
+        assert head == full[:k]
+        assert sorted(rc.index for rc in head) == list(range(k))
+        assert sorted(rc.semantic_rank for rc in head) == list(range(1, k + 1))
+
+    def test_scan_same_bits_as_chunks_on_small_setup(self, small_setup):
+        s = small_setup
+        elib = s["dssm_elib"]
+        for unit in s["lib"].units[:10]:
+            q = s["dssm"].encode_unit(unit)
+            assert np.array_equal(
+                library_similarities(q, elib), _chunked_similarities(q, elib.embeddings)
+            )
+
+    @pytest.mark.parametrize("n", [1000, 1001, 4500, 9001])
+    @pytest.mark.parametrize("d", [64, 128])
+    def test_scan_same_bits_as_chunks_on_random_rows(self, n, d):
+        rng = np.random.default_rng(n * d)
+        mat = rng.standard_normal((n, d)) * rng.random((n, 1))
+        # built without norms, so the index computes them
+        elib = EmbeddedLibrary(UnitLibrary((), (), 1, Fraction(1)), mat, "", "dssm")
+        assert np.array_equal(elib.norms, np.linalg.norm(mat, axis=1))
+        for _ in range(3):
+            q = rng.standard_normal(d)
+            assert np.array_equal(library_similarities(q, elib), _chunked_similarities(q, mat))
+
+    def test_first_note_ids_cached_per_vocabulary(self, small_setup):
+        s = small_setup
+        elib, units, vocab = s["dssm_elib"], s["lib"].units, s["lm"].vocab
+        ids = elib.first_tokens(vocab)
+        np.testing.assert_array_equal(ids, first_tokens(units, vocab))
+        assert elib.first_tokens(vocab) is ids
+        assert not ids.flags.writeable
+        other = NoteVocabulary(vocab.symbols[:3])
+        np.testing.assert_array_equal(elib.first_tokens(other), first_tokens(units, other))
+        assert elib.first_tokens(vocab) is ids
+        picks = np.array([3, 0, 17, 3])
+        prev = tokenize_unit(units[5], vocab)
+        np.testing.assert_array_equal(
+            first_note_costs(prev, ids[picks], s["lm"]),
+            first_note_costs(prev, [units[i] for i in picks], s["lm"]),
+        )

@@ -86,6 +86,30 @@ class TestRankOrder:
         assert all(0 <= i < n and i != truth for i in draw.tolist())
 
 
+class TestRankOrderTop:
+    @settings(deadline=None)
+    @given(
+        st.lists(
+            st.tuples(TIE_HEAVY, st.integers(0, 3), st.sampled_from([0.0, 0.25, np.nan])),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_head_equals_full_order(self, rows):
+        key, int_key, jitter = (np.array(column) for column in zip(*rows))
+        for k, j in ((key, jitter), (key, None), (int_key, jitter), (int_key, None)):
+            full = rank_order(k, j)
+            for top in range(1, len(rows) + 1):
+                np.testing.assert_array_equal(rank_order(k, j, top=top), full[:top])
+
+    def test_boundary_ties_all_considered(self):
+        # five tied keys straddle top=3; the index tie-break must pick 1, 2, 4
+        key = np.array([5.0, 0.0, -0.0, 9.0, 0.0, 0.0, np.nan, -0.0])
+        np.testing.assert_array_equal(rank_order(key, top=3), [1, 2, 4])
+        jitter = np.array([0.0, 0.5, np.nan, 0.0, 0.5, 0.1, 0.0, 0.2])
+        np.testing.assert_array_equal(rank_order(key, jitter, top=3), [5, 7, 1])
+
+
 class TestSoftmaxRelevance:
     def test_identical_candidates_split_evenly(self):
         q = np.array([1.0, 1.0, 0.0])
