@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .music import (
     LIBRARY_PITCH_RANGE,
+    REST,
     DurationError,
     Measure,
     Piece,
@@ -97,9 +98,7 @@ def transpose(
     measures = _shift_measures(u.measures, semitones, pitch_range)
     if measures is None:
         return None
-    return Unit(
-        measures=measures, provenance=_with_tag(u.provenance, f"t{semitones:+d}")
-    )
+    return Unit(measures=measures, provenance=_shift_provenance(u.provenance, semitones))
 
 
 def _round_half_away(x: Fraction) -> int:
@@ -195,22 +194,17 @@ def transpose_piece(
 
 
 def _coverage_shifts(
-    pitches: list[int], pitch_range: tuple[int, int]
+    low: int | None, high: int | None, pitch_range: tuple[int, int]
 ) -> list[int]:
-    if not pitches:
+    """Every shift that keeps pitches spanning [low, high] inside the range;
+    [0] when there is no pitch (low is None)."""
+    if low is None:
         return [0]
     lo, hi = pitch_range
-    low = lo - min(pitches)
-    high = hi - max(pitches)
-    if low > high:
+    if lo - low > hi - high:
         # span wider than the admissible range; no shift can fit it
         return []
-    return list(range(low, high + 1))
-
-
-def _admissible(u: Unit, pitch_range: tuple[int, int]) -> bool:
-    lo, hi = pitch_range
-    return all(n.is_rest or lo <= n.pitch <= hi for n in u.notes)
+    return list(range(lo - low, hi - high + 1))
 
 
 def transpose_corpus(c, cfg: AugmentConfig):
@@ -224,7 +218,8 @@ def transpose_corpus(c, cfg: AugmentConfig):
     for p in c.pieces:
         pitched = [n.pitch for n in p.notes if not n.is_rest]
         if cfg.transpose_shifts is None:
-            shifts = _coverage_shifts(pitched, cfg.pitch_range)
+            low, high = (min(pitched), max(pitched)) if pitched else (None, None)
+            shifts = _coverage_shifts(low, high, cfg.pitch_range)
         else:
             shifts = sorted(set(cfg.transpose_shifts) | {0})
         for k in shifts:
@@ -271,18 +266,57 @@ def _pitch_variants(u: Unit, cfg: AugmentConfig) -> list[Unit]:
     return variants
 
 
+def _content_shape(u: Unit) -> tuple[tuple, int | None, int | None]:
+    """A unit's content as integers, with its lowest and highest pitch
+    (None for both when every note is a rest).
+
+    The shape flattens, per measure, the meter, the note count and each
+    note's pitch above the lowest one (REST for a rest), duration and tie
+    flags. Transposing by k keeps the shape and moves the lowest pitch by
+    k, so two transposed candidates have equal measures exactly when they
+    have equal shapes and equal shifted lowest pitches.
+    """
+    pitched = [n.pitch for n in u.notes if not n.is_rest]
+    if not pitched:
+        low = high = None
+    else:
+        low, high = min(pitched), max(pitched)
+    shape: list = []
+    for m in u.measures:
+        shape += (m.meter.numerator, m.meter.denominator, len(m.notes))
+        for n in m.notes:
+            d = n.duration
+            shape += (
+                REST if n.is_rest else n.pitch - low,
+                d.numerator,
+                d.denominator,
+                n.tie_from_prev,
+                n.tie_to_next,
+            )
+    return tuple(shape), low, high
+
+
+def _shift_provenance(prov: Provenance, semitones: int) -> Provenance:
+    """The provenance :func:`transpose` gives a unit shifted by ``semitones``."""
+    return _with_tag(prov, f"t{semitones:+d}" if semitones else "")
+
+
 def build_library(c, cfg: AugmentConfig) -> UnitLibrary:
     """Slide a unit window over every piece, apply the enabled transforms,
     and deduplicate exact-equal note sequences.
 
     Window stride is one measure. Results do not depend on evaluation
-    order: origins are recorded in piece/window/transform order.
+    order: origins are recorded in piece/window/transform order. A
+    transposed candidate's dedup key is computed from integers (see
+    :func:`_content_shape`) and only a new key builds its unit.
     """
     if not c.pieces:
         raise ValueError("cannot build a library from an empty corpus")
+    lo, hi = cfg.pitch_range
     units: list[Unit] = []
     origins: list[list[Provenance]] = []
-    seen: dict = {}
+    shape_ids: dict[tuple, int] = {}
+    seen: dict[tuple[int, int], int] = {}
     for piece in c.pieces:
         sources = [(piece, "")]
         if cfg.mode == FULL and cfg.enable_double_time:
@@ -298,23 +332,24 @@ def build_library(c, cfg: AugmentConfig) -> UnitLibrary:
                     ),
                 )
                 for variant in _pitch_variants(window, cfg):
-                    pitched = [n.pitch for n in variant.notes if not n.is_rest]
+                    shape, low, high = _content_shape(variant)
+                    shape_id = shape_ids.setdefault(shape, len(shape_ids))
                     if cfg.transpose_shifts is None:
-                        shifts = _coverage_shifts(pitched, cfg.pitch_range)
+                        shifts = _coverage_shifts(low, high, cfg.pitch_range)
                     else:
                         shifts = sorted(set(cfg.transpose_shifts))
                     for k in shifts:
-                        moved = transpose(variant, k, cfg.pitch_range)
-                        if moved is None or not _admissible(moved, cfg.pitch_range):
+                        if low is not None and not (lo <= low + k and high + k <= hi):
                             continue
-                        key = moved.content_key()
+                        key = (shape_id, REST if low is None else low + k)
                         idx = seen.get(key)
                         if idx is None:
                             seen[key] = len(units)
+                            moved = transpose(variant, k, cfg.pitch_range)
                             units.append(moved)
                             origins.append([moved.provenance])
                         else:
-                            origins[idx].append(moved.provenance)
+                            origins[idx].append(_shift_provenance(variant.provenance, k))
     return UnitLibrary(
         units=tuple(units),
         origins=tuple(tuple(o) for o in origins),

@@ -30,6 +30,7 @@ from .nn import (
     rank_order,
     relevance_batch_loss,
     row_norms,
+    stack_rows,
     stream_rng,
     train_relevance,
 )
@@ -65,6 +66,12 @@ class AutoencoderModel(ArchivedModel):
         self.dec2 = DenseLayer(hidden, d, "leaky_relu", rng=rng)
         self.loss_curve: list[float] = []
 
+    @staticmethod
+    def layer_dims(vocab, hidden, embedding):
+        d = vocab.dimension
+        dims = [(d, hidden), (hidden, embedding), (embedding, hidden), (hidden, d)]
+        return [(DenseLayer, *io) for io in dims]
+
     def encode_features(self, x: np.ndarray) -> np.ndarray:
         """Deterministic embedding of feature rows (dropout off)."""
         h, _ = self.enc1.forward(x)
@@ -82,8 +89,9 @@ class AutoencoderModel(ArchivedModel):
 
 
 def _cases(x: np.ndarray, batch_idx: np.ndarray, negatives: np.ndarray):
-    """Tower inputs (each example, then its negatives) and raw queries."""
-    return x[np.concatenate([batch_idx, negatives.reshape(-1)])], x[batch_idx]
+    """Tower inputs (each example, then its negatives) as one ``(x, rows)``
+    part, and raw queries."""
+    return [(x, np.concatenate([batch_idx, negatives.reshape(-1)]))], x[batch_idx]
 
 
 def autoencoder_batch_loss(
@@ -99,8 +107,8 @@ def autoencoder_batch_loss(
     are the model's reconstructions of the example itself (truth) and of
     the negative rows. Gradient flows through every reconstruction.
     """
-    stack, query = _cases(x, batch_idx, negatives)
-    return relevance_batch_loss(model.layers, stack, len(batch_idx), query, masks)
+    parts, query = _cases(x, batch_idx, negatives)
+    return relevance_batch_loss(model.layers, stack_rows(parts), len(batch_idx), query, masks)
 
 
 def train_autoencoder(

@@ -50,7 +50,7 @@ from .evaluation import REGIME_ORDER, next_unit_ranking, report
 from .features import build_vocab
 from .lm import build_note_vocab, tokenize, train_lm
 from .music import Piece, slice_units
-from .nn import TrainConfig, stream_rng
+from .nn import TrainConfig, ZeroNormError, stream_rng
 
 
 class UserError(Exception):
@@ -60,6 +60,9 @@ class UserError(Exception):
 def _fraction_arg(text: str) -> Fraction:
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            # a ValueError, which argparse reports as a bad flag value
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 
@@ -160,9 +163,12 @@ def cmd_train_ae(args) -> None:
     out = _out_dir(args)
     lib = _load_checked(args.library, "library")
     vocab = build_vocab(lib)
-    model = train_autoencoder(
-        lib, vocab, _train_config(args), hidden=args.hidden, embedding=args.embedding
-    )
+    try:
+        model = train_autoencoder(
+            lib, vocab, _train_config(args), hidden=args.hidden, embedding=args.embedding
+        )
+    except ZeroNormError as exc:
+        raise UserError(f"cannot train the autoencoder: {exc}") from exc
     save_model(model.to_archive(), out / "autoencoder.model")
     _write_manifest(args, out, {"library": args.library})
     print(
@@ -182,7 +188,10 @@ def cmd_train_dssm(args) -> None:
         raise UserError(str(exc)) from exc
     lib = build_library(tcorp, cfg)
     vocab = build_vocab(lib)
-    model = train_dssm(pairs, vocab, _train_config(args))
+    try:
+        model = train_dssm(pairs, vocab, _train_config(args))
+    except ZeroNormError as exc:
+        raise UserError(f"cannot train the relevance model: {exc}") from exc
     save_model(model.to_archive(), out / "dssm.model")
     _write_manifest(args, out, {"corpus": args.corpus})
     print(
@@ -587,6 +596,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         overrides = json.loads(cfg_path.read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise UserError(f"config file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise UserError("config file is nested too deeply to read") from exc
     if not isinstance(overrides, dict):
         raise UserError("config file must hold a JSON object of flag values")
     injected: list[str] = []

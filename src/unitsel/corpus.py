@@ -274,7 +274,9 @@ class ArchivedModel:
     order (``layer_names``), the integer constructor arguments recorded as
     hyperparameters (``hyperparameter_names``) and the class of its
     ``vocab`` (``vocab_class``). Its constructor takes the vocabulary
-    followed by those hyperparameters as keywords.
+    followed by those hyperparameters as keywords, and its ``layer_dims``
+    gives, without building anything, each layer's (class, input
+    dimension, output dimension) from the same arguments.
     """
 
     @property
@@ -320,21 +322,27 @@ class ArchivedModel:
                     raise ValueError(
                         f"hyperparameter {h!r} is {value!r}, expected a positive integer"
                     )
-            model = cls(vocab, **hp)
+            dims = cls.layer_dims(vocab, **hp)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ArchiveError(
                 f"{cls.kind} archive has bad vocabulary or hyperparameters ({exc!r})"
             ) from exc
-        for name, layer in zip(cls.layer_names, model.layers):
-            for p in layer.param_names:
+        # every shape is compared before the model is built, so a huge
+        # hyperparameter is refused before anything is allocated from it
+        weights = {}
+        for name, (layer_class, in_dim, out_dim) in zip(cls.layer_names, dims):
+            shapes = layer_class.param_shapes(in_dim, out_dim)
+            for p, expected in zip(layer_class.param_names, shapes):
                 arr = archive.weight(f"{name}.{p}")
-                expected = getattr(layer, p).shape
                 if arr.shape != expected:
                     raise ArchiveError(
                         f"archive weight {name}.{p} has shape {arr.shape}, "
                         f"expected {expected}"
                     )
-                setattr(layer, p, arr)
+                weights[name, p] = arr
+        model = cls(vocab, **hp)
+        for (name, p), arr in weights.items():
+            setattr(getattr(model, name), p, arr)
         return model
 
 

@@ -22,6 +22,7 @@ from .nn import (
     TrainConfig,
     cosine_sim,
     relevance_batch_loss,
+    stack_rows,
     stream_rng,
     train_relevance,
 )
@@ -52,6 +53,11 @@ class DssmModel(ArchivedModel):
         self.h2 = DenseLayer(width, width, "relu", rng=rng)
         self.out = DenseLayer(width, embedding, "linear", rng=rng)
         self.loss_curve: list[float] = []
+
+    @staticmethod
+    def layer_dims(vocab, width, embedding):
+        dims = [(vocab.dimension, width), (width, width), (width, embedding)]
+        return [(DenseLayer, *io) for io in dims]
 
     def encode_features(self, x: np.ndarray) -> np.ndarray:
         a, _ = self.h1.forward(x)
@@ -85,10 +91,10 @@ def make_training_pairs(
 
 
 def _cases(prev_x, next_x, batch_idx, negatives):
-    """Tower inputs: predecessors (queries), true successors, then negative
-    successors; no raw queries."""
-    rows = [prev_x[batch_idx], next_x[batch_idx], next_x[negatives.reshape(-1)]]
-    return np.concatenate(rows), None
+    """Tower inputs as ``(x, rows)`` parts: predecessors (queries), then
+    true successors and negative successors; no raw queries."""
+    succ = np.concatenate([batch_idx, negatives.reshape(-1)])
+    return [(prev_x, batch_idx), (next_x, succ)], None
 
 
 def dssm_batch_loss(
@@ -105,8 +111,8 @@ def dssm_batch_loss(
     other pairs; the query is the predecessor's embedding (it receives
     gradient too, through the shared tower).
     """
-    stack, _ = _cases(prev_x, next_x, batch_idx, negatives)
-    return relevance_batch_loss(model.layers, stack, len(batch_idx), None, masks)
+    parts, _ = _cases(prev_x, next_x, batch_idx, negatives)
+    return relevance_batch_loss(model.layers, stack_rows(parts), len(batch_idx), None, masks)
 
 
 def train_dssm(

@@ -141,6 +141,14 @@ class LmModel(ArchivedModel):
         self.out = DenseLayer(hidden, vocab.size, "linear", rng=rng)
         self.perplexity_curve: list[float] = []
 
+    @staticmethod
+    def layer_dims(vocab, hidden, context_len):
+        return [
+            (LstmLayer, vocab.size, hidden),
+            (LstmLayer, hidden, hidden),
+            (DenseLayer, hidden, vocab.size),
+        ]
+
     def step_distributions(
         self, x_tokens: np.ndarray, last_only: bool = False
     ) -> np.ndarray:

@@ -107,6 +107,11 @@ class DenseLayer:
         self.w = glorot_uniform(rng, out_dim, in_dim)
         self.b = np.zeros(out_dim)
 
+    @staticmethod
+    def param_shapes(in_dim: int, out_dim: int) -> tuple[tuple[int, ...], ...]:
+        """Shapes of ``w`` and ``b`` for these dimensions."""
+        return (out_dim, in_dim), (out_dim,)
+
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         """x: (batch, in_dim) -> (y, cache)."""
         if x.ndim != 2 or x.shape[1] != self.in_dim:
@@ -121,9 +126,10 @@ class DenseLayer:
         return y, (x, z)
 
     def backward(
-        self, dy: np.ndarray, cache: tuple
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Returns (dx, dw, db) for upstream gradient dy."""
+        self, dy: np.ndarray, cache: tuple, input_grad: bool = True
+    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+        """Returns (dx, dw, db) for upstream gradient dy; dx is None when
+        ``input_grad`` is False (an input that is data, not a layer)."""
         x, z = cache
         if self.activation == "linear":
             dz = dy
@@ -133,7 +139,7 @@ class DenseLayer:
             dz = dy * np.where(z > 0.0, 1.0, self.alpha)
         dw = dz.T @ x
         db = dz.sum(axis=0)
-        dx = dz @ self.w
+        dx = dz @ self.w if input_grad else None
         return dx, dw, db
 
 
@@ -152,6 +158,11 @@ class LstmLayer:
         self.b = np.zeros(4 * hidden)
         # forget-gate bias starts at 1 so early training does not wipe state
         self.b[hidden : 2 * hidden] = 1.0
+
+    @staticmethod
+    def param_shapes(in_dim: int, hidden: int) -> tuple[tuple[int, ...], ...]:
+        """Shapes of ``w``, ``u`` and ``b`` for these dimensions."""
+        return (4 * hidden, in_dim), (4 * hidden, hidden), (4 * hidden,)
 
     def zero_state(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros((batch, self.hidden)), np.zeros((batch, self.hidden))
@@ -226,6 +237,10 @@ def dropout_mask(rng: np.random.Generator, shape: tuple, keep: float) -> np.ndar
     return (rng.random(shape) < keep) / keep
 
 
+class ZeroNormError(ValueError):
+    """A vector has zero norm, so its cosine similarity is undefined."""
+
+
 def cosine_sim(x: np.ndarray, y: np.ndarray) -> float:
     """Cosine similarity of two vectors; rejects zero-norm input."""
     x = np.asarray(x, dtype=float)
@@ -233,7 +248,7 @@ def cosine_sim(x: np.ndarray, y: np.ndarray) -> float:
     nx = np.linalg.norm(x)
     ny = np.linalg.norm(y)
     if nx == 0.0 or ny == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm vector")
+        raise ZeroNormError("cosine similarity undefined for zero-norm vector")
     return float(np.dot(x, y) / (nx * ny))
 
 
@@ -260,7 +275,7 @@ def cosine_rows(
     if norms is None:
         norms = row_norms(mat)
     if nq == 0.0 or np.any(norms == 0.0):
-        raise ValueError("cosine similarity undefined for zero-norm vector")
+        raise ZeroNormError("cosine similarity undefined for zero-norm vector")
     dots = np.empty(len(mat))
     for start in range(0, len(mat), CHUNK):
         np.matmul(mat[start : start + CHUNK], q, out=dots[start : start + CHUNK])
@@ -320,6 +335,21 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _cosine_softmax(q: np.ndarray, cands: np.ndarray, truth: np.ndarray) -> tuple:
+    """Losses, probabilities, similarities and norms of the batched
+    cosine-softmax loss (see :func:`cosine_softmax_grads`); the losses
+    alone cost no gradient."""
+    qn = np.linalg.norm(q, axis=1)
+    cn = np.linalg.norm(cands, axis=2)
+    if np.any(qn == 0.0) or np.any(cn == 0.0):
+        raise ZeroNormError("cosine similarity undefined for zero-norm vector")
+    dots = np.einsum("be,bke->bk", q, cands)
+    sims = dots / (qn[:, None] * cn)
+    probs = softmax(sims)
+    losses = -np.log(probs[np.arange(len(q)), truth])
+    return losses, probs, sims, qn, cn
+
+
 def cosine_softmax_grads(
     q: np.ndarray,
     cands: np.ndarray,
@@ -332,17 +362,9 @@ def cosine_softmax_grads(
     of the positive candidate per row. Returns (losses, probs, dq, dcands);
     dq is None when grad_query is False (queries that are raw data).
     """
-    qn = np.linalg.norm(q, axis=1)
-    cn = np.linalg.norm(cands, axis=2)
-    if np.any(qn == 0.0) or np.any(cn == 0.0):
-        raise ValueError("cosine similarity undefined for zero-norm vector")
-    dots = np.einsum("be,bke->bk", q, cands)
-    sims = dots / (qn[:, None] * cn)
-    probs = softmax(sims)
-    rows = np.arange(len(q))
-    losses = -np.log(probs[rows, truth])
+    losses, probs, sims, qn, cn = _cosine_softmax(q, cands, truth)
     dsims = probs.copy()
-    dsims[rows, truth] -= 1.0
+    dsims[np.arange(len(q)), truth] -= 1.0
     # d sim / d cand = q/(|q||c|) - sim * c/|c|^2
     dcands = dsims[:, :, None] * (
         q[:, None, :] / (qn[:, None, None] * cn[:, :, None])
@@ -386,12 +408,13 @@ def dense_stack_forward(
 def dense_stack_backward(
     layers: list[DenseLayer], dy: np.ndarray, caches: list[tuple], masks=None
 ) -> list[np.ndarray]:
-    """Gradients of every layer parameter, in forward order."""
+    """Gradients of every layer parameter, in forward order. The stack's
+    input is data, so the first layer computes no input gradient."""
     grads: list[np.ndarray] = []
     for i in reversed(range(len(layers))):
         if masks is not None and i < len(masks):
             dy = dy * masks[i]
-        dy, dw, db = layers[i].backward(dy, caches[i])
+        dy, dw, db = layers[i].backward(dy, caches[i], input_grad=i > 0)
         grads[:0] = [dw, db]
     return grads
 
@@ -405,21 +428,30 @@ def sample_negatives(
     return negs
 
 
-def _relevance_losses(
-    out: np.ndarray, b: int, raw_query: np.ndarray | None, grad: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-case losses from tower outputs laid out as [queries], truths,
-    negatives; with ``grad``, also the gradient for every output row."""
-    q, cand_rows = (out[:b], out[b:]) if raw_query is None else (raw_query, out)
-    negs = cand_rows[b:].reshape(b, -1, cand_rows.shape[1])
-    cands = np.concatenate([cand_rows[:b][:, None, :], negs], axis=1)
-    losses, _, dq, dcands = cosine_softmax_grads(
-        q, cands, np.zeros(b, dtype=int), grad_query=grad and raw_query is None
-    )
-    if not grad:
-        return losses, None
-    parts = [dcands[:, 0, :], dcands[:, 1:, :].reshape(-1, dcands.shape[2])]
-    return losses, np.concatenate(parts if dq is None else [dq, *parts], axis=0)
+def stack_rows(parts) -> np.ndarray:
+    """The tower inputs ``x[rows]`` of every ``(x, rows)`` part, in order."""
+    if len(parts) == 1:
+        x, rows = parts[0]
+        return x[rows]
+    return np.concatenate([x[rows] for x, rows in parts])
+
+
+def _case_layout(n_rows: int, b: int, query_in_tower: bool):
+    """Row indices, in a tower stack laid out as [queries], truths, negatives,
+    of the b queries (None when they are raw) and of each case's candidates,
+    truth first: a (b, 1 + k) array."""
+    first = b if query_in_tower else 0
+    truths = np.arange(first, first + b)
+    negs = np.arange(first + b, n_rows).reshape(b, -1)
+    return (np.arange(b) if query_in_tower else None), np.column_stack([truths, negs])
+
+
+def _dropout_zeroed(layer: DenseLayer, cache: tuple, dropped: np.ndarray) -> np.ndarray:
+    """Rows that had a non-zero output of ``layer`` (forward ``cache``) and
+    are all zero after dropout (``dropped``)."""
+    z = cache[1]
+    live = z > 0.0 if layer.activation == "relu" else z != 0.0
+    return live.any(axis=1) & ~dropped.any(axis=1)
 
 
 def relevance_batch_loss(
@@ -438,9 +470,49 @@ def relevance_batch_loss(
     through every tower output.
     """
     out, caches = dense_stack_forward(layers, stack, masks)
-    losses, dout = _relevance_losses(out, b, raw_query, grad=True)
+    q_rows, cand_rows = _case_layout(len(out), b, raw_query is None)
+    q = out[q_rows] if raw_query is None else raw_query
+    try:
+        losses, _, dq, dcands = cosine_softmax_grads(
+            q, out[cand_rows], np.zeros(b, dtype=int), grad_query=raw_query is None
+        )
+    except ZeroNormError as exc:
+        zero = np.linalg.norm(out, axis=1) == 0.0
+        if masks and any(
+            _dropout_zeroed(layers[i], caches[i], caches[i + 1][0])[zero].any()
+            for i in range(len(masks))
+        ):
+            raise ZeroNormError(
+                f"{exc}: dropout zeroed a whole row of a hidden layer; "
+                "a wider tower or a higher dropout_keep avoids it"
+            ) from exc
+        raise
+    dout = np.empty_like(out)
+    dout[cand_rows] = dcands
+    if dq is not None:
+        dout[q_rows] = dq
     dout /= b
     return float(losses.mean()), dense_stack_backward(layers, dout, caches, masks)
+
+
+def _distinct_row_losses(
+    encode, parts, b: int, raw_query: np.ndarray | None
+) -> np.ndarray:
+    """Per-case losses with dropout off. Each distinct row of each
+    ``(x, rows)`` part is encoded once and the outputs are gathered into
+    the [queries], truths, negatives layout of :func:`stack_rows`."""
+    inputs, inverse, offset = [], [], 0
+    for x, rows in parts:
+        distinct, inv = np.unique(rows, return_inverse=True)
+        inputs.append(x[distinct])
+        inverse.append(inv + offset)
+        offset += len(distinct)
+    out = encode(inputs[0] if len(inputs) == 1 else np.concatenate(inputs))
+    del inputs  # free the inputs before the loss allocates its temporaries
+    inverse = np.concatenate(inverse)
+    q_rows, cand_rows = _case_layout(len(inverse), b, raw_query is None)
+    q = out[inverse[q_rows]] if raw_query is None else raw_query
+    return _cosine_softmax(q, out[inverse[cand_rows]], np.zeros(b, dtype=int))[0]
 
 
 def train_relevance(
@@ -456,12 +528,15 @@ def train_relevance(
     """SGD epochs of a relevance model over ``n`` cases; negatives are
     re-sampled each epoch from the ``{label}-negatives`` stream.
 
-    ``cases(idx, negs)`` gives the tower inputs and raw queries (None when
-    ``query_in_tower``) as :func:`relevance_batch_loss` takes them, and
-    ``batch_loss(idx, negs, masks)`` one batch's loss and gradients. The
-    loss appended to ``model.loss_curve`` after each epoch comes from
-    ``encode`` with dropout off and one fixed negative set, so the curve is
-    comparable across epochs.
+    ``cases(idx, negs)`` gives the tower inputs as ``(x, rows)`` parts
+    (see :func:`stack_rows`) and the raw queries (None when
+    ``query_in_tower``), and ``batch_loss(idx, negs, masks)`` one batch's
+    loss and gradients. The loss appended to ``model.loss_curve`` after
+    each epoch comes from ``encode`` with dropout off and one fixed
+    negative set, so the curve is comparable across epochs; it is taken
+    over 512 cases at a time, encoding each distinct input row once.
+    A zero-norm tower output is a :class:`ZeroNormError` naming the epoch
+    and batch (counted from 1).
     """
     k = cfg.negatives
     eval_negs = sample_negatives(
@@ -480,15 +555,20 @@ def train_relevance(
                 dropout_mask(drop_rng, (rows, layer.out_dim), cfg.dropout_keep)
                 for layer in model.layers[:-1]
             ]
-            _, grads = batch_loss(idx, negs, masks)
+            try:
+                _, grads = batch_loss(idx, negs, masks)
+            except ZeroNormError as exc:
+                batch = start // cfg.batch_size + 1
+                raise ZeroNormError(f"epoch {epoch + 1}, batch {batch}: {exc}") from exc
             sgd_step(model.params, grads, cfg.learning_rate)
         total = 0.0
         for start in range(0, n, 512):
             idx = np.arange(start, min(start + 512, n))
-            stack, raw_query = cases(idx, eval_negs[idx])
-            out = encode(stack)
-            del stack  # free the inputs before the loss allocates its temporaries
-            losses, _ = _relevance_losses(out, len(idx), raw_query, grad=False)
+            parts, raw_query = cases(idx, eval_negs[idx])
+            try:
+                losses = _distinct_row_losses(encode, parts, len(idx), raw_query)
+            except ZeroNormError as exc:
+                raise ZeroNormError(f"epoch {epoch + 1}, loss pass: {exc}") from exc
             total += float(losses.sum())
         model.loss_curve.append(total / n)
 

@@ -1,11 +1,15 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from unitsel import augment
 from unitsel.augment import (
     FULL,
     TRANSPOSE_ONLY,
     AugmentConfig,
+    UnitLibrary,
     build_library,
     double_time,
     double_time_piece,
@@ -13,8 +17,9 @@ from unitsel.augment import (
     transpose,
     transpose_corpus,
 )
-from unitsel.corpus import Corpus
+from unitsel.corpus import Corpus, save_library
 from unitsel.music import (
+    LIBRARY_PITCH_RANGE,
     REST,
     DurationError,
     Measure,
@@ -329,3 +334,168 @@ class TestRandomizedProperties:
                 assert all(
                     36 <= n.pitch <= 92 for n in moved.notes if not n.is_rest
                 ) or k == 0
+
+
+def reference_build_library(c, cfg: AugmentConfig) -> UnitLibrary:
+    """The library builder as it was written before dedup keys were computed
+    from integers: every transposed candidate is built as a unit, checked
+    note by note against the pitch range and deduplicated by its measures."""
+
+    def coverage_shifts(pitches):
+        if not pitches:
+            return [0]
+        lo, hi = cfg.pitch_range
+        low, high = lo - min(pitches), hi - max(pitches)
+        return [] if low > high else list(range(low, high + 1))
+
+    def admissible(u):
+        lo, hi = cfg.pitch_range
+        return all(n.is_rest or lo <= n.pitch <= hi for n in u.notes)
+
+    units, origins, seen = [], [], {}
+    for piece in c.pieces:
+        sources = [(piece, "")]
+        if cfg.mode == FULL and cfg.enable_double_time:
+            dt = double_time_piece(piece)
+            if dt is not None and len(dt.measures) >= cfg.unit_length:
+                sources.append((dt, "dt"))
+        for source, source_tag in sources:
+            for off in range(0, len(source.measures) - cfg.unit_length + 1):
+                window = Unit(
+                    measures=tuple(source.measures[off : off + cfg.unit_length]),
+                    provenance=augment._with_tag(
+                        Provenance(source_id=piece.id, offset=off), source_tag
+                    ),
+                )
+                for variant in augment._pitch_variants(window, cfg):
+                    pitched = [n.pitch for n in variant.notes if not n.is_rest]
+                    if cfg.transpose_shifts is None:
+                        shifts = coverage_shifts(pitched)
+                    else:
+                        shifts = sorted(set(cfg.transpose_shifts))
+                    for k in shifts:
+                        moved = transpose(variant, k, cfg.pitch_range)
+                        if moved is None or not admissible(moved):
+                            continue
+                        key = moved.content_key()
+                        if key not in seen:
+                            seen[key] = len(units)
+                            units.append(moved)
+                            origins.append([moved.provenance])
+                        else:
+                            origins[seen[key]].append(moved.provenance)
+    return UnitLibrary(
+        units=tuple(units),
+        origins=tuple(tuple(o) for o in origins),
+        unit_length=cfg.unit_length,
+        meter=c.meter,
+    )
+
+
+# Few pitches, so repeated windows, equal-pitch ties and transposed copies
+# of one another are common; 20 and 100 lie outside the library range.
+_PITCHES = [REST, REST, 20, 36, 40, 43, 45, 60, 62, 90, 92, 100]
+_DURATIONS = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 8), Fraction(3, 4), Fraction(1, 128)]
+
+
+def _note(pitch, duration, ties=(False, False)):
+    return Note(pitch, duration, *((False, False) if pitch == REST else ties))
+
+
+@st.composite
+def _measures(draw):
+    notes = [
+        _note(
+            draw(st.sampled_from(_PITCHES)),
+            draw(st.sampled_from(_DURATIONS)),
+            draw(st.tuples(st.booleans(), st.booleans())),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    if draw(st.booleans()):
+        # a tie between equal pitches, which an interval transform may break
+        pitch = draw(st.sampled_from([p for p in _PITCHES if p != REST]))
+        notes[-1:] = [Note(pitch, Q, False, True), Note(pitch, Q, True, False)]
+    return Measure(tuple(notes))
+
+
+@st.composite
+def _near_copy(draw, m):
+    """``m`` transposed, or with one note re-timed or re-tied: a measure
+    whose dedup key differs from a transposition of ``m`` in one field, or
+    not at all."""
+    change = draw(st.sampled_from(["shift", "duration", "ties"]))
+    notes = list(m.notes)
+    if change == "shift":
+        k = draw(st.integers(-3, 3))
+        notes = [n if n.is_rest else replace(n, pitch=n.pitch + k) for n in notes]
+    else:
+        at = draw(st.integers(0, len(notes) - 1))
+        n = notes[at]
+        if change == "duration":
+            notes[at] = replace(n, duration=draw(st.sampled_from(_DURATIONS)))
+        else:
+            notes[at] = _note(n.pitch, n.duration, draw(st.tuples(st.booleans(), st.booleans())))
+    return Measure(tuple(notes))
+
+
+@st.composite
+def _corpora(draw):
+    pool = draw(st.lists(_measures(), min_size=1, max_size=3))
+    pool += [draw(_near_copy(m)) for m in pool for _ in range(draw(st.integers(0, 2)))]
+    pieces = []
+    for i in range(draw(st.integers(1, 3))):
+        measures = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+        pieces.append(Piece(f"p{i}", tuple(measures)))
+    return Corpus(pieces=tuple(pieces), meter=Fraction(1))
+
+
+_SHIFTS = st.one_of(
+    st.none(),
+    st.lists(st.integers(-8, 8), min_size=1, max_size=5).map(tuple),
+    st.sampled_from([(0,), (-2, -1, 0, 1, 2), (1, -3), (5, 5, -60)]),
+)
+
+
+class TestBuildLibraryMatchesReference:
+    """Integer dedup keys give the units, origins and bytes of the loop that
+    built and compared every transposed candidate."""
+
+    @settings(deadline=None, max_examples=120)
+    @given(
+        c=_corpora(),
+        mode=st.sampled_from([FULL, TRANSPOSE_ONLY]),
+        unit_length=st.sampled_from([1, 2, 4]),
+        shifts=_SHIFTS,
+        pitch_range=st.sampled_from([LIBRARY_PITCH_RANGE, (40, 62)]),
+    )
+    def test_same_library(self, tmp_path_factory, c, mode, unit_length, shifts, pitch_range):
+        cfg = AugmentConfig(
+            unit_length=unit_length, mode=mode, transpose_shifts=shifts,
+            pitch_range=pitch_range,
+        )
+        lib = build_library(c, cfg)
+        ref = reference_build_library(c, cfg)
+        assert lib.units == ref.units
+        assert lib.origins == ref.origins
+        out = tmp_path_factory.mktemp("libs")
+        save_library(lib, out / "new.lib")
+        save_library(ref, out / "ref.lib")
+        assert (out / "new.lib").read_bytes() == (out / "ref.lib").read_bytes()
+
+    def test_fixture_libraries_are_the_reference(self, fixture_corpus):
+        for mode in (FULL, TRANSPOSE_ONLY):
+            for shifts in (None, (-2, -1, 0, 1, 2)):
+                cfg = AugmentConfig(unit_length=2, mode=mode, transpose_shifts=shifts)
+                lib = build_library(fixture_corpus, cfg)
+                ref = reference_build_library(fixture_corpus, cfg)
+                assert lib.units == ref.units and lib.origins == ref.origins
+
+    def test_all_rest_unit_keeps_every_shift_tag(self):
+        rest = Measure((Note(REST, Fraction(1)),))
+        c = Corpus(pieces=(Piece("r", (rest, rest)),), meter=Fraction(1))
+        cfg = AugmentConfig(unit_length=1, transpose_shifts=(2, -1), mode=TRANSPOSE_ONLY)
+        lib = build_library(c, cfg)
+        assert len(lib) == 1
+        assert [o.transform for o in lib.origins[0]] == ["t-1", "t+2", "t-1", "t+2"]
+        assert lib.origins == reference_build_library(c, cfg).origins

@@ -4,33 +4,38 @@
 ``vars()``, so a method moved into a base class, or a function no longer
 imported by name where the tracer expects it, fails a traced benchmark run.
 These checks load the tracer's tables and resolve them, and run one small
-generation, one LSTM ranking and one library load and embedding under the
-tracer to see that the selection loop, the join cost and the set-up still
-call every span a traced run requires.
+generation, one LSTM ranking, one library load and embedding, and one
+library build and relevance training under the tracer to see that the
+selection loop, the join cost, the set-up and the train round still call
+every span a traced run requires.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import unitsel  # noqa: F401  (imports every traced module)
-from unitsel import autoencoder, corpus, dssm, engine, evaluation, features
+from toygen import make_toy_corpus
+from unitsel import augment, autoencoder, corpus, dssm, engine, evaluation, features
 from unitsel.dssm import make_training_pairs
+from unitsel.nn import TrainConfig
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
-SPANS = _load_spans()
+SPANS = _load("spans")
 
 
 @pytest.mark.parametrize(
@@ -102,3 +107,48 @@ def test_library_set_up_hits_traced_spans(small_setup, tmp_path):
     rows = features.extract_matrix(lib.units[:3], small_setup["dssm"].vocab)
     assert type(rows) is np.ndarray and rows.dtype == np.float64
     assert rows.shape == (3, small_setup["dssm"].vocab.dimension)
+
+
+# The spans of the benchmark's train workload that a library build and the
+# two relevance trainers call; its LSTM-training, loading and saving spans
+# are not run here.
+TRAIN_ROUND_SPANS = (
+    "augment.build_library",
+    "autoencoder.train_autoencoder",
+    "autoencoder.autoencoder_batch_loss",
+    "autoencoder.AutoencoderModel.reconstruct_features",
+    "dssm.train_dssm",
+    "dssm.dssm_batch_loss",
+    "dssm.DssmModel.encode_features",
+    "nn.DenseLayer.forward",
+    "nn.DenseLayer.backward",
+    "nn.cosine_softmax_grads",
+    "nn.sgd_step",
+    "features.extract_matrix",
+)
+
+
+def test_train_round_hits_traced_spans():
+    # a traced train run fails on any expected span that records no call
+    assert set(TRAIN_ROUND_SPANS) <= set(_load("workloads").Train.expected_spans)
+    pieces = make_toy_corpus(4, n_measures=6, seed=3)
+    cfg = augment.AugmentConfig(unit_length=1, mode=augment.FULL, transpose_shifts=(-1, 0, 1))
+    tcfg = augment.AugmentConfig(
+        unit_length=1, mode=augment.TRANSPOSE_ONLY, transpose_shifts=(-1, 0, 1)
+    )
+    tracer = SPANS.Tracer()
+    with tracer.installed():
+        lib = augment.build_library(pieces, cfg)
+        vocab = features.build_vocab(lib)
+        autoencoder.train_autoencoder(
+            lib, vocab, TrainConfig(epochs=1, seed=3, dropout_keep=1.0),
+            hidden=16, embedding=8,
+        )
+        pairs = make_training_pairs(augment.transpose_corpus(pieces, tcfg), 1)
+        dssm.train_dssm(
+            pairs, vocab, TrainConfig(epochs=1, seed=3, dropout_keep=1.0),
+            width=16, embedding=8,
+        )
+    calls = {name: row["calls"] for name, row in tracer.aggregate().items()}
+    for name in TRAIN_ROUND_SPANS:
+        assert calls.get(name, 0) >= 1, f"{name} recorded no calls"

@@ -2,12 +2,13 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from unitsel import load_trained
 from unitsel.autoencoder import embed_library
 from unitsel.cli import main
-from unitsel.corpus import load_corpus, load_library, save_model
-from unitsel.music import validate_piece
+from unitsel.corpus import Corpus, load_corpus, load_library, save_corpus, save_model
+from unitsel.music import Piece, validate_piece
 
 from conftest import FIXTURE_CORPUS
 
@@ -306,6 +307,107 @@ class TestConfigFile:
         from_file = manifest_config("file", "--config", str(cfg))
         assert from_file == manifest_config("flag", "--shifts=-1,0,1")
         assert from_file["shifts"] == [-1, 0, 1]
+
+
+# Flags of split and build-lib (with "_" or "-"), plus keys no command knows.
+_CONFIG_KEYS = [
+    "train_fraction", "train-fraction", "seed", "unit_length", "unit-length",
+    "shifts", "add_constants", "mul_constants", "mul-constants", "no_double_time",
+    "mode", "out", "corpus", "config", "colour", "", "-", "a b", "shifts=1",
+]
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+    st.sampled_from(["1/0", "0/1", "1/2", "-2", "2,1/0", "transpose_only", "full", "1e999"]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+# --threads starts that many worker threads, so no value can ask for more than 4
+_THREADS = st.one_of(
+    st.integers(-3, 4), st.sampled_from(["x", "", "1.5", "2", None, True, False, [1, 2], {}])
+)
+
+
+@st.composite
+def _config_bytes(draw):
+    """Config-file contents: a JSON object of known and unknown flags, any
+    other JSON document, text that is not JSON, or bytes that are not UTF-8."""
+    shape = draw(st.sampled_from(["object", "object", "object", "json", "text", "bytes"]))
+    if shape == "object":
+        doc = draw(st.dictionaries(st.sampled_from(_CONFIG_KEYS), _JSON_VALUES, max_size=4))
+        if draw(st.booleans()):
+            doc["threads"] = draw(_THREADS)
+        return json.dumps(doc).encode()
+    if shape == "json":
+        return json.dumps(draw(_JSON_VALUES)).encode()
+    if shape == "text":
+        return draw(st.text(max_size=20)).encode("utf-8", "surrogatepass")
+    return draw(st.binary(max_size=20)) + b"\xff\xfe"
+
+
+class TestConfigFuzz:
+    """Whatever a config file holds, split and build-lib succeed or exit 1
+    with an error message; never an internal error."""
+
+    @pytest.fixture(scope="class")
+    def small_corpus(self, tmp_path_factory, fixture_corpus):
+        path = tmp_path_factory.mktemp("fuzz") / "small.cor"
+        pieces = tuple(Piece(p.id, p.measures[:4]) for p in fixture_corpus.pieces[:3])
+        save_corpus(Corpus(pieces=pieces, meter=fixture_corpus.meter), path)
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["split", "build-lib"])
+    def test_config_file_succeeds_or_is_a_user_error(
+        self, tmp_path, capsys, small_corpus, command
+    ):
+        cfg = tmp_path / "cfg.json"
+
+        @settings(
+            deadline=None, max_examples=150,
+            suppress_health_check=[HealthCheck.function_scoped_fixture],
+        )
+        @given(_config_bytes())
+        @example(b'{"mul_constants": "1/0"}')
+        @example(b'{"mul_constants": [2, "1/0"]}')
+        @example(b"[" * 100_000 + b"]" * 100_000)
+        @example(b'{"shifts": []}')
+        @example(b'{"train_fraction": NaN, "seed": 1e999}')
+        def check(data):
+            cfg.write_bytes(data)
+            capsys.readouterr()
+            code = main([command, "--corpus", small_corpus, "--out", str(tmp_path / "o"),
+                         "--config", str(cfg)])
+            err = capsys.readouterr().err
+            assert code in (0, 1), err
+            assert "Traceback" not in err
+            if code == 1:
+                assert "error:" in err
+
+        check()
+
+
+class TestTrainingUserErrors:
+    def test_zero_denominator_flag_is_a_user_error(self, tmp_path, capsys):
+        code = main(["build-lib", "--corpus", CORPUS, "--out", str(tmp_path / "o"),
+                     "--mul-constants", "1/2,1/0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and "Traceback" not in err
+
+    def test_dropout_zeroed_row_is_a_user_error(self, tmp_path, capsys):
+        code = main(["train-dssm", "--corpus", CORPUS, "--out", str(tmp_path / "o"),
+                     "--shifts=0", "--epochs", "1", "--dropout-keep", "0.05", "--seed", "7"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: cannot train the relevance model: epoch 1, batch 1:" in err
+        assert "dropout zeroed a whole row" in err and "Traceback" not in err
 
 
 class TestThreadCount:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -682,3 +683,65 @@ class TestArchiveFuzz:
         assert code == 1
         assert "error:" in err and "width" in err
         assert "Traceback" not in err
+
+
+def _with_hyperparameters(tmp_path, model, **values):
+    """A saved archive of ``model`` with hyperparameters edited to ``values``."""
+    good = tmp_path / "good.model"
+    save_model(model.to_archive(), good)
+    header, body = good.read_text(encoding="utf-8").split("\n", 1)
+    payload = json.loads(body)
+    payload["hyperparameters"].update(values)
+    bad = tmp_path / "bad.model"
+    bad.write_text(header + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
+    return bad
+
+
+class TestHyperparameterSizes:
+    """Weight shapes are compared with the shapes that the hyperparameters
+    and the vocabulary imply before any model is built, so a huge
+    hyperparameter is refused without allocating from it."""
+
+    @pytest.mark.parametrize(
+        "kind,name", [("autoencoder", "hidden"), ("dssm", "width"), ("lstm", "hidden")]
+    )
+    def test_huge_value_is_an_archive_error(self, tmp_path, tiny_models, kind, name):
+        bad = _with_hyperparameters(tmp_path, tiny_models[kind], **{name: 10**13})
+        expected_huge = r"has shape \(\d+, \d+\), expected \(\d{14}, \d+\)"
+        with pytest.raises(ArchiveError, match=expected_huge):
+            load_trained(bad)
+
+    def test_huge_lstm_hidden_exits_1_from_the_cli(self, tmp_path, tiny_models, capsys):
+        bad = _with_hyperparameters(tmp_path, tiny_models["lstm"], hidden=10**13)
+        code = cli_main([
+            "generate-notes", "--seed-piece", str(FIXTURE_CORPUS), "--lm", str(bad),
+            "--measures", "1", "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and "lstm1.w" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind,name", [("dssm", "width"), ("lstm", "hidden")])
+    def test_moderate_value_allocates_nothing_from_it(self, tmp_path, tiny_models, kind, name):
+        # building either model at 5,000 would allocate hundreds of MB
+        # (the LSTM's recurrent weights alone are 20,000 x 5,000 float64)
+        bad = _with_hyperparameters(tmp_path, tiny_models[kind], **{name: 5000})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ArchiveError, match="expected"):
+                load_trained(bad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("kind", ["autoencoder", "dssm", "lstm"])
+    def test_layer_dims_match_the_built_model(self, tiny_models, kind):
+        model = tiny_models[kind]
+        hp = {h: getattr(model, h) for h in model.hyperparameter_names}
+        built = [(type(layer), layer.in_dim, layer.out_dim) for layer in model.layers]
+        assert type(model).layer_dims(model.vocab, **hp) == built
+        for (layer_class, d_in, d_out), layer in zip(built, model.layers):
+            shapes = layer_class.param_shapes(d_in, d_out)
+            assert shapes == tuple(getattr(layer, p).shape for p in layer.param_names)

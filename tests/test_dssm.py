@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from toygen import make_toy_corpus
+from unitsel.augment import TRANSPOSE_ONLY, AugmentConfig, build_library, transpose_corpus
 from unitsel.corpus import Corpus
 from unitsel.dssm import DssmModel, make_training_pairs, relevance, train_dssm
 from unitsel.features import build_vocab
 from unitsel.music import Measure, Note, Piece
-from unitsel.nn import TrainConfig, stream_rng
+from unitsel.nn import TrainConfig, ZeroNormError, stream_rng
 
 Q = Fraction(1, 4)
 
@@ -81,6 +82,34 @@ class TestTraining:
         pairs, vocab = toy_pairs
         with pytest.raises(ValueError, match="too few"):
             train_dssm(pairs[:3], vocab, TrainConfig(epochs=1, seed=0))
+
+
+class TestNarrowTower:
+    """At width 16 and keep 0.5, dropout can zero a whole hidden row; the
+    linear head's bias starts at 0, so that row embeds to exactly 0."""
+
+    @pytest.fixture(scope="class")
+    def fixture_pairs(self, fixture_corpus):
+        cfg = AugmentConfig(unit_length=1, transpose_shifts=(0,), mode=TRANSPOSE_ONLY)
+        tcorp = transpose_corpus(fixture_corpus, cfg)
+        return make_training_pairs(tcorp, 1), build_vocab(build_library(tcorp, cfg))
+
+    def test_zeroed_row_names_epoch_batch_and_dropout(self, fixture_pairs):
+        pairs, vocab = fixture_pairs
+        cfg = TrainConfig(epochs=1, seed=5, batch_size=16, dropout_keep=0.5)
+        with pytest.raises(ZeroNormError) as err:
+            train_dssm(pairs, vocab, cfg, width=16, embedding=8)
+        msg = str(err.value)
+        assert msg.startswith("epoch 1, batch 1: ")
+        assert "dropout zeroed a whole row" in msg
+        assert "wider tower" in msg and "dropout_keep" in msg
+        assert isinstance(err.value, ValueError)
+
+    def test_without_dropout_the_same_tower_trains(self, fixture_pairs):
+        pairs, vocab = fixture_pairs
+        cfg = TrainConfig(epochs=1, seed=5, batch_size=16, dropout_keep=1.0)
+        model = train_dssm(pairs, vocab, cfg, width=16, embedding=8)
+        assert len(model.loss_curve) == 1 and np.isfinite(model.loss_curve[0])
 
 
 class TestRelevance:
