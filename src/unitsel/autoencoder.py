@@ -143,20 +143,19 @@ class EmbeddedLibrary:
 
     It is also the selection index: the per-library work of a selection
     step is done once here. ``norms`` caches each embedding row's norm
-    (computed 256 rows at a time when not given), and ``first_tokens``
-    caches the first-note token ids of every unit per note vocabulary.
+    (computed 256 rows at a time), and ``first_tokens`` caches the
+    first-note token ids of every unit per note vocabulary.
     """
 
     library: UnitLibrary
     embeddings: np.ndarray
     vocab_hash: str
     kind: str
-    norms: np.ndarray | None = None
+    norms: np.ndarray = field(init=False, repr=False, compare=False)
     _first_ids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.norms is None:
-            self.norms = row_norms(self.embeddings)
+        self.norms = row_norms(self.embeddings)
 
     def __len__(self) -> int:
         return len(self.library.units)
@@ -184,28 +183,25 @@ def embed_library(model, lib: UnitLibrary, threads: int = 1) -> EmbeddedLibrary:
     if not units:
         raise ValueError("the library has no units to embed")
 
-    def emb_chunk(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        emb = model.encode_features(extract_matrix(units[start:stop], model.vocab))
-        norms = np.linalg.norm(emb, axis=1)
-        zero = np.flatnonzero(norms == 0.0)
-        if len(zero):
-            i = start + int(zero[0])
-            prov = units[i].provenance
-            raise ValueError(
-                f"library unit {i} (piece {prov.source_id!r}, measure {prov.offset}, "
-                f"transform {prov.transform!r}) embeds to a zero-norm vector; "
-                f"the {model.kind} model cannot rank it"
-            )
-        return emb, norms
+    def emb_chunk(start: int, stop: int) -> np.ndarray:
+        return model.encode_features(extract_matrix(units[start:stop], model.vocab))
 
-    embs, norms = zip(*chunked_map(emb_chunk, len(units), threads))
-    return EmbeddedLibrary(
+    elib = EmbeddedLibrary(
         library=lib,
-        embeddings=np.vstack(embs),
+        embeddings=np.vstack(chunked_map(emb_chunk, len(units), threads)),
         vocab_hash=model.vocab_hash,
         kind=model.kind,
-        norms=np.concatenate(norms),
     )
+    zero = np.flatnonzero(elib.norms == 0.0)
+    if len(zero):
+        i = int(zero[0])
+        prov = units[i].provenance
+        raise ValueError(
+            f"library unit {i} (piece {prov.source_id!r}, measure {prov.offset}, "
+            f"transform {prov.transform!r}) embeds to a zero-norm vector; "
+            f"the {model.kind} model cannot rank it"
+        )
+    return elib
 
 
 def _require_match(model, elib: EmbeddedLibrary) -> None:

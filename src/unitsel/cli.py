@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, load_trained
 from ._util import canonical_json, file_sha256, sha256_hex
@@ -67,6 +70,25 @@ def _fraction_arg(text: str) -> Fraction:
     return Fraction(int(text))
 
 
+def _bounded(convert, ok, requirement: str):
+    """A flag type that also refuses the values no command can run with."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_COUNT = _bounded(int, lambda v: v >= 1, "at least 1")
+_OPTIONAL_COUNT = _bounded(int, lambda v: v >= 0, "at least 0")
+_SHARE = _bounded(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_POSITIVE = _bounded(float, lambda v: 0.0 < v < math.inf, "positive and finite")
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v.strip())
 
@@ -99,13 +121,24 @@ def _embed_checked(model, lib, threads: int):
         raise UserError(f"cannot embed the library: {exc}") from exc
 
 
+def _save_trained(model, path: Path) -> None:
+    """Save a trained model unless it diverged, since no command could load it."""
+    if not all(np.isfinite(p).all() for p in model.params):
+        raise UserError("training diverged to non-finite weights; lower --learning-rate")
+    save_model(model.to_archive(), path)
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _write_manifest(args, out: Path, inputs: dict[str, str]) -> None:
+# Flags that name input files; the manifest hashes each one a command has.
+_INPUT_FLAGS = ("corpus", "library", "model", "seed_piece", "dssm", "lm")
+
+
+def _write_manifest(args, out: Path) -> None:
     config = {
         k: (str(v) if isinstance(v, (Fraction, Path)) else v)
         for k, v in sorted(vars(args).items())
@@ -119,7 +152,7 @@ def _write_manifest(args, out: Path, inputs: dict[str, str]) -> None:
         "config": config,
         "config_hash": sha256_hex(canonical_json(config)),
         "input_hashes": {
-            label: file_sha256(path) for label, path in inputs.items()
+            name: file_sha256(getattr(args, name)) for name in _INPUT_FLAGS if hasattr(args, name)
         },
     }
     (out / "manifest.json").write_text(
@@ -155,7 +188,7 @@ def cmd_build_lib(args) -> None:
     cfg = _augment_config(args, args.mode)
     lib = build_library(corpus, cfg)
     save_library(lib, out / "library.lib")
-    _write_manifest(args, out, {"corpus": args.corpus})
+    _write_manifest(args, out)
     print(f"built library of {len(lib)} units -> {out / 'library.lib'}")
 
 
@@ -169,8 +202,8 @@ def cmd_train_ae(args) -> None:
         )
     except ZeroNormError as exc:
         raise UserError(f"cannot train the autoencoder: {exc}") from exc
-    save_model(model.to_archive(), out / "autoencoder.model")
-    _write_manifest(args, out, {"library": args.library})
+    _save_trained(model, out / "autoencoder.model")
+    _write_manifest(args, out)
     print(
         f"trained autoencoder ({args.epochs} epochs, final loss "
         f"{model.loss_curve[-1]:.4f}) -> {out / 'autoencoder.model'}"
@@ -192,8 +225,8 @@ def cmd_train_dssm(args) -> None:
         model = train_dssm(pairs, vocab, _train_config(args))
     except ZeroNormError as exc:
         raise UserError(f"cannot train the relevance model: {exc}") from exc
-    save_model(model.to_archive(), out / "dssm.model")
-    _write_manifest(args, out, {"corpus": args.corpus})
+    _save_trained(model, out / "dssm.model")
+    _write_manifest(args, out)
     print(
         f"trained relevance model on {len(pairs)} pairs (final loss "
         f"{model.loss_curve[-1]:.4f}) -> {out / 'dssm.model'}"
@@ -208,8 +241,8 @@ def cmd_train_lm(args) -> None:
     vocab = build_note_vocab(tcorp)
     streams = [tokenize(p, vocab) for p in tcorp.pieces]
     model = train_lm(streams, vocab, _train_config(args), hidden=args.hidden)
-    save_model(model.to_archive(), out / "lstm.model")
-    _write_manifest(args, out, {"corpus": args.corpus})
+    _save_trained(model, out / "lstm.model")
+    _write_manifest(args, out)
     print(
         f"trained note model (vocab {vocab.size}, final perplexity "
         f"{model.perplexity_curve[-1]:.2f}) -> {out / 'lstm.model'}"
@@ -229,9 +262,7 @@ def cmd_reconstruct(args) -> None:
         except ValueError as exc:
             raise UserError(f"cannot reconstruct {p.id}: {exc}") from exc
     save_corpus(Corpus(pieces=tuple(pieces), meter=corpus.meter), out / "reconstructed.cor")
-    _write_manifest(
-        args, out, {"corpus": args.corpus, "library": args.library, "model": args.model}
-    )
+    _write_manifest(args, out)
     print(f"reconstructed {len(pieces)} pieces -> {out / 'reconstructed.cor'}")
 
 
@@ -263,9 +294,7 @@ def cmd_interpolate(args) -> None:
             raise UserError(str(exc)) from exc
         pieces.append(Piece(id=f"interp-{float(alpha):.2f}", measures=unit.measures))
     save_corpus(Corpus(pieces=tuple(pieces), meter=corpus.meter), out / "interpolated.cor")
-    _write_manifest(
-        args, out, {"corpus": args.corpus, "library": args.library, "model": args.model}
-    )
+    _write_manifest(args, out)
     print(f"interpolated {len(pieces)} blends -> {out / 'interpolated.cor'}")
 
 
@@ -304,16 +333,7 @@ def cmd_generate(args) -> None:
     (out / "audit.json").write_text(
         json.dumps(audit, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    _write_manifest(
-        args,
-        out,
-        {
-            "seed_piece": args.seed_piece,
-            "library": args.library,
-            "dssm": args.dssm,
-            "lm": args.lm,
-        },
-    )
+    _write_manifest(args, out)
     print(f"generated {len(pieces)} pieces -> {out / 'generated.cor'}")
 
 
@@ -333,7 +353,7 @@ def cmd_generate_notes(args) -> None:
         except ValueError as exc:
             raise UserError(f"cannot extend {piece.id}: {exc}") from exc
     save_corpus(Corpus(pieces=tuple(pieces), meter=seed_corpus.meter), out / "generated-notes.cor")
-    _write_manifest(args, out, {"seed_piece": args.seed_piece, "lm": args.lm})
+    _write_manifest(args, out)
     print(f"generated {len(pieces)} pieces -> {out / 'generated-notes.cor'}")
 
 
@@ -370,7 +390,7 @@ def cmd_eval_rank50(args) -> None:
     (out / "rank50.json").write_text(
         json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    _write_manifest(args, out, {"library": args.library, "model": args.model})
+    _write_manifest(args, out)
     print(text, end="")
 
 
@@ -401,16 +421,7 @@ def cmd_eval_nextunit(args) -> None:
         except ValueError as exc:
             raise UserError(str(exc)) from exc
     text = report(rows, out / "report.txt")
-    _write_manifest(
-        args,
-        out,
-        {
-            "corpus": args.corpus,
-            "library": args.library,
-            "dssm": args.dssm,
-            "lm": args.lm,
-        },
-    )
+    _write_manifest(args, out)
     print(text, end="")
 
 
@@ -423,14 +434,14 @@ def cmd_split(args) -> None:
         raise UserError(str(exc)) from exc
     save_corpus(train, out / "train.cor")
     save_corpus(test, out / "test.cor")
-    _write_manifest(args, out, {"corpus": args.corpus})
+    _write_manifest(args, out)
     print(f"split {len(corpus.pieces)} pieces -> {len(train.pieces)} train / {len(test.pieces)} test")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="output directory for artifacts")
     p.add_argument("--seed", type=int, default=0, help="global random seed")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for scoring")
+    p.add_argument("--threads", type=_COUNT, default=1, help="worker threads for scoring")
     p.add_argument("--config", help="JSON file of flag defaults (flags win)")
 
 
@@ -454,11 +465,11 @@ def _add_augment_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--learning-rate", type=float, default=0.005)
-    p.add_argument("--dropout-keep", type=float, default=0.5)
-    p.add_argument("--negatives", type=int, default=4)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--learning-rate", type=_POSITIVE, default=0.005)
+    p.add_argument("--dropout-keep", type=_SHARE, default=0.5)
+    p.add_argument("--negatives", type=_COUNT, default=4)
+    p.add_argument("--epochs", type=_COUNT, default=100)
+    p.add_argument("--batch-size", type=_COUNT, default=32)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -481,8 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--library", required=True)
     _add_train_flags(p)
-    p.add_argument("--hidden", type=int, default=512)
-    p.add_argument("--embedding", type=int, default=128)
+    p.add_argument("--hidden", type=_COUNT, default=512)
+    p.add_argument("--embedding", type=_COUNT, default=128)
     p.set_defaults(func=cmd_train_ae)
 
     p = sub.add_parser("train-dssm", help="train the successor-relevance model")
@@ -497,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     _add_augment_flags(p)
     _add_train_flags(p)
-    p.add_argument("--hidden", type=int, default=128)
+    p.add_argument("--hidden", type=_COUNT, default=128)
     p.set_defaults(func=cmd_train_lm)
 
     p = sub.add_parser("reconstruct", help="reconstruct pieces by unit selection")
@@ -526,26 +537,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--library", required=True)
     p.add_argument("--dssm", required=True)
     p.add_argument("--lm", required=True)
-    p.add_argument("--units", type=int, default=4)
-    p.add_argument("--shortlist-fraction", type=float, default=0.05)
+    p.add_argument("--units", type=_COUNT, default=4)
+    p.add_argument("--shortlist-fraction", type=_SHARE, default=0.05)
     p.add_argument("--sample", action="store_true", help="sample instead of argmax")
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--temperature", type=_POSITIVE, default=1.0)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("generate-notes", help="extend a seed piece note by note")
     _add_common(p)
     p.add_argument("--seed-piece", required=True)
     p.add_argument("--lm", required=True)
-    p.add_argument("--measures", type=int, default=4)
+    p.add_argument("--measures", type=_COUNT, default=4)
     p.add_argument("--sample", action="store_true")
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--temperature", type=_POSITIVE, default=1.0)
     p.set_defaults(func=cmd_generate_notes)
 
     p = sub.add_parser("eval-rank50", help="identity-retrieval ranking of a library")
     _add_common(p)
     p.add_argument("--library", required=True)
     p.add_argument("--model", required=True, help="autoencoder archive")
-    p.add_argument("--max-probes", type=int, default=0, help="0 = all units")
+    p.add_argument("--max-probes", type=_OPTIONAL_COUNT, default=0, help="0 = all units")
     p.set_defaults(func=cmd_eval_rank50)
 
     p = sub.add_parser("eval-nextunit", help="next-unit ranking on held-out pieces")
@@ -560,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=("lstm", "dssm", "dssm+lstm"),
         help=f"comma-separated subset of {', '.join(REGIME_ORDER)}",
     )
-    p.add_argument("--max-probes", type=int, default=0)
+    p.add_argument("--max-probes", type=_OPTIONAL_COUNT, default=0)
     p.set_defaults(func=cmd_eval_nextunit)
 
     p = sub.add_parser("split", help="deterministic train/test corpus split")
@@ -623,8 +634,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config_file(list(argv))
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise UserError(f"--threads must be at least 1, got {args.threads}")
         args.func(args)
         return 0
     except SystemExit as exc:

@@ -412,6 +412,8 @@ def load_model(path) -> ModelArchive:
                     f"shape {shape} needs {expected}"
                 )
             arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(arr).all():
+                raise ArchiveError(f"{path}: weight {entry['name']!r} holds non-finite values")
             weights.append((str(entry["name"]), arr))
         archive = ModelArchive(
             kind=kind,

@@ -1,11 +1,11 @@
 """Note-level LSTM language model and the concatenation cost.
 
 Tokens are (pitch, duration) symbols; barlines are invisible to the token
-stream. The model is two stacked LSTM layers over one-hot inputs with a
-linear projection to the vocabulary, trained teacher-forced on windows of
-36 tokens (each window's targets are its inputs shifted by one). Scoring
-contexts shorter than 36 tokens are left-padded with the PAD token, which
-is excluded from the training loss.
+stream. The model is two stacked LSTM layers over one-hot inputs (fed to
+the first layer as token ids) with a linear projection to the vocabulary,
+trained teacher-forced on windows of 36 tokens (each window's targets are
+its inputs shifted by one). Scoring contexts shorter than 36 tokens are
+left-padded with the PAD token, which is excluded from the training loss.
 
 The join cost between two units is the mean negative log-probability of
 the first J notes of the incoming unit given the running 36-token context
@@ -92,13 +92,13 @@ def build_note_vocab(pieces: Sequence[Piece]) -> NoteVocabulary:
     return NoteVocabulary(sorted(seen))
 
 
-def tokenize(p: Piece, vocab: NoteVocabulary) -> list[int]:
-    """One token per notated note, in order; unseen symbols become OOV."""
+def tokenize(p: Piece | Unit, vocab: NoteVocabulary) -> list[int]:
+    """One token per notated note of a piece or unit, in order; unseen
+    symbols become OOV."""
     return [vocab.encode((n.pitch, n.duration)) for n in p.notes]
 
 
-def tokenize_unit(u: Unit, vocab: NoteVocabulary) -> list[int]:
-    return [vocab.encode((n.pitch, n.duration)) for n in u.notes]
+tokenize_unit = tokenize
 
 
 def detokenize(tokens: Sequence[int], vocab: NoteVocabulary) -> list[NoteSymbol]:
@@ -110,12 +110,6 @@ def context_window(history: Sequence[int], length: int = CONTEXT_LEN) -> np.ndar
     """The last ``length`` tokens of a history, left-padded with PAD."""
     tail = list(history)[-length:]
     return np.array([PAD] * (length - len(tail)) + tail, dtype=np.int64)
-
-
-def _one_hot(tokens: np.ndarray, size: int) -> np.ndarray:
-    out = np.zeros((len(tokens), size))
-    out[np.arange(len(tokens)), tokens] = 1.0
-    return out
 
 
 class LmModel(ArchivedModel):
@@ -143,6 +137,10 @@ class LmModel(ArchivedModel):
 
     @staticmethod
     def layer_dims(vocab, hidden, context_len):
+        # not a weight shape, so nothing else bounds it; training writes only
+        # CONTEXT_LEN, and scoring allocates a window of this length
+        if context_len != CONTEXT_LEN:
+            raise ValueError(f"context_len is {context_len}, expected {CONTEXT_LEN}")
         return [
             (LstmLayer, vocab.size, hidden),
             (LstmLayer, hidden, hidden),
@@ -156,19 +154,16 @@ class LmModel(ArchivedModel):
 
         x_tokens: (batch, T) ints -> (batch, T, vocab) probabilities, or with
         ``last_only`` the (batch, vocab) distributions after the final step,
-        equal bit for bit to ``[:, -1, :]`` of the full result. Layer 1's
-        input projection is the row gather ``w.T[tokens]``, one step at a
-        time.
+        equal bit for bit to ``[:, -1, :]`` of the full result.
         """
         b, t = x_tokens.shape
         if last_only and t == 0:
             raise ValueError("last_only needs at least one timestep")
         h1, c1 = self.lstm1.zero_state(b)
         h2, c2 = self.lstm2.zero_state(b)
-        w1t = self.lstm1.w.T
         probs = None if last_only else np.empty((b, t, self.vocab.size))
         for step in range(t):
-            h1, c1, _ = self.lstm1.cell(w1t[x_tokens[:, step]], h1, c1)
+            h1, c1, _ = self.lstm1.step(x_tokens[:, step], h1, c1)
             h2, c2, _ = self.lstm2.step(h1, h2, c2)
             if not last_only:
                 probs[:, step, :] = softmax(self.out.forward(h2)[0])
@@ -228,8 +223,7 @@ def lm_batch_loss(
     caches = []
     probs_steps = np.empty((b, t, v))
     for step in range(t):
-        xoh = _one_hot(x[:, step], v)
-        h1, c1, cache1 = model.lstm1.step(xoh, h1, c1)
+        h1, c1, cache1 = model.lstm1.step(x[:, step], h1, c1)
         h1d = h1 * m1
         h2, c2, cache2 = model.lstm2.step(h1d, h2, c2)
         h2d = h2 * m2
@@ -243,8 +237,7 @@ def lm_batch_loss(
         nll -= float(np.sum(np.log(p_true) * supervised[:, step]))
     loss = nll / total
 
-    zeros = [np.zeros_like(p) for p in model.params]
-    (dw1, du1, db1, dw2, du2, db2, dwo, dbo) = zeros
+    grads = [np.zeros_like(p) for p in model.params]  # lstm1, lstm2, out
     dh1_carry, dc1_carry = model.lstm1.zero_state(b)
     dh2_carry, dc2_carry = model.lstm2.zero_state(b)
     for step in reversed(range(t)):
@@ -252,24 +245,14 @@ def lm_batch_loss(
         dlogits = probs_steps[:, step, :].copy()
         dlogits[rows, y[:, step]] -= 1.0
         dlogits *= (supervised[:, step] / total)[:, None]
-        dh2d, dwo_s, dbo_s = model.out.backward(dlogits, cache_out)
-        dwo += dwo_s
-        dbo += dbo_s
+        dh2d, *out_grads = model.out.backward(dlogits, cache_out)
         dh2 = dh2d * m2 + dh2_carry
-        dh1d, dh2_carry, dc2_carry, dw2_s, du2_s, db2_s = model.lstm2.backward_step(
-            dh2, dc2_carry, cache2
-        )
-        dw2 += dw2_s
-        du2 += du2_s
-        db2 += db2_s
+        dh1d, dh2_carry, dc2_carry, *grads2 = model.lstm2.backward_step(dh2, dc2_carry, cache2)
         dh1 = dh1d * m1 + dh1_carry
-        _, dh1_carry, dc1_carry, dw1_s, du1_s, db1_s = model.lstm1.backward_step(
-            dh1, dc1_carry, cache1
-        )
-        dw1 += dw1_s
-        du1 += du1_s
-        db1 += db1_s
-    return loss, [dw1, du1, db1, dw2, du2, db2, dwo, dbo]
+        _, dh1_carry, dc1_carry, *grads1 = model.lstm1.backward_step(dh1, dc1_carry, cache1)
+        for acc, grad in zip(grads, grads1 + grads2 + out_grads):
+            acc += grad
+    return loss, grads
 
 
 def _eval_perplexity(model: LmModel, x: np.ndarray, y: np.ndarray) -> float:

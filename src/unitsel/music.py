@@ -91,9 +91,6 @@ class Measure:
             raise ValueError("measure must contain at least one note (use a rest)")
         object.__setattr__(self, "notes", tuple(self.notes))
 
-    def duration_sum(self) -> Fraction:
-        return measure_sum(self)
-
 
 def measure_sum(m: Measure) -> Fraction:
     """Exact rational sum of the note durations in a measure."""

@@ -170,21 +170,15 @@ class LstmLayer:
     def step(
         self, x: np.ndarray, h: np.ndarray, c: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """One timestep. x: (batch, in_dim); h, c: (batch, hidden)."""
-        return self.cell(x @ self.w.T, h, c, x)
+        """One timestep. h, c: (batch, hidden); x: (batch, in_dim) input rows,
+        or (batch,) token ids for a one-hot input.
 
-    def cell(
-        self, xw: np.ndarray, h: np.ndarray, c: np.ndarray, x: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """One timestep from its input projection ``xw = x @ w.T``.
-
-        Inference over one-hot inputs passes the rows ``w.T[tokens]``, which
-        equal the one-hot product bit for bit; ``x`` is kept in the cache
-        only for :meth:`backward_step`. The four gates are views of one
-        (batch, 4*hidden) block: the sigmoid runs over all of it and the
+        The projection of token ids is the row gather ``w.T[x]``, which
+        equals the one-hot product bit for bit. The four gates are views of
+        one (batch, 4*hidden) block: the sigmoid runs over all of it and the
         candidate slot is overwritten with its tanh.
         """
-        a = xw + h @ self.u.T + self.b
+        a = (self.w.T[x] if x.ndim == 1 else x @ self.w.T) + h @ self.u.T + self.b
         hh = self.hidden
         gates = _sigmoid(a)
         gates[:, 2 * hh : 3 * hh] = np.tanh(a[:, 2 * hh : 3 * hh])
@@ -196,8 +190,12 @@ class LstmLayer:
 
     def backward_step(
         self, dh: np.ndarray, dc: np.ndarray, cache: tuple
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Backprop one timestep: returns (dx, dh_prev, dc_prev, dw, du, db)."""
+    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Backprop one timestep: returns (dx, dh_prev, dc_prev, dw, du, db).
+
+        On token ids ``dx`` is None, and ``dw`` adds each row's gate
+        gradient into its token's column in batch order.
+        """
         x, h, c, i, f, g, o, c2 = cache
         tanh_c2 = np.tanh(c2)
         do = dh * tanh_c2
@@ -215,9 +213,17 @@ class LstmLayer:
             ],
             axis=1,
         )
-        dx = da @ self.w
+        if x.ndim == 1:
+            # np.add.at adds in the same order, but about 3x slower at the
+            # training shape (32 rows of 512 gate gradients)
+            dx = None
+            dw = np.zeros_like(self.w)
+            for row, token in enumerate(x.tolist()):
+                dw[:, token] += da[row]
+        else:
+            dx = da @ self.w
+            dw = da.T @ x
         dh_prev = da @ self.u
-        dw = da.T @ x
         du = da.T @ h
         db = da.sum(axis=0)
         return dx, dh_prev, dc_prev, dw, du, db

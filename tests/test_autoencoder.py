@@ -145,6 +145,15 @@ class TestSelectNearest:
         with pytest.raises(ValueError, match="no units"):
             embed_library(model, UnitLibrary((), (), lib.unit_length, lib.meter))
 
+    def test_norms_come_from_the_index_alone(self, trained, toy_lib):
+        # the same bits as the per-chunk norms embed_library computed itself
+        model, elib = trained
+        emb = elib.embeddings
+        per_chunk = [np.linalg.norm(emb[s : s + 256], axis=1) for s in range(0, len(emb), 256)]
+        assert np.array_equal(elib.norms, np.concatenate(per_chunk))
+        with pytest.raises(TypeError):
+            EmbeddedLibrary(elib.library, emb, model.vocab_hash, model.kind, norms=elib.norms)
+
     def test_threads_do_not_change_embeddings(self, trained, toy_lib):
         model, elib = trained
         _, lib, _ = toy_lib

@@ -6,8 +6,9 @@ imported by name where the tracer expects it, fails a traced benchmark run.
 These checks load the tracer's tables and resolve them, and run one small
 generation, one LSTM ranking, one library load and embedding, and one
 library build and relevance training under the tracer to see that the
-selection loop, the join cost, the set-up and the train round still call
-every span a traced run requires.
+selection loop, the join cost, the set-up and the train round (library
+build, relevance training and note-LSTM training) still call every span a
+traced run requires.
 """
 
 import importlib
@@ -20,7 +21,7 @@ import pytest
 
 import unitsel  # noqa: F401  (imports every traced module)
 from toygen import make_toy_corpus
-from unitsel import augment, autoencoder, corpus, dssm, engine, evaluation, features
+from unitsel import augment, autoencoder, corpus, dssm, engine, evaluation, features, lm
 from unitsel.dssm import make_training_pairs
 from unitsel.nn import TrainConfig
 
@@ -110,8 +111,8 @@ def test_library_set_up_hits_traced_spans(small_setup, tmp_path):
 
 
 # The spans of the benchmark's train workload that a library build and the
-# two relevance trainers call; its LSTM-training, loading and saving spans
-# are not run here.
+# two relevance trainers call; LSTM training is checked below, and loading
+# and saving are not run here.
 TRAIN_ROUND_SPANS = (
     "augment.build_library",
     "autoencoder.train_autoencoder",
@@ -152,3 +153,28 @@ def test_train_round_hits_traced_spans():
     calls = {name: row["calls"] for name, row in tracer.aggregate().items()}
     for name in TRAIN_ROUND_SPANS:
         assert calls.get(name, 0) >= 1, f"{name} recorded no calls"
+
+
+LSTM_TRAINING_SPANS = (
+    "lm.train_lm",
+    "lm.lm_batch_loss",
+    "lm.LmModel.step_distributions",
+    "nn.LstmLayer.step",
+    "nn.LstmLayer.backward_step",
+)
+
+
+def test_lm_training_hits_traced_spans():
+    assert set(LSTM_TRAINING_SPANS) <= set(_load("workloads").Train.expected_spans)
+    pieces = make_toy_corpus(4, n_measures=6, seed=3)
+    vocab = lm.build_note_vocab(pieces)
+    streams = [lm.tokenize(p, vocab) for p in pieces.pieces]
+    tracer = SPANS.Tracer()
+    with tracer.installed():
+        lm.train_lm(streams, vocab, TrainConfig(epochs=1, seed=3), hidden=8)
+    calls = {name: row["calls"] for name, row in tracer.aggregate().items()}
+    for name in LSTM_TRAINING_SPANS:
+        assert calls.get(name, 0) >= 1, f"{name} recorded no calls"
+    # training steps both layers forward and back at every position; the
+    # one evaluation batch steps both layers forward only
+    assert calls["nn.LstmLayer.step"] == calls["nn.LstmLayer.backward_step"] + 2 * lm.CONTEXT_LEN

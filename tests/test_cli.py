@@ -315,6 +315,16 @@ _CONFIG_KEYS = [
     "shifts", "add_constants", "mul_constants", "mul-constants", "no_double_time",
     "mode", "out", "corpus", "config", "colour", "", "-", "a b", "shifts=1",
 ]
+# Flags of train-lm and generate-notes other than their sizes, likewise.
+_TRAIN_LM_KEYS = [
+    "seed", "learning_rate", "learning-rate", "dropout_keep", "dropout-keep",
+    "negatives", "batch_size", "batch-size", "shifts", "unit_length", "no_double_time",
+    "out", "corpus", "config", "colour", "", "a b",
+]
+_GENERATE_NOTES_KEYS = [
+    "seed", "temperature", "sample", "seed_piece", "seed-piece", "lm",
+    "out", "config", "colour", "", "a b",
+]
 _JSON_SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -335,15 +345,39 @@ _THREADS = st.one_of(
 )
 
 
+# Training's flags take scalars more often than _JSON_VALUES gives them, so
+# that more examples get as far as training or generating.
+_SCALAR_FLAGS = st.one_of(
+    st.integers(-3, 3), st.floats(allow_nan=True, allow_infinity=True), st.booleans(),
+    _JSON_VALUES,
+)
+# Per command: the keys drawn for a config file, their values, and the sizes
+# it always sets. Memory and run time grow with a size, so sizes are drawn
+# from small ranges only.
+_FUZZED = {
+    "split": (_CONFIG_KEYS, _JSON_VALUES, {}),
+    "build-lib": (_CONFIG_KEYS, _JSON_VALUES, {}),
+    "train-lm": (
+        _TRAIN_LM_KEYS, _SCALAR_FLAGS, {"epochs": st.integers(0, 1), "hidden": st.integers(-1, 8)}
+    ),
+    "generate-notes": (_GENERATE_NOTES_KEYS, _SCALAR_FLAGS, {"measures": st.integers(-1, 2)}),
+}
+# Passed as flags for the sizes a config file does not set: a drawn object
+# always sets them, but other JSON can be an object too.
+_SMALL_SIZES = {"epochs": 1, "hidden": 8, "measures": 1}
+
+
 @st.composite
-def _config_bytes(draw):
+def _config_bytes(draw, keys=_CONFIG_KEYS, values=_JSON_VALUES, sizes=None):
     """Config-file contents: a JSON object of known and unknown flags, any
     other JSON document, text that is not JSON, or bytes that are not UTF-8."""
     shape = draw(st.sampled_from(["object", "object", "object", "json", "text", "bytes"]))
     if shape == "object":
-        doc = draw(st.dictionaries(st.sampled_from(_CONFIG_KEYS), _JSON_VALUES, max_size=4))
+        doc = draw(st.dictionaries(st.sampled_from(keys), values, max_size=4))
         if draw(st.booleans()):
             doc["threads"] = draw(_THREADS)
+        for name, size in (sizes or {}).items():
+            doc[name] = draw(size)
         return json.dumps(doc).encode()
     if shape == "json":
         return json.dumps(draw(_JSON_VALUES)).encode()
@@ -352,9 +386,20 @@ def _config_bytes(draw):
     return draw(st.binary(max_size=20)) + b"\xff\xfe"
 
 
+def _unset_sizes(data: bytes, sizes) -> list[str]:
+    """Small explicit flags for the sizes that a config file does not set."""
+    try:
+        doc = json.loads(data)
+    except (ValueError, RecursionError):
+        doc = None  # refused before any size is read
+    given_keys = doc if isinstance(doc, dict) else {}
+    return [f"--{name}={_SMALL_SIZES[name]}" for name in sizes if name not in given_keys]
+
+
 class TestConfigFuzz:
-    """Whatever a config file holds, split and build-lib succeed or exit 1
-    with an error message; never an internal error."""
+    """Whatever a config file holds, split, build-lib, train-lm and
+    generate-notes succeed or exit 1 with an error message; never an
+    internal error."""
 
     @pytest.fixture(scope="class")
     def small_corpus(self, tmp_path_factory, fixture_corpus):
@@ -363,27 +408,43 @@ class TestConfigFuzz:
         save_corpus(Corpus(pieces=pieces, meter=fixture_corpus.meter), path)
         return str(path)
 
-    @pytest.mark.parametrize("command", ["split", "build-lib"])
+    @pytest.fixture(scope="class")
+    def small_lm(self, tmp_path_factory, small_corpus):
+        out = tmp_path_factory.mktemp("fuzz-lm")
+        code = main(["train-lm", "--corpus", small_corpus, "--out", str(out),
+                     "--shifts=0", "--epochs", "1", "--hidden", "8"])
+        assert code == 0
+        return str(out / "lstm.model")
+
+    @pytest.mark.parametrize("command", list(_FUZZED))
     def test_config_file_succeeds_or_is_a_user_error(
-        self, tmp_path, capsys, small_corpus, command
+        self, request, tmp_path, capsys, small_corpus, command
     ):
+        keys, values, sizes = _FUZZED[command]
+        if command == "generate-notes":
+            inputs = ["--seed-piece", small_corpus, "--lm", request.getfixturevalue("small_lm")]
+        else:
+            inputs = ["--corpus", small_corpus]
         cfg = tmp_path / "cfg.json"
 
         @settings(
             deadline=None, max_examples=150,
             suppress_health_check=[HealthCheck.function_scoped_fixture],
         )
-        @given(_config_bytes())
+        @given(_config_bytes(keys, values, sizes))
         @example(b'{"mul_constants": "1/0"}')
         @example(b'{"mul_constants": [2, "1/0"]}')
         @example(b"[" * 100_000 + b"]" * 100_000)
         @example(b'{"shifts": []}')
         @example(b'{"train_fraction": NaN, "seed": 1e999}')
+        @example(b'{"learning_rate": NaN, "temperature": 0}')
+        @example(b'{"learning_rate": 1e300, "epochs": 1, "hidden": 8}')
+        @example(b'{"sample": true, "temperature": 1e-300, "measures": 1}')
         def check(data):
             cfg.write_bytes(data)
             capsys.readouterr()
-            code = main([command, "--corpus", small_corpus, "--out", str(tmp_path / "o"),
-                         "--config", str(cfg)])
+            code = main([command, *inputs, *_unset_sizes(data, sizes),
+                         "--out", str(tmp_path / "o"), "--config", str(cfg)])
             err = capsys.readouterr().err
             assert code in (0, 1), err
             assert "Traceback" not in err
@@ -408,6 +469,69 @@ class TestTrainingUserErrors:
         assert code == 1
         assert "error: cannot train the relevance model: epoch 1, batch 1:" in err
         assert "dropout zeroed a whole row" in err and "Traceback" not in err
+
+
+def _bad_flag_cases():
+    """One case per flag value no command can run with: the command line
+    (built from the pipeline's files, so only the flag is wrong), the flag
+    and the value."""
+    train = {
+        "train-ae": lambda p: ["train-ae", "--library", p["lib"]],
+        "train-dssm": lambda p: ["train-dssm", "--corpus", p["train"], "--shifts=0"],
+        "train-lm": lambda p: ["train-lm", "--corpus", p["train"], "--shifts=0"],
+    }
+    generate = lambda p: [
+        "generate", "--seed-piece", p["test"], "--library", p["lib"],
+        "--dssm", p["dssm"], "--lm", p["lm"],
+    ]
+    notes = lambda p: ["generate-notes", "--seed-piece", p["test"], "--lm", p["lm"]]
+    rank50 = lambda p: ["eval-rank50", "--library", p["lib"], "--model", p["ae"]]
+    nextunit = lambda p: [
+        "eval-nextunit", "--corpus", p["test"], "--library", p["lib"],
+        "--dssm", p["dssm"], "--lm", p["lm"],
+    ]
+    cases = [
+        ("train-lm-hidden-0", train["train-lm"], "--hidden", "0"),
+        ("train-lm-hidden-negative", train["train-lm"], "--hidden", "-3"),
+        ("train-lm-learning-rate-nan", train["train-lm"], "--learning-rate", "nan"),
+        ("generate-shortlist-fraction-0", generate, "--shortlist-fraction", "0"),
+        ("generate-temperature-0", generate, "--temperature", "0"),
+        ("generate-units-negative", generate, "--units", "-1"),
+        ("generate-notes-temperature-0", notes, "--temperature", "0"),
+        ("eval-rank50-max-probes-negative", rank50, "--max-probes", "-1"),
+        ("eval-nextunit-max-probes-negative", nextunit, "--max-probes", "-1"),
+    ]
+    for command, argv in train.items():
+        for flag, value in (
+            ("--batch-size", "0"), ("--epochs", "0"), ("--negatives", "0"),
+            ("--dropout-keep", "0"), ("--dropout-keep", "1.5"),
+        ):
+            cases.append((f"{command}{flag}-{value}", argv, flag, value))
+    return [pytest.param(argv, flag, value, id=case_id) for case_id, argv, flag, value in cases]
+
+
+class TestBadFlagValues:
+    @pytest.mark.parametrize("argv,flag,value", _bad_flag_cases())
+    def test_bad_value_is_a_user_error_naming_the_flag(
+        self, pipeline, tmp_path, capsys, argv, flag, value
+    ):
+        out = tmp_path / "o"
+        code = main([*argv(pipeline), flag, value, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: argument {flag}: must be" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_diverged_training_saves_no_model(self, tmp_path, capsys):
+        # a finite rate this large sends the relevance model's weights to NaN
+        out = tmp_path / "o"
+        code = main(["train-dssm", "--corpus", CORPUS, "--out", str(out), "--shifts=0",
+                     "--epochs", "2", "--learning-rate", "1e300", "--seed", "7"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: training diverged" in err and "--learning-rate" in err
+        assert "Traceback" not in err
+        assert not (out / "dssm.model").exists()
 
 
 class TestThreadCount:

@@ -685,16 +685,40 @@ class TestArchiveFuzz:
         assert "Traceback" not in err
 
 
-def _with_hyperparameters(tmp_path, model, **values):
-    """A saved archive of ``model`` with hyperparameters edited to ``values``."""
+def _edited_archive(tmp_path, model, edit):
+    """A saved archive of ``model`` whose JSON payload ``edit`` has changed."""
     good = tmp_path / "good.model"
     save_model(model.to_archive(), good)
     header, body = good.read_text(encoding="utf-8").split("\n", 1)
     payload = json.loads(body)
-    payload["hyperparameters"].update(values)
+    edit(payload)
     bad = tmp_path / "bad.model"
     bad.write_text(header + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
     return bad
+
+
+def _with_hyperparameters(tmp_path, model, **values):
+    """A saved archive of ``model`` with hyperparameters edited to ``values``."""
+    return _edited_archive(tmp_path, model, lambda p: p["hyperparameters"].update(values))
+
+
+def _with_non_finite_weight(tmp_path, model, value):
+    """A saved archive of ``model`` whose last weight's first entry is ``value``."""
+
+    def edit(payload):
+        entry = payload["weights"][-1]
+        arr = np.frombuffer(bytes.fromhex(entry["data"]), dtype="<f8").copy()
+        arr[0] = value
+        entry["data"] = arr.tobytes().hex()
+
+    return _edited_archive(tmp_path, model, edit)
+
+
+def _generate_notes(tmp_path, lm_path):
+    return cli_main([
+        "generate-notes", "--seed-piece", str(FIXTURE_CORPUS), "--lm", str(lm_path),
+        "--measures", "1", "--out", str(tmp_path / "out"),
+    ])
 
 
 class TestHyperparameterSizes:
@@ -736,6 +760,27 @@ class TestHyperparameterSizes:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize("value", [10**13, 37])
+    def test_context_len_other_than_training_is_an_archive_error(
+        self, tmp_path, tiny_models, value
+    ):
+        # scoring allocates a window of context_len tokens, and training
+        # writes only CONTEXT_LEN
+        bad = _with_hyperparameters(tmp_path, tiny_models["lstm"], context_len=value)
+        with pytest.raises(ArchiveError, match=f"context_len is {value}, expected 36"):
+            load_trained(bad)
+
+    @pytest.mark.parametrize("value", [10**13, 37])
+    def test_context_len_other_than_training_exits_1_from_the_cli(
+        self, tmp_path, tiny_models, capsys, value
+    ):
+        bad = _with_hyperparameters(tmp_path, tiny_models["lstm"], context_len=value)
+        code = _generate_notes(tmp_path, bad)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and f"context_len is {value}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("kind", ["autoencoder", "dssm", "lstm"])
     def test_layer_dims_match_the_built_model(self, tiny_models, kind):
         model = tiny_models[kind]
@@ -745,3 +790,22 @@ class TestHyperparameterSizes:
         for (layer_class, d_in, d_out), layer in zip(built, model.layers):
             shapes = layer_class.param_shapes(d_in, d_out)
             assert shapes == tuple(getattr(layer, p).shape for p in layer.param_names)
+
+
+class TestNonFiniteWeights:
+    """A diverged model is refused at load, not used to score or generate."""
+
+    @pytest.mark.parametrize("kind", ["autoencoder", "dssm", "lstm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_is_an_archive_error(self, tmp_path, tiny_models, kind, value):
+        bad = _with_non_finite_weight(tmp_path, tiny_models[kind], value)
+        with pytest.raises(ArchiveError, match="holds non-finite values"):
+            load_trained(bad)
+
+    def test_nan_lstm_exits_1_from_the_cli(self, tmp_path, tiny_models, capsys):
+        bad = _with_non_finite_weight(tmp_path, tiny_models["lstm"], math.nan)
+        code = _generate_notes(tmp_path, bad)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and "'out.b' holds non-finite values" in err
+        assert "Traceback" not in err

@@ -15,6 +15,7 @@ from unitsel.lm import (
     context_window,
     detokenize,
     first_note_costs,
+    lm_batch_loss,
     make_windows,
     note_distribution,
     note_distributions,
@@ -23,7 +24,7 @@ from unitsel.lm import (
     train_lm,
 )
 from unitsel.music import Measure, Note, Piece, Provenance, Unit, whole_rest_measure, REST
-from unitsel.nn import TrainConfig, softmax
+from unitsel.nn import TrainConfig, dropout_mask, softmax, stream_rng
 
 Q = Fraction(1, 4)
 
@@ -233,6 +234,75 @@ class TestStepDistributions:
         with pytest.raises(ValueError):
             model.step_distributions(np.zeros((2, 0), dtype=np.int64), last_only=True)
 
+
+def _one_hot_batch_loss(model, x, y, masks):
+    """``lm_batch_loss`` as it was before layer 1 read token ids: one-hot
+    input rows at every step, and layer 1's unused input gradient."""
+    b, t = x.shape
+    v = model.vocab.size
+    m1, m2 = masks
+    supervised = (y != PAD).astype(float)
+    total = supervised.sum()
+    h1, c1 = model.lstm1.zero_state(b)
+    h2, c2 = model.lstm2.zero_state(b)
+    caches = []
+    probs_steps = np.empty((b, t, v))
+    for step in range(t):
+        xoh = np.zeros((b, v))
+        xoh[np.arange(b), x[:, step]] = 1.0
+        h1, c1, cache1 = model.lstm1.step(xoh, h1, c1)
+        h2, c2, cache2 = model.lstm2.step(h1 * m1, h2, c2)
+        logits, cache_out = model.out.forward(h2 * m2)
+        probs_steps[:, step, :] = softmax(logits)
+        caches.append((cache1, cache2, cache_out))
+    rows = np.arange(b)
+    nll = 0.0
+    for step in range(t):
+        p_true = probs_steps[rows, step, y[:, step]]
+        nll -= float(np.sum(np.log(p_true) * supervised[:, step]))
+    grads = [np.zeros_like(p) for p in model.params]
+    dh1_carry, dc1_carry = model.lstm1.zero_state(b)
+    dh2_carry, dc2_carry = model.lstm2.zero_state(b)
+    for step in reversed(range(t)):
+        cache1, cache2, cache_out = caches[step]
+        dlogits = probs_steps[:, step, :].copy()
+        dlogits[rows, y[:, step]] -= 1.0
+        dlogits *= (supervised[:, step] / total)[:, None]
+        dh2d, dwo, dbo = model.out.backward(dlogits, cache_out)
+        dh1d, dh2_carry, dc2_carry, *g2 = model.lstm2.backward_step(
+            dh2d * m2 + dh2_carry, dc2_carry, cache2
+        )
+        _, dh1_carry, dc1_carry, *g1 = model.lstm1.backward_step(
+            dh1d * m1 + dh1_carry, dc1_carry, cache1
+        )
+        for acc, g in zip(grads, [*g1, *g2, dwo, dbo]):
+            acc += g
+    return nll / total, grads
+
+
+class TestBatchLoss:
+    @pytest.mark.parametrize("batch", [1, 7, 32, 256])
+    def test_token_ids_give_the_one_hot_gradients(self, toy_lm, batch):
+        _, vocab, model = toy_lm
+        rng = stream_rng(batch, "lm-loss-bits")
+        x = rng.integers(0, vocab.size, size=(batch, CONTEXT_LEN))
+        y = rng.integers(0, vocab.size, size=(batch, CONTEXT_LEN))
+        x[:, :5] = PAD
+        y[:, -3:] = PAD
+        y[0, 0] = 2  # at least one supervised position
+        masks = tuple(dropout_mask(rng, (batch, model.hidden), 0.5) for _ in range(2))
+        loss, grads = lm_batch_loss(model, x, y, masks)
+        loss_ref, grads_ref = _one_hot_batch_loss(model, x, y, masks)
+        assert loss == loss_ref
+        assert len(grads) == len(grads_ref) == 8
+        for got, want in zip(grads[1:], grads_ref[1:]):
+            assert np.array_equal(got, want)
+        # layer 1's dw adds the same terms, but BLAS may have added the
+        # one-hot product's in another order (see TestTokenInputs in
+        # test_nn.py); a reordered sum of n <= 36 * 256 terms moves by far
+        # less than this
+        dw1, dw1_ref = grads[0], grads_ref[0]
+        assert np.all(np.abs(dw1 - dw1_ref) <= 1e-9 * np.abs(dw1_ref).max())
 
 def unit_from_measures(piece, start, count):
     return Unit(

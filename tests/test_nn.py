@@ -299,6 +299,70 @@ class TestLstmLayer:
         np.testing.assert_array_equal(c1, c2)
 
 
+@st.composite
+def _token_batches(draw):
+    """(vocabulary size, hidden, token ids, seed): ids include PAD (0),
+    repeats, and batches where one token fills every row."""
+    vocab = draw(st.integers(3, 300))
+    hidden = draw(st.sampled_from([1, 3, 16, 64, 128]))
+    batch = draw(st.integers(1, 600))
+    kind = draw(st.sampled_from(["any", "few", "one", "pad"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "one":
+        ids = np.full(batch, draw(st.integers(0, vocab - 1)))
+    else:
+        ids = rng.integers(0, min(vocab, 3) if kind == "few" else vocab, size=batch)
+        if kind == "pad":
+            ids[rng.random(batch) < 0.5] = 0
+    return vocab, hidden, ids, seed
+
+
+def _steps_both_ways(vocab, hidden, ids, seed):
+    """One forward and backward step of one layer on token ids and on the
+    equal one-hot rows ``np.eye(vocab)[ids]``, and the gate gradient ``da``
+    (the dense path's ``dw`` for identity input rows is ``da.T``)."""
+    rng = np.random.default_rng(seed)
+    layer = LstmLayer(vocab, hidden, rng=rng)
+    batch = len(ids)
+    h, c = rng.normal(size=(batch, hidden)), rng.normal(size=(batch, hidden))
+    dh, dc = rng.normal(size=(batch, hidden)), rng.normal(size=(batch, hidden))
+    out = []
+    for x in (ids, np.eye(vocab)[ids]):
+        h2, c2, cache = layer.step(x, h, c)
+        out.append((h2, c2, *layer.backward_step(dh, dc, cache)))
+    da = layer.backward_step(dh, dc, (np.eye(batch), *cache[1:]))[3].T
+    return out, da
+
+
+class TestTokenInputs:
+    """``LstmLayer.step`` on (batch,) token ids is the one-hot input without
+    the one-hot matrix: the same state and gradients, no input gradient,
+    and ``dw`` summed in batch order."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(_token_batches())
+    def test_matches_one_hot_rows(self, case):
+        vocab, hidden, ids, _ = case
+        (by_ids, by_rows), da = _steps_both_ways(*case)
+        assert by_ids[2] is None and by_rows[2].shape == (len(ids), vocab)
+        for k in (0, 1, 3, 4, 6, 7):  # h, c, dh_prev, dc_prev, du, db
+            assert np.array_equal(by_ids[k], by_rows[k])
+        dw, dw_one_hot = by_ids[5], by_rows[5]
+        # each token's column starts at zero and adds its rows in batch
+        # order, which is what np.add.at does
+        in_order = np.zeros_like(dw)
+        np.add.at(in_order.T, ids, da)
+        assert np.array_equal(dw, in_order)
+        # BLAS may add the one-hot product's terms in another order: in
+        # blocks of 256 rows, and in the last few columns of the vocabulary
+        # even below that. The tolerance is the bound on reordering a sum of
+        # n terms: n * eps * the sum of their magnitudes.
+        magnitudes = np.zeros_like(dw)
+        np.add.at(magnitudes.T, ids, np.abs(da))
+        bound = len(ids) * np.finfo(float).eps * magnitudes
+        assert np.all(np.abs(dw - dw_one_hot) <= bound)
+
 def _masked_sigmoid(z):
     """The boolean-mask logistic that ``_sigmoid`` replaced, kept as its bit
     reference: 1/(1+exp(-z)) where z >= 0, exp(z)/(1+exp(z)) elsewhere."""
