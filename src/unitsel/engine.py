@@ -360,6 +360,20 @@ def generate_note_level(
     return replace(piece, id=piece_id)
 
 
+def temperature_weights(dist: np.ndarray, temperature: float) -> np.ndarray:
+    """Sampling probabilities proportional to ``dist ** (1 / temperature)``.
+
+    Computed in log space, shifted by the largest log-probability, so the
+    most likely token keeps weight 1 at any temperature instead of every
+    weight underflowing to zero; zero entries keep weight zero. As the
+    temperature falls the result tends to the greedy pick.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        logp = np.log(dist)
+        weights = np.exp((logp - logp.max()) / temperature)
+    return weights / weights.sum()
+
+
 def continue_piece_notes(
     piece: Piece,
     n_measures: int,
@@ -391,8 +405,7 @@ def continue_piece_notes(
         if cfg.mode == DETERMINISTIC:
             tok = int(np.argmax(dist))
         else:
-            p = dist ** (1.0 / cfg.temperature)
-            p /= p.sum()
+            p = temperature_weights(dist, cfg.temperature)
             rng = stream_rng(cfg.seed, "generate-notes", step)
             tok = int(rng.choice(len(p), p=p))
         pitch, dur = vocab.decode(tok)

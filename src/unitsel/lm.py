@@ -35,6 +35,13 @@ from .nn import (
 PAD = 0
 OOV = 1
 CONTEXT_LEN = 36
+# Rows on which a batch's shared PAD prefix runs (``step_distributions``).
+# Not one row: at batch one BLAS takes its matrix-vector path, and at a few
+# rows its small-matrix kernel, and either can give a row other last bits
+# than the same row of a larger batch (README, "Notes on numerics"). Sixteen
+# kept the full batch's bits at every hidden size checked, 4 to 128; eight
+# did not at hidden 32.
+PAD_PREFIX_ROWS = 16
 
 NoteSymbol = tuple[int, Fraction]
 
@@ -155,19 +162,48 @@ class LmModel(ArchivedModel):
         x_tokens: (batch, T) ints -> (batch, T, vocab) probabilities, or with
         ``last_only`` the (batch, vocab) distributions after the final step,
         equal bit for bit to ``[:, -1, :]`` of the full result.
+
+        With ``last_only``, the leading steps at which every row reads PAD
+        give every row the same state. A batch of more than
+        ``PAD_PREFIX_ROWS`` rows runs those steps once on that many PAD rows
+        and copies the first row's state to the whole batch; only the later
+        steps run at full batch, and the final step always does.
         """
         b, t = x_tokens.shape
         if last_only and t == 0:
             raise ValueError("last_only needs at least one timestep")
-        h1, c1 = self.lstm1.zero_state(b)
-        h2, c2 = self.lstm2.zero_state(b)
+        lead = leading_pad_steps(x_tokens) if last_only and b > PAD_PREFIX_ROWS else 0
+        if lead:
+            state = self._zero_state(PAD_PREFIX_ROWS)
+            pads = np.full(PAD_PREFIX_ROWS, PAD, dtype=np.int64)
+            for _ in range(lead):
+                state = self._step(pads, state)
+            state = tuple(np.repeat(s[:1], b, axis=0) for s in state)
+        else:
+            state = self._zero_state(b)
         probs = None if last_only else np.empty((b, t, self.vocab.size))
-        for step in range(t):
-            h1, c1, _ = self.lstm1.step(x_tokens[:, step], h1, c1)
-            h2, c2, _ = self.lstm2.step(h1, h2, c2)
+        for step in range(lead, t):
+            state = self._step(x_tokens[:, step], state)
             if not last_only:
-                probs[:, step, :] = softmax(self.out.forward(h2)[0])
-        return softmax(self.out.forward(h2)[0]) if last_only else probs
+                probs[:, step, :] = softmax(self.out.forward(state[2])[0])
+        return softmax(self.out.forward(state[2])[0]) if last_only else probs
+
+    def _zero_state(self, batch: int) -> tuple[np.ndarray, ...]:
+        return self.lstm1.zero_state(batch) + self.lstm2.zero_state(batch)
+
+    def _step(self, tokens: np.ndarray, state: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+        """Both LSTM layers over one column of token ids: (h1, c1, h2, c2)."""
+        h1, c1, h2, c2 = state
+        h1, c1, _ = self.lstm1.step(tokens, h1, c1)
+        h2, c2, _ = self.lstm2.step(h1, h2, c2)
+        return h1, c1, h2, c2
+
+
+def leading_pad_steps(x_tokens: np.ndarray) -> int:
+    """Leading steps at which every window reads PAD, at most T - 1."""
+    t = x_tokens.shape[1]
+    real = np.flatnonzero((x_tokens != PAD).any(axis=0))
+    return min(int(real[0]) if len(real) else t, t - 1)
 
 
 def make_windows(
@@ -315,13 +351,24 @@ def note_distribution(ctx: Sequence[int], model: LmModel) -> np.ndarray:
 def note_distributions(
     contexts: np.ndarray, model: LmModel, threads: int = 1
 ) -> np.ndarray:
-    """Final-step distributions for many contexts; fixed-chunk parallel."""
+    """Final-step distributions for many contexts; fixed-chunk parallel.
+
+    Each distinct context runs once, in the order of its first occurrence,
+    and its distribution is copied to every repeat; a batch without repeats
+    runs exactly as given.
+    """
     contexts = np.asarray(contexts, dtype=np.int64)
+    _, first, inverse = np.unique(
+        contexts, axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    distinct = contexts[first[order]]
+    slot = np.argsort(order)  # a sorted-unique row's place in ``distinct``
 
     def chunk(start: int, stop: int) -> np.ndarray:
-        return model.step_distributions(contexts[start:stop], last_only=True)
+        return model.step_distributions(distinct[start:stop], last_only=True)
 
-    return np.vstack(chunked_map(chunk, len(contexts), threads))
+    return np.vstack(chunked_map(chunk, len(distinct), threads))[slot[inverse.reshape(-1)]]
 
 
 def concat_cost(

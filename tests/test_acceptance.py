@@ -3,6 +3,11 @@
 Run with ``pytest tests/test_acceptance.py -v -s``. The training runs here
 are sized for a desk machine (a few minutes total); every tolerance is
 asserted exactly as stated, never loosened.
+
+Criteria 1 to 4 record their margins with ``record_property`` before they
+assert, so ``pytest --junitxml=report.xml`` carries them as ``<property>``
+elements of each test case, whether it passes or fails; a margin is
+positive while its criterion holds.
 """
 
 import math
@@ -77,7 +82,7 @@ def _tiny_vocab():
 
 
 class TestCriterion1GradientFidelity:
-    def test_all_losses_match_finite_differences(self):
+    def test_all_losses_match_finite_differences(self, record_property):
         tol = 1e-4
         vocab = _tiny_vocab()
         worst = {"autoencoder": 0.0, "dssm": 0.0, "lstm": 0.0}
@@ -128,6 +133,9 @@ class TestCriterion1GradientFidelity:
                     lmm.params, lgrads, lambda: lm_batch_loss(lmm, xt, yt)[0], rng=rng
                 ),
             )
+        for name, value in worst.items():
+            record_property(f"worst_relative_error_{name}", value)
+        record_property("margin_relative_error", tol - max(worst.values()))
         assert worst["autoencoder"] < tol
         assert worst["dssm"] < tol
         assert worst["lstm"] < tol
@@ -141,7 +149,7 @@ class TestCriterion1GradientFidelity:
 
 
 class TestCriterion2AutoencoderIdentity:
-    def test_identity_retrieval_on_trained_library(self):
+    def test_identity_retrieval_on_trained_library(self, record_property):
         corpus = make_toy_corpus(10, n_measures=12, seed=21)
         cfg = AugmentConfig(
             unit_length=1,
@@ -159,6 +167,10 @@ class TestCriterion2AutoencoderIdentity:
         assert model.loss_curve[-1] < model.loss_curve[0]  # converging
         elib = embed_library(model, lib)
         mean_rank, accuracy = rank_at_50(model, elib, list(lib.units), seed=5)
+        record_property("mean_rank", mean_rank)
+        record_property("accuracy", accuracy)
+        record_property("margin_mean_rank", 1.1 - mean_rank)
+        record_property("margin_accuracy", accuracy - 0.95)
         assert mean_rank <= 1.1
         assert accuracy >= 0.95
         _report(
@@ -170,12 +182,16 @@ class TestCriterion2AutoencoderIdentity:
 
 
 class TestCriterion3RandomBaseline:
-    def test_random_scorer_calibration(self, small_setup):
+    def test_random_scorer_calibration(self, small_setup, record_property):
         s = small_setup
         base = make_toy_corpus(10, n_measures=12, seed=404)
         pairs = make_training_pairs(base, 1)
         probes = (pairs * ((2000 // len(pairs)) + 1))[:2000]
         row = next_unit_ranking(probes, s["dssm_elib"], None, None, "random", seed=17)
+        record_property("mean_rank", row.mean_rank)
+        record_property("accuracy", row.accuracy)
+        record_property("margin_mean_rank", 1.0 - abs(row.mean_rank - 25.5))
+        record_property("margin_accuracy", 0.01 - abs(row.accuracy - 0.02))
         assert abs(row.mean_rank - 25.5) <= 1.0
         assert abs(row.accuracy - 0.02) <= 0.01
         _report(
@@ -224,12 +240,19 @@ class TestCriterion4RegimeOrdering:
             for regime in ("lstm", "dssm", "dssm+lstm")
         }
 
-    def test_mean_rank_ordering_over_five_seeds(self):
+    def test_mean_rank_ordering_over_five_seeds(self, record_property):
         per_seed = [self.run_seed(seed) for seed in self.SEEDS]
         avg = {
             regime: float(np.mean([r[regime] for r in per_seed]))
             for regime in ("lstm", "dssm", "dssm+lstm")
         }
+        labels = [f"seed_{seed}" for seed in self.SEEDS] + ["mean"]
+        for label, ranks in zip(labels, per_seed + [avg]):
+            for regime in ("lstm", "dssm", "dssm+lstm"):
+                record_property(f"{label}_{regime}", ranks[regime])
+            record_property(f"{label}_dssm_minus_combined", ranks["dssm"] - ranks["dssm+lstm"])
+            record_property(f"{label}_lstm_minus_dssm", ranks["lstm"] - ranks["dssm"])
+        record_property("margin_below_20", 20.0 - max(avg.values()))
         assert avg["dssm+lstm"] <= avg["dssm"] <= avg["lstm"]
         assert all(v < 20.0 for v in avg.values())
         _report(

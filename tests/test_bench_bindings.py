@@ -89,6 +89,23 @@ def test_lstm_ranking_hits_traced_spans(small_setup):
         assert calls.get(name, 0) >= 1, f"{name} recorded no calls"
 
 
+def test_lstm_ranking_runs_each_distinct_context_once(small_setup):
+    # the score workload's probes repeat their context units; a return to
+    # one LSTM row per probe fails here, not only in a benchmark run
+    s = small_setup
+    distinct_pairs = make_training_pairs(s["corpus"], 1)[:6]
+    pairs = [distinct_pairs[i] for i in (0, 1, 0, 2, 3, 1, 4, 5, 5, 0, 2, 3)]
+    contexts = np.stack(
+        [lm.context_window(lm.tokenize(prev, s["lm"].vocab)) for prev, _ in pairs]
+    )
+    distinct = len(np.unique(contexts, axis=0))
+    assert distinct < len(pairs)
+    tracer = SPANS.Tracer()
+    with tracer.installed():
+        evaluation.next_unit_ranking(pairs, s["dssm_elib"], None, s["lm"], "lstm", seed=3)
+    assert tracer.counters["lm.LmModel.step_distributions.rows"] == distinct
+
+
 def test_library_set_up_hits_traced_spans(small_setup, tmp_path):
     # the benchmark's generate set-up expects both spans of loading and embedding
     path = tmp_path / "small.lib"

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,23 @@ class TestGenerate:
         ])
         assert code == 0
         corpus = load_corpus(out / "generated-notes.cor")
+        for p in corpus.pieces:
+            assert validate_piece(p) == []
+
+
+    def test_sampled_note_level_at_a_small_temperature(self, pipeline, tmp_path):
+        out = tmp_path / "gen-notes-cold"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "generate-notes", "--seed-piece", pipeline["test"], "--lm",
+                pipeline["lm"], "--measures", "4", "--out", str(out),
+                "--sample", "--temperature", "0.003", "--seed", "7",
+            ])
+        assert code == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        corpus = load_corpus(out / "generated-notes.cor")
+        assert corpus.pieces
         for p in corpus.pieces:
             assert validate_piece(p) == []
 

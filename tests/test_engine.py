@@ -1,4 +1,5 @@
 import copy
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from unitsel.engine import (
     generate_note_level,
     rank_candidates,
     shortlist_size,
+    temperature_weights,
 )
 from unitsel.lm import NoteVocabulary, first_note_costs, first_tokens, tokenize_unit, train_lm
 from unitsel.music import (
@@ -315,6 +317,40 @@ class TestGenerateNoteLevel:
         out = continue_piece_notes(piece, 2, s["lm"], GenerationConfig())
         assert len(out.measures) == len(piece.measures) + 2
         assert validate_piece(out) == []
+
+
+class TestSampledTemperature:
+    DIST = np.array([0.0, 0.0, 0.5, 0.3, 0.15, 0.05, 0.0])
+
+    def test_weights_are_the_powered_distribution(self):
+        for temperature in (0.5, 1.0, 2.0):
+            want = self.DIST ** (1.0 / temperature)
+            np.testing.assert_allclose(
+                temperature_weights(self.DIST, temperature), want / want.sum(), rtol=1e-12
+            )
+
+    def test_small_temperatures_tend_to_the_greedy_pick(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            heads = [
+                temperature_weights(self.DIST, t)[2]
+                for t in (1.0, 0.3, 0.1, 0.03, 0.003, 1e-300, 5e-324)
+            ]
+            cold = temperature_weights(self.DIST, 0.003)
+        assert heads == sorted(heads) and heads[-1] == 1.0
+        assert cold[2] == 1.0 and np.all(cold[[3, 4, 5]] < 1e-70)
+        assert np.all(cold[[0, 1, 6]] == 0.0)
+
+    def test_sampled_notes_at_a_tiny_temperature_are_the_greedy_notes(self, small_setup):
+        s = small_setup
+        piece = s["corpus"].pieces[2]
+        greedy = continue_piece_notes(piece, 2, s["lm"], GenerationConfig())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sampled = continue_piece_notes(
+                piece, 2, s["lm"], GenerationConfig(mode=SAMPLED, temperature=1e-6, seed=4)
+            )
+        assert sampled == greedy
 
 
 class TestGenerationConfig:

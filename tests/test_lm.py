@@ -3,18 +3,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from toygen import make_toy_corpus
+from unitsel._util import chunked_map
 from unitsel.lm import (
     CONTEXT_LEN,
     OOV,
     PAD,
+    PAD_PREFIX_ROWS,
+    LmModel,
     NoteVocabulary,
     build_note_vocab,
     concat_cost,
     context_window,
     detokenize,
     first_note_costs,
+    leading_pad_steps,
     lm_batch_loss,
     make_windows,
     note_distribution,
@@ -303,6 +308,129 @@ class TestBatchLoss:
         # less than this
         dw1, dw1_ref = grads[0], grads_ref[0]
         assert np.all(np.abs(dw1 - dw1_ref) <= 1e-9 * np.abs(dw1_ref).max())
+
+def _parent_note_distributions(contexts, model, threads=1):
+    """``note_distributions`` as it was before it ran each distinct context
+    once and shared the PAD prefix: every row, every step, in 256-row
+    chunks."""
+    contexts = np.asarray(contexts, dtype=np.int64)
+
+    def chunk(start, stop):
+        x = contexts[start:stop]
+        h1, c1 = model.lstm1.zero_state(len(x))
+        h2, c2 = model.lstm2.zero_state(len(x))
+        for step in range(x.shape[1]):
+            h1, c1, _ = model.lstm1.step(x[:, step], h1, c1)
+            h2, c2, _ = model.lstm2.step(h1, h2, c2)
+        return softmax(model.out.forward(h2)[0])
+
+    return np.vstack(chunked_map(chunk, len(contexts), threads))
+
+
+def _random_lm(hidden, vocab_size=49):
+    """An untrained LM at the score workload's vocabulary size."""
+    vocab = NoteVocabulary([(36 + i, Q) for i in range(vocab_size - 2)])
+    return LmModel(vocab, hidden=hidden, rng=stream_rng(hidden, "lm-bits"))
+
+
+@pytest.fixture(scope="module")
+def random_lms():
+    return {hidden: _random_lm(hidden) for hidden in (64, 128)}
+
+
+def _left_padded(rng, vocab_size, rows, lead):
+    """Distinct windows, in the order drawn, whose first ``lead`` positions
+    are PAD in every row and exactly ``lead`` in row 0; every later
+    position is a real token or OOV, so a row is left-padded as
+    ``context_window`` pads."""
+    x = rng.integers(OOV, vocab_size, size=(rows, CONTEXT_LEN))
+    pads = rng.integers(lead, CONTEXT_LEN + 1, size=rows)
+    pads[0] = lead
+    for row, count in enumerate(pads):
+        x[row, :count] = PAD
+    _, first = np.unique(x, axis=0, return_index=True)
+    return x[np.sort(first)]
+
+
+class TestDistinctContexts:
+    """``note_distributions`` runs each distinct context once and
+    ``step_distributions(last_only=True)`` runs the steps that read PAD in
+    every row once, on ``PAD_PREFIX_ROWS`` rows. On the shapes below both
+    give the parent's bits; see README "Notes on numerics" for where
+    OpenBLAS's small-matrix kernel could move a last bit."""
+
+    @pytest.mark.parametrize("hidden", [64, 128])
+    @settings(deadline=None, max_examples=25)
+    @given(
+        rows=st.integers(1, 700),
+        lead=st.integers(0, CONTEXT_LEN),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=1, lead=CONTEXT_LEN, seed=0)
+    @example(rows=700, lead=0, seed=1)
+    @example(rows=PAD_PREFIX_ROWS + 1, lead=CONTEXT_LEN - 1, seed=2)
+    def test_distinct_batches_keep_the_parent_bits(self, random_lms, hidden, rows, lead, seed):
+        model = random_lms[hidden]
+        x = _left_padded(np.random.default_rng(seed), model.vocab.size, rows, lead)
+        assert np.array_equal(
+            note_distributions(x, model), _parent_note_distributions(x, model)
+        )
+
+    @pytest.mark.parametrize("hidden", [64, 128])
+    def test_every_left_pad_length(self, random_lms, hidden):
+        model = random_lms[hidden]
+        rng = stream_rng(hidden, "pad-lengths")
+        for lead in range(CONTEXT_LEN + 1):
+            x = _left_padded(rng, model.vocab.size, 40, lead)
+            assert leading_pad_steps(x) == min(lead, CONTEXT_LEN - 1)
+            assert np.array_equal(
+                note_distributions(x, model), _parent_note_distributions(x, model)
+            ), f"left-PAD length {lead}"
+
+    @pytest.mark.parametrize("hidden", [32, 64])
+    def test_repeats_copy_their_first_occurrence(self, hidden, toy_lm):
+        model = toy_lm[2] if hidden == 32 else _random_lm(hidden)
+        rng = stream_rng(hidden, "repeats")
+        distinct = _left_padded(rng, model.vocab.size, 89, 24)
+        x = distinct[rng.integers(0, len(distinct), size=600)]
+        got = note_distributions(x, model)
+        _, first, inverse = np.unique(x, axis=0, return_index=True, return_inverse=True)
+        assert np.array_equal(got, got[first[inverse]])
+        # the distinct rows run in batches of another size than the parent's
+        # 256-row chunks, which can move a last bit in BLAS's small-matrix
+        # kernel (README, "Notes on numerics"); a last-bit change in a logit
+        # moves a probability by far less than this
+        np.testing.assert_allclose(got, _parent_note_distributions(x, model), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4, 5, 6, 7, 8, PAD_PREFIX_ROWS + 1, 40, 300])
+    @pytest.mark.parametrize("hidden", [32, 64])
+    def test_last_only_with_a_shared_prefix_is_the_last_column(self, toy_lm, hidden, batch):
+        model = toy_lm[2] if hidden == 32 else _random_lm(hidden)
+        x = _pad_heavy_windows(model.vocab, batch, seed=100 + batch)
+        last = model.step_distributions(x, last_only=True)
+        assert np.array_equal(last, model.step_distributions(x)[:, -1, :])
+
+    def test_lead_never_skips_the_last_step(self):
+        for t in (1, 2, CONTEXT_LEN):
+            assert leading_pad_steps(np.full((3, t), PAD)) == t - 1
+            last_only_real = np.full((3, t), PAD)
+            last_only_real[1, -1] = 5
+            assert leading_pad_steps(last_only_real) == t - 1
+        x = np.full((2, CONTEXT_LEN), PAD)
+        x[0, 10] = 3
+        assert leading_pad_steps(x) == 10
+        x[1, 0] = OOV
+        assert leading_pad_steps(x) == 0
+
+    def test_all_pad_rows_run_the_final_step(self, toy_lm):
+        _, _, model = toy_lm
+        x = np.full((PAD_PREFIX_ROWS + 5, CONTEXT_LEN), PAD)
+        got = note_distributions(x, model)
+        assert np.array_equal(got, np.repeat(note_distribution(x[0], model)[None], len(x), axis=0))
+        assert np.array_equal(
+            model.step_distributions(x, last_only=True), model.step_distributions(x)[:, -1, :]
+        )
+
 
 def unit_from_measures(piece, start, count):
     return Unit(
