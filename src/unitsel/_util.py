@@ -1,10 +1,11 @@
-"""Shared plumbing: canonical JSON, hashing, fixed-chunk parallel map."""
+"""Shared plumbing: JSON writers, hashing, fixed-chunk parallel map."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from typing import Callable, TypeVar
 
 T = TypeVar("T")
@@ -17,6 +18,11 @@ CHUNK = 256
 def canonical_json(obj) -> str:
     """Deterministic JSON rendering (sorted keys, no whitespace)."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+def write_json(obj, path) -> None:
+    """Readable JSON file: two-space indent, sorted keys, final newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def sha256_hex(text: str) -> str:

@@ -204,10 +204,17 @@ def embed_library(model, lib: UnitLibrary, threads: int = 1) -> EmbeddedLibrary:
     return elib
 
 
-def _require_match(model, elib: EmbeddedLibrary) -> None:
-    if model.vocab_hash != elib.vocab_hash:
+_MODEL_NAMES = {"autoencoder": "autoencoder", "dssm": "relevance model"}
+
+
+def require_index(elib: EmbeddedLibrary, model, kind: str) -> None:
+    """Refuse a library index that ``model`` cannot rank: the model and the
+    model that embedded the library must both be of ``kind`` and share one
+    feature vocabulary."""
+    if model.kind != kind or elib.kind != kind or elib.vocab_hash != model.vocab_hash:
         raise ValueError(
-            "embedded library was built with a different vocabulary than the model"
+            f"library must be embedded with the given {_MODEL_NAMES[kind]} "
+            "(same kind and vocabulary)"
         )
 
 
@@ -237,7 +244,7 @@ def reconstruct(
     p: Piece, elib: EmbeddedLibrary, model: AutoencoderModel, threads: int = 1
 ) -> Piece:
     """Replace each unit of the piece by its nearest library unit."""
-    _require_match(model, elib)
+    require_index(elib, model, AutoencoderModel.kind)
     length = elib.library.unit_length
     if len(p.measures) % length != 0:
         raise ValueError(
@@ -263,7 +270,7 @@ def interpolate(
     """Select the unit nearest to the blend (1-alpha)*enc(a) + alpha*enc(b)."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    _require_match(model, elib)
+    require_index(elib, model, AutoencoderModel.kind)
     blended = (1.0 - alpha) * model.encode_unit(a) + alpha * model.encode_unit(b)
     if np.linalg.norm(blended) == 0.0:
         raise ValueError("degenerate interpolation: blended embedding is zero")
@@ -281,7 +288,7 @@ def rank_at_50(
     distractors. Returns (mean_rank, top1_accuracy). Ties (collisions)
     break by seeded random jitter.
     """
-    _require_match(model, elib)
+    require_index(elib, model, AutoencoderModel.kind)
     n = len(elib)
     if n < pool_size:
         raise ValueError(f"library of {n} units is smaller than the pool ({pool_size})")

@@ -3,7 +3,8 @@
 Every subcommand writes its artifacts plus a manifest.json (resolved
 config, config hash, input-file hashes, seed) into the output directory,
 so any artifact can be regenerated bit-exactly from the manifest and the
-inputs. Exit codes: 0 success, 1 user error, 2 internal error.
+inputs; ``main`` runs every command. Exit codes: 0 success, 1 user error,
+2 internal error.
 """
 
 from __future__ import annotations
@@ -13,13 +14,15 @@ import json
 import math
 import sys
 import traceback
+import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, load_trained
-from ._util import canonical_json, file_sha256, sha256_hex
+from ._util import canonical_json, file_sha256, sha256_hex, write_json
 from .augment import FULL, TRANSPOSE_ONLY, AugmentConfig, build_library, transpose_corpus
 from .autoencoder import (
     collision_rate,
@@ -53,7 +56,7 @@ from .evaluation import REGIME_ORDER, next_unit_ranking, report
 from .features import build_vocab
 from .lm import build_note_vocab, tokenize, train_lm
 from .music import Piece, slice_units
-from .nn import TrainConfig, ZeroNormError, stream_rng
+from .nn import TrainConfig, stream_rng
 
 
 class UserError(Exception):
@@ -114,11 +117,18 @@ def _load_checked(path: str, kind: str):
         raise UserError(str(exc)) from exc
 
 
-def _embed_checked(model, lib, threads: int):
+@contextmanager
+def _user_error(prefix: str = ""):
+    """Report a ValueError raised inside as a UserError, its text after ``prefix``."""
     try:
-        return embed_library(model, lib, threads)
+        yield
     except ValueError as exc:
-        raise UserError(f"cannot embed the library: {exc}") from exc
+        raise UserError(f"{prefix}{exc}") from exc
+
+
+def _embed_checked(model, lib, threads: int):
+    with _user_error("cannot embed the library: "):
+        return embed_library(model, lib, threads)
 
 
 def _save_trained(model, path: Path) -> None:
@@ -126,12 +136,6 @@ def _save_trained(model, path: Path) -> None:
     if not all(np.isfinite(p).all() for p in model.params):
         raise UserError("training diverged to non-finite weights; lower --learning-rate")
     save_model(model.to_archive(), path)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 # Flags that name input files; the manifest hashes each one a command has.
@@ -155,9 +159,7 @@ def _write_manifest(args, out: Path) -> None:
             name: file_sha256(getattr(args, name)) for name in _INPUT_FLAGS if hasattr(args, name)
         },
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(manifest, out / "manifest.json")
 
 
 def _augment_config(args, mode: str) -> AugmentConfig:
@@ -171,6 +173,13 @@ def _augment_config(args, mode: str) -> AugmentConfig:
     )
 
 
+def _transposed_corpus(args):
+    """The sequence models' material: --corpus at its --shifts only, and the config."""
+    corpus = _load_checked(args.corpus, "corpus")
+    cfg = _augment_config(args, TRANSPOSE_ONLY)
+    return transpose_corpus(corpus, cfg), cfg
+
+
 def _train_config(args) -> TrainConfig:
     return TrainConfig(
         learning_rate=args.learning_rate,
@@ -182,92 +191,97 @@ def _train_config(args) -> TrainConfig:
     )
 
 
-def cmd_build_lib(args) -> None:
-    out = _out_dir(args)
+def _generation_config(args) -> GenerationConfig:
+    """Selection settings from the flags; generate-notes has no --shortlist-fraction."""
+    default = GenerationConfig.shortlist_fraction
+    return GenerationConfig(
+        shortlist_fraction=getattr(args, "shortlist_fraction", default),
+        mode=SAMPLED if args.sample else DETERMINISTIC,
+        temperature=args.temperature,
+        seed=args.seed,
+    )
+
+
+def _each_piece(corpus: Corpus, make, verb: str) -> list[Piece]:
+    """``make(piece)`` for every piece; a ValueError names the piece."""
+    pieces = []
+    for piece in corpus.pieces:
+        with _user_error(f"cannot {verb} {piece.id}: "):
+            pieces.append(make(piece))
+    return pieces
+
+
+def _save_pieces(pieces: list[Piece], meter, path: Path) -> None:
+    save_corpus(Corpus(pieces=tuple(pieces), meter=meter), path)
+
+
+def _max_probes(probes: list, args, stream: str) -> list:
+    """At most --max-probes of ``probes`` (0 keeps all), in order, drawn from ``stream``."""
+    if args.max_probes and len(probes) > args.max_probes:
+        sel = stream_rng(args.seed, stream).choice(len(probes), size=args.max_probes, replace=False)
+        probes = [probes[i] for i in sorted(sel)]
+    return probes
+
+
+def cmd_build_lib(args, out: Path) -> str:
     corpus = _load_checked(args.corpus, "corpus")
     cfg = _augment_config(args, args.mode)
     lib = build_library(corpus, cfg)
     save_library(lib, out / "library.lib")
-    _write_manifest(args, out)
-    print(f"built library of {len(lib)} units -> {out / 'library.lib'}")
+    return f"built library of {len(lib)} units -> {out / 'library.lib'}"
 
 
-def cmd_train_ae(args) -> None:
-    out = _out_dir(args)
+def cmd_train_ae(args, out: Path) -> str:
     lib = _load_checked(args.library, "library")
     vocab = build_vocab(lib)
-    try:
+    with _user_error("cannot train the autoencoder: "):
         model = train_autoencoder(
             lib, vocab, _train_config(args), hidden=args.hidden, embedding=args.embedding
         )
-    except ZeroNormError as exc:
-        raise UserError(f"cannot train the autoencoder: {exc}") from exc
     _save_trained(model, out / "autoencoder.model")
-    _write_manifest(args, out)
-    print(
+    return (
         f"trained autoencoder ({args.epochs} epochs, final loss "
         f"{model.loss_curve[-1]:.4f}) -> {out / 'autoencoder.model'}"
     )
 
 
-def cmd_train_dssm(args) -> None:
-    out = _out_dir(args)
-    corpus = _load_checked(args.corpus, "corpus")
-    cfg = _augment_config(args, TRANSPOSE_ONLY)
-    tcorp = transpose_corpus(corpus, cfg)
-    try:
+def cmd_train_dssm(args, out: Path) -> str:
+    tcorp, cfg = _transposed_corpus(args)
+    with _user_error():
         pairs = make_training_pairs(tcorp, args.unit_length)
-    except ValueError as exc:
-        raise UserError(str(exc)) from exc
-    lib = build_library(tcorp, cfg)
-    vocab = build_vocab(lib)
-    try:
+        vocab = build_vocab(build_library(tcorp, cfg))
+    with _user_error("cannot train the relevance model: "):
         model = train_dssm(pairs, vocab, _train_config(args))
-    except ZeroNormError as exc:
-        raise UserError(f"cannot train the relevance model: {exc}") from exc
     _save_trained(model, out / "dssm.model")
-    _write_manifest(args, out)
-    print(
+    return (
         f"trained relevance model on {len(pairs)} pairs (final loss "
         f"{model.loss_curve[-1]:.4f}) -> {out / 'dssm.model'}"
     )
 
 
-def cmd_train_lm(args) -> None:
-    out = _out_dir(args)
-    corpus = _load_checked(args.corpus, "corpus")
-    cfg = _augment_config(args, TRANSPOSE_ONLY)
-    tcorp = transpose_corpus(corpus, cfg)
+def cmd_train_lm(args, out: Path) -> str:
+    tcorp, _ = _transposed_corpus(args)
     vocab = build_note_vocab(tcorp)
     streams = [tokenize(p, vocab) for p in tcorp.pieces]
     model = train_lm(streams, vocab, _train_config(args), hidden=args.hidden)
     _save_trained(model, out / "lstm.model")
-    _write_manifest(args, out)
-    print(
+    return (
         f"trained note model (vocab {vocab.size}, final perplexity "
         f"{model.perplexity_curve[-1]:.2f}) -> {out / 'lstm.model'}"
     )
 
 
-def cmd_reconstruct(args) -> None:
-    out = _out_dir(args)
+def cmd_reconstruct(args, out: Path) -> str:
     corpus = _load_checked(args.corpus, "corpus")
     lib = _load_checked(args.library, "library")
     model = _load_checked(args.model, "autoencoder")
     elib = _embed_checked(model, lib, args.threads)
-    pieces = []
-    for p in corpus.pieces:
-        try:
-            pieces.append(reconstruct(p, elib, model, args.threads))
-        except ValueError as exc:
-            raise UserError(f"cannot reconstruct {p.id}: {exc}") from exc
-    save_corpus(Corpus(pieces=tuple(pieces), meter=corpus.meter), out / "reconstructed.cor")
-    _write_manifest(args, out)
-    print(f"reconstructed {len(pieces)} pieces -> {out / 'reconstructed.cor'}")
+    pieces = _each_piece(corpus, lambda p: reconstruct(p, elib, model, args.threads), "reconstruct")
+    _save_pieces(pieces, corpus.meter, out / "reconstructed.cor")
+    return f"reconstructed {len(pieces)} pieces -> {out / 'reconstructed.cor'}"
 
 
-def cmd_interpolate(args) -> None:
-    out = _out_dir(args)
+def cmd_interpolate(args, out: Path) -> str:
     corpus = _load_checked(args.corpus, "corpus")
     lib = _load_checked(args.library, "library")
     model = _load_checked(args.model, "autoencoder")
@@ -288,90 +302,51 @@ def cmd_interpolate(args) -> None:
     a, b = head_unit(args.piece_a), head_unit(args.piece_b)
     pieces = []
     for alpha in args.alphas:
-        try:
+        with _user_error():
             unit = interpolate(a, b, float(alpha), elib, model, args.threads)
-        except ValueError as exc:
-            raise UserError(str(exc)) from exc
         pieces.append(Piece(id=f"interp-{float(alpha):.2f}", measures=unit.measures))
-    save_corpus(Corpus(pieces=tuple(pieces), meter=corpus.meter), out / "interpolated.cor")
-    _write_manifest(args, out)
-    print(f"interpolated {len(pieces)} blends -> {out / 'interpolated.cor'}")
+    _save_pieces(pieces, corpus.meter, out / "interpolated.cor")
+    return f"interpolated {len(pieces)} blends -> {out / 'interpolated.cor'}"
 
 
-def _generation_config(args, unit_length: int) -> GenerationConfig:
-    return GenerationConfig(
-        unit_length=unit_length,
-        n_units=getattr(args, "units", 0),
-        shortlist_fraction=args.shortlist_fraction,
-        mode=SAMPLED if args.sample else DETERMINISTIC,
-        temperature=args.temperature,
-        seed=args.seed,
-    )
-
-
-def cmd_generate(args) -> None:
-    out = _out_dir(args)
+def cmd_generate(args, out: Path) -> str:
     seed_corpus = _load_checked(args.seed_piece, "corpus")
     lib = _load_checked(args.library, "library")
     dssm_model = _load_checked(args.dssm, "dssm")
     lm_model = _load_checked(args.lm, "lstm")
     elib = _embed_checked(dssm_model, lib, args.threads)
-    cfg = _generation_config(args, lib.unit_length)
+    cfg = _generation_config(args)
     audit: list = []
-    pieces = []
-    for piece in seed_corpus.pieces:
-        try:
-            pieces.append(
-                continue_piece(
-                    piece, args.units, elib, dssm_model, lm_model, cfg,
-                    threads=args.threads, audit=audit,
-                )
-            )
-        except ValueError as exc:
-            raise UserError(f"cannot extend {piece.id}: {exc}") from exc
-    save_corpus(Corpus(pieces=tuple(pieces), meter=seed_corpus.meter), out / "generated.cor")
-    (out / "audit.json").write_text(
-        json.dumps(audit, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    _write_manifest(args, out)
-    print(f"generated {len(pieces)} pieces -> {out / 'generated.cor'}")
+
+    def extend(p: Piece) -> Piece:
+        return continue_piece(
+            p, args.units, elib, dssm_model, lm_model, cfg, threads=args.threads, audit=audit
+        )
+
+    pieces = _each_piece(seed_corpus, extend, "extend")
+    _save_pieces(pieces, seed_corpus.meter, out / "generated.cor")
+    write_json(audit, out / "audit.json")
+    return f"generated {len(pieces)} pieces -> {out / 'generated.cor'}"
 
 
-def cmd_generate_notes(args) -> None:
-    out = _out_dir(args)
+def cmd_generate_notes(args, out: Path) -> str:
     seed_corpus = _load_checked(args.seed_piece, "corpus")
     lm_model = _load_checked(args.lm, "lstm")
-    cfg = GenerationConfig(
-        mode=SAMPLED if args.sample else DETERMINISTIC,
-        temperature=args.temperature,
-        seed=args.seed,
+    cfg = _generation_config(args)
+    pieces = _each_piece(
+        seed_corpus, lambda p: continue_piece_notes(p, args.measures, lm_model, cfg), "extend"
     )
-    pieces = []
-    for piece in seed_corpus.pieces:
-        try:
-            pieces.append(continue_piece_notes(piece, args.measures, lm_model, cfg))
-        except ValueError as exc:
-            raise UserError(f"cannot extend {piece.id}: {exc}") from exc
-    save_corpus(Corpus(pieces=tuple(pieces), meter=seed_corpus.meter), out / "generated-notes.cor")
-    _write_manifest(args, out)
-    print(f"generated {len(pieces)} pieces -> {out / 'generated-notes.cor'}")
+    _save_pieces(pieces, seed_corpus.meter, out / "generated-notes.cor")
+    return f"generated {len(pieces)} pieces -> {out / 'generated-notes.cor'}"
 
 
-def cmd_eval_rank50(args) -> None:
-    out = _out_dir(args)
+def cmd_eval_rank50(args, out: Path) -> str:
     lib = _load_checked(args.library, "library")
     model = _load_checked(args.model, "autoencoder")
     elib = _embed_checked(model, lib, args.threads)
-    probes = list(lib.units)
-    if args.max_probes and len(probes) > args.max_probes:
-        sel = stream_rng(args.seed, "rank50-probes").choice(
-            len(probes), size=args.max_probes, replace=False
-        )
-        probes = [probes[i] for i in sorted(sel)]
-    try:
+    probes = _max_probes(list(lib.units), args, "rank50-probes")
+    with _user_error():
         mean_rank, accuracy = rank_at_50(model, elib, probes, args.seed)
-    except ValueError as exc:
-        raise UserError(str(exc)) from exc
     collisions = collision_rate(elib, threads=args.threads)
     result = {
         "mean_rank_at_50": mean_rank,
@@ -387,15 +362,11 @@ def cmd_eval_rank50(args) -> None:
         f"probes              {len(probes)}\n"
     )
     (out / "rank50.txt").write_text(text, encoding="utf-8")
-    (out / "rank50.json").write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    _write_manifest(args, out)
-    print(text, end="")
+    write_json(result, out / "rank50.json")
+    return text
 
 
-def cmd_eval_nextunit(args) -> None:
-    out = _out_dir(args)
+def cmd_eval_nextunit(args, out: Path) -> str:
     corpus = _load_checked(args.corpus, "corpus")
     lib = _load_checked(args.library, "library")
     dssm_model = _load_checked(args.dssm, "dssm")
@@ -404,38 +375,24 @@ def cmd_eval_nextunit(args) -> None:
     probes = make_training_pairs(corpus, lib.unit_length, strict=False)
     if not probes:
         raise UserError("corpus yields no probe pairs at this unit length")
-    if args.max_probes and len(probes) > args.max_probes:
-        sel = stream_rng(args.seed, "nextunit-probes").choice(
-            len(probes), size=args.max_probes, replace=False
-        )
-        probes = [probes[i] for i in sorted(sel)]
-    rows = []
-    for regime in args.regimes:
-        try:
-            rows.append(
-                next_unit_ranking(
-                    probes, elib, dssm_model, lm_model, regime, args.seed,
-                    threads=args.threads,
-                )
+    probes = _max_probes(probes, args, "nextunit-probes")
+    with _user_error():
+        rows = [
+            next_unit_ranking(
+                probes, elib, dssm_model, lm_model, regime, args.seed, threads=args.threads
             )
-        except ValueError as exc:
-            raise UserError(str(exc)) from exc
-    text = report(rows, out / "report.txt")
-    _write_manifest(args, out)
-    print(text, end="")
+            for regime in args.regimes
+        ]
+    return report(rows, out / "report.txt")
 
 
-def cmd_split(args) -> None:
-    out = _out_dir(args)
+def cmd_split(args, out: Path) -> str:
     corpus = _load_checked(args.corpus, "corpus")
-    try:
+    with _user_error():
         train, test = split_corpus(corpus, args.train_fraction, args.seed)
-    except ValueError as exc:
-        raise UserError(str(exc)) from exc
     save_corpus(train, out / "train.cor")
     save_corpus(test, out / "test.cor")
-    _write_manifest(args, out)
-    print(f"split {len(corpus.pieces)} pieces -> {len(train.pieces)} train / {len(test.pieces)} test")
+    return f"split {len(corpus.pieces)} pieces -> {len(train.pieces)} train / {len(test.pieces)} test"
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -628,13 +585,26 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command: make --out, call ``cmd_*(args, out)``, which writes the
+    artifacts and returns a summary, then write the manifest and print the
+    summary. Warnings are printed only on success: a user error prints its
+    ``error:`` line alone."""
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
-        argv = _apply_config_file(list(argv))
-        args = parser.parse_args(argv)
-        args.func(args)
+        args = parser.parse_args(_apply_config_file(list(argv)))
+        out = Path(args.out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file in the way, or no permission
+            raise UserError(f"cannot make the output directory: {exc}") from exc
+        with warnings.catch_warnings(record=True) as caught:
+            summary = args.func(args, out)
+        _write_manifest(args, out)
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+        print(summary.rstrip("\n"))  # the evaluation reports end in a newline
         return 0
     except SystemExit as exc:
         # argparse exits on bad flags (its code 2) and on --help/--version

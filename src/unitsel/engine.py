@@ -17,7 +17,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .autoencoder import EmbeddedLibrary, library_similarities
+from .autoencoder import EmbeddedLibrary, library_similarities, require_index
 from .dssm import DssmModel
 from .lm import (
     OOV,
@@ -165,8 +165,7 @@ def rank_candidates(
         raise ValueError("empty library")
     if top is not None and top < 1:
         raise ValueError(f"top must be at least 1, got {top}")
-    if elib.kind != "dssm" or elib.vocab_hash != dssm_model.vocab_hash:
-        raise ValueError("library must be embedded with the given relevance model")
+    require_index(elib, dssm_model, DssmModel.kind)
     q = dssm_model.encode_unit(seed_unit)
     sims = library_similarities(q, elib, threads)
     units = elib.library.units

@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .autoencoder import EmbeddedLibrary
+from ._util import write_json
+from .autoencoder import EmbeddedLibrary, require_index
 from .dssm import DssmModel
 from .engine import combined_order
 from .features import extract_matrix
@@ -78,8 +79,7 @@ def next_unit_ranking(
     if needs_dssm:
         if dssm_model is None:
             raise ValueError(f"regime {regime} needs a relevance model")
-        if elib.kind != "dssm" or elib.vocab_hash != dssm_model.vocab_hash:
-            raise ValueError("library must be embedded with the given relevance model")
+        require_index(elib, dssm_model, DssmModel.kind)
     if needs_lstm and lm_model is None:
         raise ValueError(f"regime {regime} needs a note language model")
 
@@ -175,10 +175,7 @@ def report(rows: Sequence[RankingRow], path) -> str:
             )
     text = "\n".join(lines) + "\n"
     path.write_text(text, encoding="utf-8")
-    machine = [asdict(r) for r in rows]
-    Path(str(path) + ".json").write_text(
-        json.dumps(machine, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json([asdict(r) for r in rows], str(path) + ".json")
     return text
 
 

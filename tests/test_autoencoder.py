@@ -16,6 +16,8 @@ from unitsel.autoencoder import (
     select_nearest,
     train_autoencoder,
 )
+from unitsel.engine import GenerationConfig, rank_candidates
+from unitsel.evaluation import next_unit_ranking
 from unitsel.features import build_vocab
 from unitsel.music import Measure, Note, Provenance, Unit, validate_piece
 from unitsel.nn import TrainConfig, stream_rng
@@ -321,3 +323,42 @@ class TestCollisionRate:
     def test_threads_agree(self, trained):
         _, elib = trained
         assert collision_rate(elib, threads=1) == collision_rate(elib, threads=4)
+
+
+# Each entry point that reads a library index: the small pipeline's model
+# it needs ("ae" or "dssm"), and a call on a given index and model.
+_INDEX_READERS = {
+    "reconstruct": ("ae", lambda s, elib, m: reconstruct(s["corpus"].pieces[0], elib, m)),
+    "interpolate": (
+        "ae", lambda s, elib, m: interpolate(s["lib"].units[0], s["lib"].units[1], 0.5, elib, m)
+    ),
+    "rank_at_50": ("ae", lambda s, elib, m: rank_at_50(m, elib, s["lib"].units[:3], 1)),
+    "rank_candidates": (
+        "dssm",
+        lambda s, elib, m: rank_candidates(
+            s["lib"].units[0], [], elib, m, s["lm"], GenerationConfig()
+        ),
+    ),
+    "next_unit_ranking": (
+        "dssm", lambda s, elib, m: next_unit_ranking(s["pairs"][:3], elib, m, s["lm"], "dssm", 1)
+    ),
+}
+_OTHER = {"ae": "dssm", "dssm": "ae"}
+_NAME = {"ae": "autoencoder", "dssm": "relevance model"}
+
+
+class TestIndexMatchesModel:
+    """One check guards every entry point: the index and the model must both
+    be of the kind it needs. The small pipeline's autoencoder and relevance
+    model share one feature vocabulary, so a vocabulary comparison alone
+    would let either stand in for the other."""
+
+    @pytest.mark.parametrize("entry", list(_INDEX_READERS))
+    @pytest.mark.parametrize("swapped", ["index", "model"])
+    def test_the_other_kind_is_rejected(self, small_setup, entry, swapped):
+        assert small_setup["ae"].vocab_hash == small_setup["dssm"].vocab_hash
+        key, call = _INDEX_READERS[entry]
+        index = small_setup[f"{_OTHER[key] if swapped == 'index' else key}_elib"]
+        model = small_setup[_OTHER[key] if swapped == "model" else key]
+        with pytest.raises(ValueError, match=f"given {_NAME[key]} .*vocabulary"):
+            call(small_setup, index, model)

@@ -13,6 +13,7 @@ traced run requires.
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -54,6 +55,30 @@ def test_traced_attribute_is_owned(module_name, path):
 @pytest.mark.parametrize("module_name,attr", SPANS.REQUIRED_BINDINGS)
 def test_required_binding_exists(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr, None))
+
+
+def test_benchmark_calls_still_bind():
+    # the calls perfbench/workloads.py and the thread sweep in perfbench/run.py
+    # make, with their arguments in the same places; a dropped parameter
+    # passes every other test and fails only a benchmark run
+    x = object()
+
+    def bind(fn, *args, **kwargs):
+        return inspect.signature(fn).bind(*args, **kwargs)
+
+    bind(engine.continue_piece, x, 4, x, x, x, x, threads=1, audit=[])
+    bind(engine.continue_piece_notes, x, 2, x, x)
+    ranking = bind(evaluation.next_unit_ranking, x, x, x, x, "dssm+lstm", 2025, threads=1)
+    # the tracer names the span from the fifth positional argument
+    assert list(ranking.arguments)[4] == "regime"
+    assert SPANS._regime_name(ranking.args, ranking.kwargs).endswith(".dssm_lstm")
+    bind(autoencoder.reconstruct, x, x, x, threads=1)
+    bind(autoencoder.embed_library, x, x, 2)
+    bind(autoencoder.library_similarities, x, x, 2)
+    bind(autoencoder.rank_at_50, x, x, [], 2025)
+    engine.GenerationConfig(unit_length=1, n_units=4, mode=engine.SAMPLED, seed=2025)
+    engine.GenerationConfig(mode=engine.DETERMINISTIC, seed=2025)
+    assert callable(lm.tokenize_unit)
 
 
 def test_selection_loop_hits_traced_spans(small_setup):

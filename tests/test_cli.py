@@ -1,5 +1,7 @@
 import json
+import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,20 @@ from unitsel.music import Piece, validate_piece
 from conftest import FIXTURE_CORPUS
 
 CORPUS = str(FIXTURE_CORPUS)
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+@contextmanager
+def _warnings_on_stderr():
+    """Print every warning to sys.stderr, as a script run does, so that
+    capsys reads what a user would see."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _print_warning
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +217,15 @@ class TestErrors:
         assert "not found" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_that_cannot_be_a_directory_is_a_user_error(self, tmp_path, capsys, out):
+        (tmp_path / "taken").write_text("a file\n")
+        code = main(["split", "--corpus", CORPUS, "--out", str(tmp_path / out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: cannot make the output directory: ")
+        assert "Traceback" not in err
+
     def test_bad_flag_is_user_error(self, capsys):
         assert main(["build-lib", "--nonsense"]) == 1
 
@@ -333,7 +358,8 @@ _CONFIG_KEYS = [
     "shifts", "add_constants", "mul_constants", "mul-constants", "no_double_time",
     "mode", "out", "corpus", "config", "colour", "", "-", "a b", "shifts=1",
 ]
-# Flags of train-lm and generate-notes other than their sizes, likewise.
+# Flags of the other fuzzed commands other than their sizes, likewise;
+# train-dssm has the flags of train-lm but --hidden, so it shares their list.
 _TRAIN_LM_KEYS = [
     "seed", "learning_rate", "learning-rate", "dropout_keep", "dropout-keep",
     "negatives", "batch_size", "batch-size", "shifts", "unit_length", "no_double_time",
@@ -342,6 +368,17 @@ _TRAIN_LM_KEYS = [
 _GENERATE_NOTES_KEYS = [
     "seed", "temperature", "sample", "seed_piece", "seed-piece", "lm",
     "out", "config", "colour", "", "a b",
+]
+_TRAIN_AE_KEYS = [
+    "seed", "learning_rate", "learning-rate", "dropout_keep", "dropout-keep",
+    "negatives", "batch_size", "batch-size", "library", "out", "config", "colour", "", "a b",
+]
+_GENERATE_KEYS = _GENERATE_NOTES_KEYS + [
+    "library", "dssm", "shortlist_fraction", "shortlist-fraction",
+]
+_RANK50_KEYS = ["seed", "library", "model", "out", "config", "colour", "", "a b"]
+_NEXTUNIT_KEYS = [
+    "seed", "corpus", "library", "dssm", "lm", "regimes", "out", "config", "colour", "", "a b",
 ]
 _JSON_SCALARS = st.one_of(
     st.none(),
@@ -372,17 +409,35 @@ _SCALAR_FLAGS = st.one_of(
 # Per command: the keys drawn for a config file, their values, and the sizes
 # it always sets. Memory and run time grow with a size, so sizes are drawn
 # from small ranges only.
+_EPOCHS = st.integers(0, 1)
+_WIDTH = st.integers(-1, 8)
+_MAX_PROBES = st.integers(-1, 20)
+_REGIMES = st.one_of(
+    _SCALAR_FLAGS, st.sampled_from(["lstm", "dssm+lstm,random", "lstm,,dssm", "dssm,nonsense"])
+)
 _FUZZED = {
     "split": (_CONFIG_KEYS, _JSON_VALUES, {}),
     "build-lib": (_CONFIG_KEYS, _JSON_VALUES, {}),
-    "train-lm": (
-        _TRAIN_LM_KEYS, _SCALAR_FLAGS, {"epochs": st.integers(0, 1), "hidden": st.integers(-1, 8)}
-    ),
+    "train-lm": (_TRAIN_LM_KEYS, _SCALAR_FLAGS, {"epochs": _EPOCHS, "hidden": _WIDTH}),
     "generate-notes": (_GENERATE_NOTES_KEYS, _SCALAR_FLAGS, {"measures": st.integers(-1, 2)}),
+    # dropout at a width of 8 or less zeroes a whole row in almost every run
+    "train-ae": (
+        _TRAIN_AE_KEYS,
+        _SCALAR_FLAGS,
+        {"epochs": _EPOCHS, "hidden": _WIDTH, "embedding": _WIDTH,
+         "dropout-keep": st.one_of(st.just(1), _SCALAR_FLAGS)},
+    ),
+    "train-dssm": (_TRAIN_LM_KEYS, _SCALAR_FLAGS, {"epochs": _EPOCHS}),
+    "generate": (_GENERATE_KEYS, _SCALAR_FLAGS, {"units": st.integers(-1, 2)}),
+    "eval-rank50": (_RANK50_KEYS, _SCALAR_FLAGS, {"max-probes": _MAX_PROBES}),
+    "eval-nextunit": (_NEXTUNIT_KEYS, _REGIMES, {"max-probes": _MAX_PROBES}),
 }
 # Passed as flags for the sizes a config file does not set: a drawn object
 # always sets them, but other JSON can be an object too.
-_SMALL_SIZES = {"epochs": 1, "hidden": 8, "measures": 1}
+_SMALL_SIZES = {
+    "epochs": 1, "hidden": 8, "embedding": 8, "dropout-keep": 1, "measures": 1, "units": 1,
+    "max-probes": 20,
+}
 
 
 @st.composite
@@ -414,10 +469,30 @@ def _unset_sizes(data: bytes, sizes) -> list[str]:
     return [f"--{name}={_SMALL_SIZES[name]}" for name in sizes if name not in given_keys]
 
 
+# The small library's transpositions: 83 units, enough for a 50-unit pool.
+_SMALL_SHIFTS = "--shifts=-6,-5,-4,-3,-2,-1,0,1,2,3,4,5,6"
+# Each command's input flags; a word without "--" names the class fixture
+# that makes the file. Commands not listed read the small corpus.
+_FUZZ_INPUTS = {
+    "train-ae": ["--library", "small_lib"],
+    "generate": ["--seed-piece", "small_corpus", "--library", "small_lib",
+                 "--dssm", "small_dssm", "--lm", "small_lm"],
+    "generate-notes": ["--seed-piece", "small_corpus", "--lm", "small_lm"],
+    "eval-rank50": ["--library", "small_lib", "--model", "small_ae"],
+    "eval-nextunit": ["--corpus", "small_corpus", "--library", "small_lib",
+                      "--dssm", "small_dssm", "--lm", "small_lm"],
+}
+
+
 class TestConfigFuzz:
-    """Whatever a config file holds, split, build-lib, train-lm and
-    generate-notes succeed or exit 1 with an error message; never an
-    internal error."""
+    """Whatever a config file holds, every fuzzed command succeeds or exits 1
+    with an error message and no warning; never an internal error."""
+
+    @staticmethod
+    def _artifact(tmp_path_factory, argv, artifact):
+        out = tmp_path_factory.mktemp("fuzz-input")
+        assert main([*argv, "--out", str(out)]) == 0
+        return str(out / artifact)
 
     @pytest.fixture(scope="class")
     def small_corpus(self, tmp_path_factory, fixture_corpus):
@@ -428,21 +503,44 @@ class TestConfigFuzz:
 
     @pytest.fixture(scope="class")
     def small_lm(self, tmp_path_factory, small_corpus):
-        out = tmp_path_factory.mktemp("fuzz-lm")
-        code = main(["train-lm", "--corpus", small_corpus, "--out", str(out),
-                     "--shifts=0", "--epochs", "1", "--hidden", "8"])
-        assert code == 0
-        return str(out / "lstm.model")
+        return self._artifact(
+            tmp_path_factory,
+            ["train-lm", "--corpus", small_corpus, "--shifts=0", "--epochs", "1", "--hidden", "8"],
+            "lstm.model",
+        )
+
+    @pytest.fixture(scope="class")
+    def small_lib(self, tmp_path_factory, small_corpus):
+        return self._artifact(
+            tmp_path_factory,
+            ["build-lib", "--corpus", small_corpus, "--mode", "transpose_only", _SMALL_SHIFTS],
+            "library.lib",
+        )
+
+    @pytest.fixture(scope="class")
+    def small_ae(self, tmp_path_factory, small_lib):
+        return self._artifact(
+            tmp_path_factory,
+            ["train-ae", "--library", small_lib, "--epochs", "1", "--hidden", "8",
+             "--embedding", "8", "--dropout-keep", "1"],
+            "autoencoder.model",
+        )
+
+    @pytest.fixture(scope="class")
+    def small_dssm(self, tmp_path_factory, small_corpus):
+        return self._artifact(
+            tmp_path_factory,
+            ["train-dssm", "--corpus", small_corpus, _SMALL_SHIFTS, "--epochs", "1"],
+            "dssm.model",
+        )
 
     @pytest.mark.parametrize("command", list(_FUZZED))
-    def test_config_file_succeeds_or_is_a_user_error(
-        self, request, tmp_path, capsys, small_corpus, command
-    ):
+    def test_config_file_succeeds_or_is_a_user_error(self, request, tmp_path, capsys, command):
         keys, values, sizes = _FUZZED[command]
-        if command == "generate-notes":
-            inputs = ["--seed-piece", small_corpus, "--lm", request.getfixturevalue("small_lm")]
-        else:
-            inputs = ["--corpus", small_corpus]
+        inputs = [
+            word if word.startswith("--") else request.getfixturevalue(word)
+            for word in _FUZZ_INPUTS.get(command, ["--corpus", "small_corpus"])
+        ]
         cfg = tmp_path / "cfg.json"
 
         @settings(
@@ -458,16 +556,20 @@ class TestConfigFuzz:
         @example(b'{"learning_rate": NaN, "temperature": 0}')
         @example(b'{"learning_rate": 1e300, "epochs": 1, "hidden": 8}')
         @example(b'{"sample": true, "temperature": 1e-300, "measures": 1}')
+        @example(b'{"negatives": 3000, "epochs": 1, "hidden": 8, "embedding": 8}')
+        @example(b'{"regimes": "dssm,nonsense", "max-probes": 20}')
         def check(data):
             cfg.write_bytes(data)
             capsys.readouterr()
-            code = main([command, *inputs, *_unset_sizes(data, sizes),
-                         "--out", str(tmp_path / "o"), "--config", str(cfg)])
+            with _warnings_on_stderr():
+                code = main([command, *inputs, *_unset_sizes(data, sizes),
+                             "--out", str(tmp_path / "o"), "--config", str(cfg)])
             err = capsys.readouterr().err
             assert code in (0, 1), err
             assert "Traceback" not in err
             if code == 1:
                 assert "error:" in err
+                assert "Warning" not in err, err
 
         check()
 
@@ -487,6 +589,24 @@ class TestTrainingUserErrors:
         assert code == 1
         assert "error: cannot train the relevance model: epoch 1, batch 1:" in err
         assert "dropout zeroed a whole row" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train-ae", "train-dssm"])
+    def test_more_negatives_than_cases_is_a_user_error(self, tmp_path, capsys, command):
+        if command == "train-ae":
+            assert main(["build-lib", "--corpus", CORPUS, "--out", str(tmp_path / "lib"),
+                         "--mode", "transpose_only", "--shifts=0"]) == 0
+            inputs = ["--library", str(tmp_path / "lib" / "library.lib")]
+        else:
+            inputs = ["--corpus", CORPUS, "--shifts=0"]
+        capsys.readouterr()
+        out = tmp_path / "o"
+        code = main([command, *inputs, "--out", str(out), "--epochs", "1",
+                     "--negatives", "100000"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert "error: cannot train the" in err and "100000 negatives" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
 
 def _bad_flag_cases():
@@ -550,6 +670,32 @@ class TestBadFlagValues:
         assert "error: training diverged" in err and "--learning-rate" in err
         assert "Traceback" not in err
         assert not (out / "dssm.model").exists()
+
+
+class TestWarnings:
+    def test_a_user_error_prints_only_its_error_line(self, tmp_path, capsys):
+        # the diverging run raises numpy RuntimeWarnings before it is refused
+        with _warnings_on_stderr():
+            code = main(["train-dssm", "--corpus", CORPUS, "--out", str(tmp_path / "o"),
+                         "--shifts=0", "--epochs", "1", "--learning-rate", "1e300"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == [
+            "error: training diverged to non-finite weights; lower --learning-rate"
+        ]
+
+    def test_a_successful_run_still_prints_its_warnings(self, tmp_path, capsys):
+        # a huge finite rate gives an infinite perplexity, but a finite model
+        out = tmp_path / "o"
+        with _warnings_on_stderr():
+            code = main(["train-lm", "--corpus", CORPUS, "--out", str(out), "--shifts=0",
+                         "--epochs", "1", "--hidden", "8", "--learning-rate", "1e10",
+                         "--seed", "7"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "RuntimeWarning: divide by zero encountered in log" in captured.err
+        assert captured.out == f"trained note model (vocab 19, final perplexity inf) -> {out / 'lstm.model'}\n"
+        assert (out / "manifest.json").exists()
 
 
 class TestThreadCount:
