@@ -13,9 +13,11 @@ which must see unaltered interval and rhythm structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Callable
 
+from .features import NoteTable
 from .music import (
     LIBRARY_PITCH_RANGE,
     REST,
@@ -229,16 +231,44 @@ def transpose_corpus(c, cfg: AugmentConfig):
     return Corpus(pieces=tuple(pieces), meter=c.meter)
 
 
-@dataclass
 class UnitLibrary:
     """Deduplicated set of units; ``origins[i]`` lists every provenance of
-    ``units[i]`` (the first one is the unit's own)."""
+    ``units[i]`` (the first one is the unit's own).
 
-    units: tuple[Unit, ...]
-    origins: tuple[tuple[Provenance, ...], ...]
-    unit_length: int
-    meter: Fraction
-    _index: dict | None = field(default=None, repr=False, compare=False)
+    ``origins`` is that tuple, or a function returning it, which is called
+    on the first read of ``origins`` and only then: a loaded library builds
+    its origins this way (see ``corpus.load_library``), since selection
+    never reads them. The content index and the note table are likewise
+    built on first use.
+    """
+
+    def __init__(
+        self,
+        units: tuple[Unit, ...],
+        origins: tuple[tuple[Provenance, ...], ...] | Callable[[], tuple],
+        unit_length: int,
+        meter: Fraction,
+    ):
+        self.units = units
+        self._origins = origins
+        self.unit_length = unit_length
+        self.meter = meter
+        self._index: dict | None = None
+        self._note_table: NoteTable | None = None
+
+    @property
+    def origins(self) -> tuple[tuple[Provenance, ...], ...]:
+        if callable(self._origins):
+            self._origins = self._origins()
+        return self._origins
+
+    @property
+    def note_table(self) -> NoteTable:
+        """The units' notes as integer ids, built once; embedding and
+        featurising the library read it."""
+        if self._note_table is None:
+            self._note_table = NoteTable(self.units)
+        return self._note_table
 
     def __len__(self) -> int:
         return len(self.units)

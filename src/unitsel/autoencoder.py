@@ -125,7 +125,7 @@ def train_autoencoder(
         raise ValueError(
             f"library of {n} units too small for {cfg.negatives} negatives"
         )
-    x = extract_matrix(lib.units, vocab)
+    x = extract_matrix(lib.note_table, vocab)
     model = AutoencoderModel(
         vocab, hidden=hidden, embedding=embedding, rng=stream_rng(cfg.seed, "ae-init")
     )
@@ -175,6 +175,10 @@ class EmbeddedLibrary:
 def embed_library(model, lib: UnitLibrary, threads: int = 1) -> EmbeddedLibrary:
     """Embed every unit with a frozen model; parallel over fixed chunks.
 
+    Each chunk counts its rows from the library's one note table, whose
+    column lookups are shared by every chunk and by every later call with
+    the same feature vocabulary.
+
     A unit that embeds to a zero-norm vector has no cosine similarity to
     anything, so it is rejected here (ValueError naming the first such unit)
     rather than failing every later query against the library.
@@ -183,8 +187,10 @@ def embed_library(model, lib: UnitLibrary, threads: int = 1) -> EmbeddedLibrary:
     if not units:
         raise ValueError("the library has no units to embed")
 
+    table = lib.note_table
+
     def emb_chunk(start: int, stop: int) -> np.ndarray:
-        return model.encode_features(extract_matrix(units[start:stop], model.vocab))
+        return model.encode_features(extract_matrix(table.rows(start, stop), model.vocab))
 
     elib = EmbeddedLibrary(
         library=lib,

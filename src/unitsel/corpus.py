@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -347,25 +348,33 @@ class ArchivedModel:
 
 
 def save_model(archive: ModelArchive, path) -> None:
+    """Write the archive as its header line and canonical JSON payload.
+
+    Each weight's hex string is spliced into the text, not passed through
+    the JSON encoder: hex is plain ASCII that JSON writes as is, ``"data"``
+    sorts first in a weight entry and ``"weights"`` last in the payload, so
+    the bytes are those of ``canonical_json`` over the whole payload.
+    """
     if archive.kind not in MODEL_KINDS:
         raise ArchiveError(f"unknown model kind {archive.kind!r}")
-    payload = {
-        "format_version": archive.format_version,
-        "kind": archive.kind,
-        "hyperparameters": archive.hyperparameters,
-        "layer_dims": list(archive.layer_dims),
-        "weights": [
-            {
-                "name": name,
-                "shape": list(arr.shape),
-                "data": arr.astype("<f8").tobytes().hex(),
-            }
-            for name, arr in archive.weights
-        ],
-        "vocabulary": archive.vocabulary,
-        "vocab_hash": archive.vocab_hash(),
-    }
-    text = f"{ARCHIVE_MAGIC} {FORMAT_VERSION}\n" + canonical_json(payload) + "\n"
+    head = canonical_json(
+        {
+            "format_version": archive.format_version,
+            "kind": archive.kind,
+            "hyperparameters": archive.hyperparameters,
+            "layer_dims": list(archive.layer_dims),
+            "vocabulary": archive.vocabulary,
+            "vocab_hash": archive.vocab_hash(),
+        }
+    )
+    weights = ",".join(
+        '{"data":"'
+        + arr.astype("<f8").tobytes().hex()
+        + '",'
+        + canonical_json({"name": name, "shape": list(arr.shape)})[1:]
+        for name, arr in archive.weights
+    )
+    text = f"{ARCHIVE_MAGIC} {FORMAT_VERSION}\n{head[:-1]},\"weights\":[{weights}]}}\n"
     Path(path).write_text(text, encoding="utf-8")
 
 
@@ -455,20 +464,45 @@ def save_library(lib, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _is_origin(o) -> bool:
+    """An origin entry's shape: ``[source_id, offset, transform]`` as str, int, str."""
+    return (
+        type(o) is list
+        and len(o) == 3
+        and type(o[0]) is str
+        and type(o[1]) is int
+        and type(o[2]) is str
+    )
+
+
 def _provenance_from_json(o) -> Provenance:
-    """An origin entry: ``[source_id, offset, transform]`` as str, int, str."""
-    if (
-        type(o) is not list
-        or len(o) != 3
-        or type(o[0]) is not str
-        or type(o[1]) is not int
-        or type(o[2]) is not str
-    ):
+    if not _is_origin(o):
         raise ValueError(
             f"origin must be a [str, int, str] list "
             f"(source id, measure offset, transform), got {o!r}"
         )
-    return Provenance(source_id=o[0], offset=o[1], transform=o[2])
+    return Provenance(*o)
+
+
+def _own_provenance(origins) -> Provenance:
+    """The first entry of a unit line's origins, once every entry is
+    shape-checked. A list that is empty or holds a bad entry (or a value
+    that is no list) raises what building every origin raises."""
+    if type(origins) is list and origins and all(map(_is_origin, origins)):
+        return Provenance(*origins[0])
+    return tuple(_provenance_from_json(o) for o in origins)[0]
+
+
+def _deferred_origins(units: tuple[Unit, ...], lines: list[str | None]):
+    """Every unit's origins: its own provenance, then the other entries of
+    its unit line (None when it has no others), decoded again. Every entry
+    was shape-checked when the line was loaded."""
+    return tuple(
+        (u.provenance,)
+        if line is None
+        else (u.provenance, *(Provenance(*o) for o in json.loads(line)["origins"][1:]))
+        for u, line in zip(units, lines)
+    )
 
 
 def load_library(path):
@@ -497,7 +531,7 @@ def load_library(path):
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ArchiveError(f"{path}:2: malformed library header ({exc!r})") from exc
     units: list[Unit] = []
-    origins: list[tuple[Provenance, ...]] = []
+    more_origins: list[str | None] = []  # the unit line, when it has several
     notes: dict = {}
     for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():
@@ -505,8 +539,8 @@ def load_library(path):
         try:
             obj = json.loads(line)
             measures = _measures_from_list(obj["measures"], meter, notes)
-            provs = tuple(_provenance_from_json(o) for o in obj["origins"])
-            unit = Unit(measures=measures, provenance=provs[0])
+            origins = obj["origins"]
+            unit = Unit(measures=measures, provenance=_own_provenance(origins))
         except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise ArchiveError(
                 f"{path}:{lineno}: malformed library unit ({exc!r})"
@@ -517,14 +551,15 @@ def load_library(path):
                 f"header says {unit_length}"
             )
         units.append(unit)
-        origins.append(provs)
+        more_origins.append(line if len(origins) > 1 else None)
     if len(units) != count:
         raise ArchiveError(
             f"{path}: header says {count} units, file has {len(units)}"
         )
+    loaded = tuple(units)
     return UnitLibrary(
-        units=tuple(units),
-        origins=tuple(origins),
+        units=loaded,
+        origins=partial(_deferred_origins, loaded, more_origins),
         unit_length=unit_length,
         meter=meter,
     )

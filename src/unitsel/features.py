@@ -13,6 +13,8 @@ so counting never hashes a Fraction.
 
 from __future__ import annotations
 
+import copy
+import threading
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -166,16 +168,22 @@ def _pair_keys(a: tuple, b: tuple) -> tuple:
     return ((a[0], b[0]), (*a[1:], *b[1:]), (pitch_class(a[0]), pitch_class(b[0])))
 
 
-class _NoteTable:
+class NoteTable:
     """The notes of some units as small integer ids over their distinct values.
 
-    ``ids`` holds one id per note, units concatenated in order; id ``k``
-    stands for ``distinct[k]``, a (pitch, numerator, denominator) triple.
-    Notes are matched by object identity first, so a library whose notes
-    are shared (see ``corpus.load_library``) reads each distinct note's
-    value once. ``pair_at`` lists the positions ``i`` whose pair
-    ``(i, i + 1)`` lies inside one unit, ``pairs`` the distinct pairs among
-    them and ``pair_of`` the pair at each such position.
+    ``ids`` holds one id per note, units concatenated in order, and unit
+    ``i`` owns ``ids[starts[i]:starts[i + 1]]``; id ``k`` stands for
+    ``distinct[k]``, a (pitch, numerator, denominator) triple. Notes are
+    matched by object identity first, so a library whose notes are shared
+    (see ``corpus.load_library``) reads each distinct note's value once.
+    ``pair_at`` lists the positions ``i`` whose pair ``(i, i + 1)`` lies
+    inside one unit, ``pairs`` the distinct pairs among them and
+    ``pair_of`` the pair at each such position. ``ties`` holds each unit's
+    first-note ``tie_from_prev`` and last-note ``tie_to_next``.
+
+    A ``UnitLibrary`` keeps one table (``UnitLibrary.note_table``);
+    ``rows`` cuts it into the slices that ``extract_matrix`` counts, and
+    the slices share the table's column lookups (``columns``).
     """
 
     def __init__(self, units: Iterable[Unit]):
@@ -184,9 +192,9 @@ class _NoteTable:
         by_object: dict[int, int] = {}
         by_value: dict[tuple, int] = {}
         ids: list[int] = []
-        lengths: list[int] = []
+        starts = [0]
+        ties = []
         for u in units:
-            start = len(ids)
             for m in u.measures:
                 for n in m.notes:
                     k = by_object.get(id(n))
@@ -197,12 +205,15 @@ class _NoteTable:
                         )
                         by_object[id(n)] = k
                     ids.append(k)
-            lengths.append(len(ids) - start)
+            starts.append(len(ids))
+            first, last = u.measures[0].notes[0], u.measures[-1].notes[-1]
+            ties.append((first.tie_from_prev, last.tie_to_next))
         self.distinct = list(by_value)
         self.ids = np.array(ids, dtype=np.intp)
-        self.lengths = np.array(lengths, dtype=np.intp)
+        self.starts = np.array(starts, dtype=np.intp)
+        self.ties = np.array(ties, dtype=float).reshape(-1, N_TIE_FLAGS)
         inner = np.ones(max(len(ids) - 1, 0), dtype=bool)
-        inner[np.cumsum(self.lengths)[:-1] - 1] = False
+        inner[self.starts[1:-1] - 1] = False
         self.pair_at = np.flatnonzero(inner)
         n_distinct = max(len(self.distinct), 1)
         codes = self.ids[self.pair_at] * n_distinct + self.ids[self.pair_at + 1]
@@ -211,6 +222,38 @@ class _NoteTable:
             (self.distinct[a], self.distinct[b])
             for a, b in zip(*np.divmod(codes, n_distinct))
         ]
+        self._columns: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def rows(self, start: int, stop: int) -> "NoteTable":
+        """The table of units ``start:stop``: views of this table's arrays,
+        with its distinct notes, pairs and column lookups shared."""
+        part = copy.copy(self)
+        a, b = self.starts[start], self.starts[stop]
+        lo, hi = np.searchsorted(self.pair_at, (a, b))
+        part.ids = self.ids[a:b]
+        part.starts = self.starts[start : stop + 1] - a
+        part.ties = self.ties[start:stop]
+        part.pair_at = self.pair_at[lo:hi] - a
+        part.pair_of = self.pair_of[lo:hi]
+        return part
+
+    def columns(self, vocab: "FeatureVocabulary") -> tuple[np.ndarray, np.ndarray]:
+        """The global columns of each distinct note (in ``NOTE_FAMILIES``)
+        and each distinct pair (in ``PAIR_FAMILIES``) under ``vocab``,
+        looked up once per vocabulary for the table and all its slices."""
+        key = vocab.hash_hex()
+        with self._lock:
+            cols = self._columns.get(key)
+            if cols is None:
+                cols = self._columns[key] = (
+                    vocab.columns(NOTE_FAMILIES, self.note_keys()),
+                    vocab.columns(PAIR_FAMILIES, self.pair_keys()),
+                )
+        return cols
 
     def note_keys(self) -> list[tuple]:
         return [_note_keys(v) for v in self.distinct]
@@ -220,9 +263,10 @@ class _NoteTable:
 
 
 def build_vocab(units: Iterable[Unit]) -> FeatureVocabulary:
-    """Index every symbol occurring in the given units (a UnitLibrary works)."""
-    table = _NoteTable(getattr(units, "units", units))
-    if len(table.lengths) == 0:
+    """Index every symbol occurring in the given units (a UnitLibrary works,
+    and lends its note table)."""
+    table = _table_of(getattr(units, "note_table", units))
+    if len(table) == 0:
         raise ValueError("cannot build a vocabulary from an empty library")
     families: dict[str, list] = {}
     for fams, rows in (
@@ -236,24 +280,28 @@ def build_vocab(units: Iterable[Unit]) -> FeatureVocabulary:
     return FeatureVocabulary(families)
 
 
-def _count_rows(units: Sequence[Unit], vocab: FeatureVocabulary) -> np.ndarray:
+def _table_of(units: Iterable[Unit] | NoteTable) -> NoteTable:
+    return units if isinstance(units, NoteTable) else NoteTable(units)
+
+
+def _count_rows(
+    units: Iterable[Unit] | NoteTable, vocab: FeatureVocabulary
+) -> np.ndarray:
     """Feature rows of the units: the family columns of every note and of
     every inner pair are counted into one flat view of the output.
 
     ``extract`` calls this, not ``extract_matrix``, so that a tracer wrapped
     around ``extract_matrix`` counts only the batch calls.
     """
-    table = _NoteTable(units)
+    table = _table_of(units)
+    note_cols, pair_cols = table.columns(vocab)
     dim = vocab.dimension
-    out = np.zeros((len(table.lengths), dim))
+    out = np.zeros((len(table), dim))
     flat = out.reshape(-1)
-    row = np.repeat(np.arange(len(table.lengths), dtype=np.intp) * dim, table.lengths)
-    note_cols = vocab.columns(NOTE_FAMILIES, table.note_keys())[table.ids]
-    np.add.at(flat, (row[:, None] + note_cols).ravel(), 1.0)
-    pair_cols = vocab.columns(PAIR_FAMILIES, table.pair_keys())[table.pair_of]
-    np.add.at(flat, (row[table.pair_at, None] + pair_cols).ravel(), 1.0)
-    out[:, -2] = [u.measures[0].notes[0].tie_from_prev for u in units]
-    out[:, -1] = [u.measures[-1].notes[-1].tie_to_next for u in units]
+    row = np.repeat(np.arange(len(table), dtype=np.intp) * dim, np.diff(table.starts))
+    np.add.at(flat, (row[:, None] + note_cols[table.ids]).ravel(), 1.0)
+    np.add.at(flat, (row[table.pair_at, None] + pair_cols[table.pair_of]).ravel(), 1.0)
+    out[:, -N_TIE_FLAGS:] = table.ties
     return out
 
 
@@ -263,7 +311,9 @@ def extract(u: Unit, vocab: FeatureVocabulary) -> np.ndarray:
 
 
 def extract_matrix(
-    units: Sequence[Unit], vocab: FeatureVocabulary
+    units: Sequence[Unit] | NoteTable, vocab: FeatureVocabulary
 ) -> np.ndarray:
-    """Feature rows for many units: shape (len(units), vocab.dimension)."""
+    """Feature rows for many units, given as units or as a note table (a
+    library's ``note_table`` or a slice of it): shape (units, vocab.dimension).
+    Either way the rows are the same bits: every entry is a count."""
     return _count_rows(units, vocab)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from toygen import make_toy_corpus
+from unitsel._util import chunked_map
 from unitsel.augment import AugmentConfig, UnitLibrary, build_library
 from unitsel.autoencoder import (
     AutoencoderModel,
@@ -18,7 +19,7 @@ from unitsel.autoencoder import (
 )
 from unitsel.engine import GenerationConfig, rank_candidates
 from unitsel.evaluation import next_unit_ranking
-from unitsel.features import build_vocab
+from unitsel.features import FeatureVocabulary, build_vocab, extract_matrix
 from unitsel.music import Measure, Note, Provenance, Unit, validate_piece
 from unitsel.nn import TrainConfig, stream_rng
 
@@ -161,6 +162,51 @@ class TestSelectNearest:
         _, lib, _ = toy_lib
         elib4 = embed_library(model, lib, threads=4)
         np.testing.assert_array_equal(elib.embeddings, elib4.embeddings)
+
+
+def _per_chunk_embeddings(model, units, threads):
+    """Embeddings taken the way embed_library took them before libraries kept
+    a note table: each fixed 256-unit chunk featurised from its own units."""
+    def chunk(start, stop):
+        return model.encode_features(extract_matrix(list(units[start:stop]), model.vocab))
+
+    return np.vstack(chunked_map(chunk, len(units), threads))
+
+
+class TestLibraryNoteTable:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("size", [1, 255, 256, 257, 513])
+    def test_embeddings_match_per_chunk_featurising(self, trained, toy_lib, size, threads):
+        model, _ = trained
+        _, lib, _ = toy_lib
+        part = UnitLibrary(lib.units[:size], lib.origins[:size], lib.unit_length, lib.meter)
+        got = embed_library(model, part, threads).embeddings
+        assert got.tobytes() == _per_chunk_embeddings(model, part.units, threads).tobytes()
+
+    def test_later_embeddings_reuse_the_table_and_its_lookups(self, trained, toy_lib, monkeypatch):
+        model, _ = trained
+        _, lib, _ = toy_lib
+        lookups = []
+        columns = FeatureVocabulary.columns
+
+        def counted(vocab, families, keys):
+            lookups.append(vocab.hash_hex())
+            return columns(vocab, families, keys)
+
+        monkeypatch.setattr(FeatureVocabulary, "columns", counted)
+        fresh = UnitLibrary(lib.units, lib.origins, lib.unit_length, lib.meter)
+        first = embed_library(model, fresh).embeddings
+        table = fresh.note_table
+        # one lookup per family group (notes, pairs), not one per chunk
+        assert lookups == [model.vocab_hash] * 2
+        same_vocab = AutoencoderModel(model.vocab, hidden=8, embedding=4)
+        embed_library(same_vocab, fresh, threads=2)
+        assert lookups == [model.vocab_hash] * 2
+        other_vocab = AutoencoderModel(build_vocab(lib.units[:40]), hidden=8, embedding=4)
+        embed_library(other_vocab, fresh)
+        assert lookups == [model.vocab_hash] * 2 + [other_vocab.vocab_hash] * 2
+        assert fresh.note_table is table
+        assert embed_library(model, fresh).embeddings.tobytes() == first.tobytes()
 
 
 class TestReconstruct:

@@ -377,6 +377,8 @@ _GENERATE_KEYS = _GENERATE_NOTES_KEYS + [
     "library", "dssm", "shortlist_fraction", "shortlist-fraction",
 ]
 _RANK50_KEYS = ["seed", "library", "model", "out", "config", "colour", "", "a b"]
+_RECONSTRUCT_KEYS = _RANK50_KEYS + ["corpus"]
+_INTERPOLATE_KEYS = _RECONSTRUCT_KEYS + ["piece_a", "piece-a", "piece_b", "alphas"]
 _NEXTUNIT_KEYS = [
     "seed", "corpus", "library", "dssm", "lm", "regimes", "out", "config", "colour", "", "a b",
 ]
@@ -431,6 +433,8 @@ _FUZZED = {
     "generate": (_GENERATE_KEYS, _SCALAR_FLAGS, {"units": st.integers(-1, 2)}),
     "eval-rank50": (_RANK50_KEYS, _SCALAR_FLAGS, {"max-probes": _MAX_PROBES}),
     "eval-nextunit": (_NEXTUNIT_KEYS, _REGIMES, {"max-probes": _MAX_PROBES}),
+    "reconstruct": (_RECONSTRUCT_KEYS, _SCALAR_FLAGS, {}),
+    "interpolate": (_INTERPOLATE_KEYS, _SCALAR_FLAGS, {}),
 }
 # Passed as flags for the sizes a config file does not set: a drawn object
 # always sets them, but other JSON can be an object too.
@@ -481,6 +485,9 @@ _FUZZ_INPUTS = {
     "eval-rank50": ["--library", "small_lib", "--model", "small_ae"],
     "eval-nextunit": ["--corpus", "small_corpus", "--library", "small_lib",
                       "--dssm", "small_dssm", "--lm", "small_lm"],
+    "reconstruct": ["--corpus", "small_corpus", "--library", "small_lib", "--model", "small_ae"],
+    "interpolate": ["--corpus", "small_corpus", "--library", "small_lib", "--model", "small_ae",
+                    "--piece-a=toy-2025-000", "--piece-b=toy-2025-002"],
 }
 
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import unitsel.corpus as corpus_module
 from unitsel import load_trained
 from unitsel.augment import AugmentConfig, UnitLibrary, build_library
-from unitsel.autoencoder import train_autoencoder
+from unitsel.autoencoder import embed_library, train_autoencoder
 from unitsel.cli import main as cli_main
 from unitsel.corpus import (
     ArchivedModel,
@@ -25,8 +26,10 @@ from unitsel.corpus import (
     split_corpus,
 )
 from unitsel.dssm import make_training_pairs, train_dssm
+from unitsel.engine import GenerationConfig, continue_piece
 from unitsel.features import build_vocab
 from unitsel.lm import build_note_vocab, tokenize, train_lm
+from unitsel.music import Provenance
 from unitsel.nn import TrainConfig
 
 from conftest import FIXTURE_CORPUS
@@ -302,6 +305,29 @@ def model_outputs(model) -> np.ndarray:
     return model.encode_features(x)
 
 
+def _json_encoded_archive(archive) -> str:
+    """An archive's text with every weight passed through the JSON encoder,
+    as ``save_model`` wrote it before it spliced the hex strings in."""
+    payload = {
+        "format_version": archive.format_version,
+        "kind": archive.kind,
+        "hyperparameters": archive.hyperparameters,
+        "layer_dims": list(archive.layer_dims),
+        "weights": [
+            {
+                "name": name,
+                "shape": list(arr.shape),
+                "data": arr.astype("<f8").tobytes().hex(),
+            }
+            for name, arr in archive.weights
+        ],
+        "vocabulary": archive.vocabulary,
+        "vocab_hash": archive.vocab_hash(),
+    }
+    body = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    return f"UNITSEL-MODEL 1\n{body}\n"
+
+
 def _edit_payload(edit):
     def apply(header, payload):
         edit(payload)
@@ -341,6 +367,13 @@ class TestModelArchive:
         save_model(tiny_models[kind].to_archive(), p1)
         save_model(load_trained(p1).to_archive(), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["autoencoder", "dssm", "lstm"])
+    def test_saved_bytes_match_the_json_encoder(self, tmp_path, tiny_models, kind):
+        archive = tiny_models[kind].to_archive()
+        path = tmp_path / "a.model"
+        save_model(archive, path)
+        assert path.read_bytes() == _json_encoded_archive(archive).encode("utf-8")
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_ARCHIVES))
     def test_malformed_archive_is_user_error(
@@ -590,6 +623,83 @@ class TestLibraryOrigins:
             ("p", 0, ""),
             ("q", 3, "t+1"),
         ]
+
+
+def _eager_origins(path) -> tuple:
+    """Every unit line's origins, each entry built as a Provenance."""
+    return tuple(
+        tuple(Provenance(*o) for o in json.loads(line)["origins"])
+        for line in path.read_text().splitlines()[2:]
+    )
+
+
+@pytest.fixture(scope="module")
+def full_library(fixture_corpus, tmp_path_factory):
+    """A FULL-mode library of the fixture (shifts -2..2) and its file."""
+    lib = build_library(
+        fixture_corpus, AugmentConfig(unit_length=1, transpose_shifts=(-2, -1, 0, 1, 2))
+    )
+    path = tmp_path_factory.mktemp("full") / "full.lib"
+    save_library(lib, path)
+    return lib, path
+
+
+class TestDeferredOrigins:
+    """A loaded library checks every origin but builds only each unit's own;
+    the rest are built on the first read of ``origins``."""
+
+    def test_save_of_a_load_is_byte_identical(self, full_library, tmp_path):
+        _, path = full_library
+        again = tmp_path / "again.lib"
+        save_library(load_library(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_origins_equal_the_eager_parse(self, full_library):
+        lib, path = full_library
+        loaded = load_library(path)
+        assert any(len(o) > 1 for o in lib.origins)
+        assert loaded.origins == _eager_origins(path) == lib.origins
+        assert sum(map(len, loaded.origins)) == sum(map(len, lib.origins))
+        assert all(o[0] is u.provenance for u, o in zip(loaded.units, loaded.origins))
+
+    @pytest.mark.parametrize("index", [2, 3])  # the third and the last of four
+    @pytest.mark.parametrize("case", sorted(BAD_ORIGINS))
+    def test_bad_later_origin_on_a_later_line_fails_the_load(self, tmp_path, case, index):
+        origins = [["p", 0, ""], ["q", 1, "t+1"], ["r", 2, "dt"], ["s", 3, ""]]
+        origins[index] = BAD_ORIGINS[case]
+        lines = [
+            "UNITSEL-LIB 1",
+            json.dumps({"count": 2, "meter": [1, 1], "unit_length": 1}),
+            json.dumps({"measures": [{"notes": [_HALF, _HALF]}], "origins": [["p", 0, ""]] * 2}),
+            json.dumps({"measures": [{"notes": [{"pitch": 62, "dur": [1, 1]}]}], "origins": origins}),
+        ]
+        path = tmp_path / "bad.lib"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ArchiveError, match=r"bad\.lib:4: .*origin"):
+            load_library(path)
+
+    def test_selection_never_builds_the_other_origins(self, monkeypatch, tmp_path, small_setup):
+        built = []
+
+        def counted(units, lines):
+            built.append(len(units))
+            return deferred(units, lines)
+
+        deferred = corpus_module._deferred_origins
+        monkeypatch.setattr(corpus_module, "_deferred_origins", counted)
+        path = tmp_path / "small.lib"
+        save_library(small_setup["lib"], path)
+        lib = load_library(path)
+        elib = embed_library(small_setup["dssm"], lib)
+        seed = small_setup["corpus"].pieces[0]
+        piece = continue_piece(
+            seed, 1, elib, small_setup["dssm"], small_setup["lm"], GenerationConfig(seed=7)
+        )
+        assert len(piece.measures) == len(seed.measures) + 1
+        assert built == []
+        assert lib.origins == small_setup["lib"].origins
+        assert any(len(o) > 1 for o in lib.origins)
+        assert built == [len(lib.units)]  # once, however often it is read
 
 
 # JSON text that a damaged archive may hold in place of a value: junk types,
