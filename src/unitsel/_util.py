@@ -1,4 +1,4 @@
-"""Shared plumbing: JSON writers, hashing, fixed-chunk parallel map."""
+"""Shared plumbing: JSON writers and readers, hashing, fixed-chunk parallel map."""
 
 from __future__ import annotations
 
@@ -18,6 +18,15 @@ CHUNK = 256
 def canonical_json(obj) -> str:
     """Deterministic JSON rendering (sorted keys, no whitespace)."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+def exact_ints(values, what: str, length: int | None = None) -> list[int]:
+    """A JSON list of exact integers: 1.5, true and 1e999 are refused, not truncated."""
+    if type(values) is not list or any(type(v) is not int for v in values):
+        raise ValueError(f"{what} must be a list of integers, got {values!r}")
+    if length is not None and len(values) != length:
+        raise ValueError(f"{what} must be a list of {length} integers, got {values!r}")
+    return values
 
 
 def write_json(obj, path) -> None:

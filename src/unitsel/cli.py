@@ -90,6 +90,7 @@ _COUNT = _bounded(int, lambda v: v >= 1, "at least 1")
 _OPTIONAL_COUNT = _bounded(int, lambda v: v >= 0, "at least 0")
 _SHARE = _bounded(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 _POSITIVE = _bounded(float, lambda v: 0.0 < v < math.inf, "positive and finite")
+_OPEN_SHARE = _bounded(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -98,6 +99,10 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _fraction_list(text: str) -> tuple[Fraction, ...]:
     return tuple(_fraction_arg(v) for v in text.split(",") if v.strip())
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
 
 
 def _load_checked(path: str, kind: str):
@@ -483,7 +488,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--piece-a", required=True)
     p.add_argument("--piece-b", required=True)
     p.add_argument(
-        "--alphas", type=lambda t: tuple(float(v) for v in t.split(",")),
+        "--alphas",
+        type=_bounded(  # each names its piece by two decimals, interp-0.25
+            _float_list,
+            lambda vs: all(0 <= v <= 1 for v in vs) and len({f"{v:.2f}" for v in vs}) == len(vs),
+            "values in [0, 1] that differ in two decimals",
+        ),
         default=(0.0, 0.25, 0.5, 0.75, 1.0),
     )
     p.set_defaults(func=cmd_interpolate)
@@ -524,7 +534,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lm", required=True)
     p.add_argument(
         "--regimes",
-        type=lambda t: tuple(v.strip() for v in t.split(",")),
+        type=_bounded(
+            lambda t: tuple(v.strip() for v in t.split(",")),
+            lambda rs: set(rs) <= set(REGIME_ORDER) and len(set(rs)) == len(rs),
+            f"distinct names among {', '.join(REGIME_ORDER)}",
+        ),
         default=("lstm", "dssm", "dssm+lstm"),
         help=f"comma-separated subset of {', '.join(REGIME_ORDER)}",
     )
@@ -534,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="deterministic train/test corpus split")
     _add_common(p)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--train-fraction", type=float, default=0.6)
+    p.add_argument("--train-fraction", type=_OPEN_SHARE, default=0.6)
     p.set_defaults(func=cmd_split)
 
     return parser

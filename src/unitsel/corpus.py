@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import canonical_json, sha256_hex
+from ._util import canonical_json, exact_ints, sha256_hex
 from .music import (
     Measure,
     Note,
@@ -64,55 +64,45 @@ class Corpus:
 
 
 def _fraction_from_pair(pair, what: str) -> Fraction:
-    if (
-        not isinstance(pair, list)
-        or len(pair) != 2
-        or not all(isinstance(v, int) for v in pair)
-    ):
-        raise CorpusFormatError(f"{what} must be an [int, int] pair, got {pair!r}")
-    if pair[1] <= 0 or pair[0] <= 0:
+    try:
+        num, den = exact_ints(pair, what, 2)
+    except ValueError as exc:
+        raise CorpusFormatError(str(exc)) from None
+    if num <= 0 or den <= 0:
         raise CorpusFormatError(f"{what} must be a positive rational, got {pair!r}")
-    return Fraction(pair[0], pair[1])
-
-
-def _note_from_dict(n) -> Note:
-    return Note(
-        duration=_fraction_from_pair(n["dur"], "dur"),
-        pitch=int(n["pitch"]),
-        tie_from_prev=bool(n.get("tie_prev", False)),
-        tie_to_next=bool(n.get("tie_next", False)),
-    )
+    return Fraction(num, den)
 
 
 def _interned_note(n, cache: dict) -> Note:
     """The note of a corpus-line object, shared with equal notes in ``cache``.
 
-    Only exact ``int`` pitch and duration entries and ``bool`` (or absent)
-    tie flags form a key: ``(1.0, 2) == (1, 2)``, so a looser key would let
-    a float duration through once its int twin is cached. Anything else,
-    and the first sight of each key, takes the validating path, which
-    raises the same errors as ever; only a note that validated is cached.
+    ``pitch`` and both ``dur`` entries are exact ``int``s and the tie flags
+    ``bool``s (or absent); anything else, ``60.7``, ``"60"`` and ``true``
+    included, is a CorpusFormatError naming the field, not a conversion.
+    Exact types also keep the key sound, since ``(1.0, 2) == (1, 2)``.
     """
-    if type(n) is dict:
-        pitch = n.get("pitch")
-        dur = n.get("dur")
-        tie_prev = n.get("tie_prev", False)
-        tie_next = n.get("tie_next", False)
-        if (
-            type(pitch) is int
-            and type(dur) is list
-            and len(dur) == 2
-            and type(dur[0]) is int
-            and type(dur[1]) is int
-            and type(tie_prev) is bool
-            and type(tie_next) is bool
-        ):
-            key = (pitch, dur[0], dur[1], tie_prev, tie_next)
-            note = cache.get(key)
-            if note is None:
-                note = cache[key] = _note_from_dict(n)
-            return note
-    return _note_from_dict(n)
+    if type(n) is not dict:
+        raise CorpusFormatError(f"a note must be an object, got {n!r}")
+    pitch = n.get("pitch")
+    dur = n.get("dur")
+    tie_prev = n.get("tie_prev", False)
+    tie_next = n.get("tie_next", False)
+    # the rule of exact_ints, written inline: this runs once per note of a file
+    if type(pitch) is not int:
+        fault = "pitch must be an integer"
+    elif (
+        type(dur) is not list or len(dur) != 2 or type(dur[0]) is not int or type(dur[1]) is not int
+    ):
+        fault = "dur must be a list of 2 integers"
+    elif type(tie_prev) is not bool or type(tie_next) is not bool:
+        fault = "tie_prev and tie_next must be true or false"
+    else:
+        key = (pitch, dur[0], dur[1], tie_prev, tie_next)
+        note = cache.get(key)
+        if note is None:
+            note = cache[key] = Note(pitch, _fraction_from_pair(dur, "dur"), tie_prev, tie_next)
+        return note
+    raise CorpusFormatError(f"{fault}, got note {n!r}")
 
 
 def _measures_from_list(raw, meter: Fraction, cache: dict) -> tuple[Measure, ...]:
@@ -122,10 +112,9 @@ def _measures_from_list(raw, meter: Fraction, cache: dict) -> tuple[Measure, ...
         for m in raw:
             notes = tuple(_interned_note(n, cache) for n in m.get("notes", []))
             measures.append(Measure(notes=notes, meter=meter))
-    except (AttributeError, KeyError, OverflowError, TypeError) as exc:
+    except (AttributeError, TypeError) as exc:
         raise CorpusFormatError(
-            f"'measures' must be a list of objects whose 'notes' have 'pitch' "
-            f"and 'dur' ({exc!r})"
+            f"'measures' must be a list of objects with a list of 'notes' ({exc!r})"
         ) from exc
     return tuple(measures)
 
@@ -378,13 +367,6 @@ def save_model(archive: ModelArchive, path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _exact_ints(values, what: str) -> list[int]:
-    """A JSON list of exact integers: 1.5 and 1e999 are refused, not truncated."""
-    if type(values) is not list or any(type(v) is not int for v in values):
-        raise ValueError(f"{what} must be a list of integers, got {values!r}")
-    return values
-
-
 def load_model(path) -> ModelArchive:
     """Read a model archive; every malformed or tampered file is an ArchiveError."""
     path = Path(path)
@@ -412,7 +394,7 @@ def load_model(path) -> ModelArchive:
     try:
         weights: list[tuple[str, np.ndarray]] = []
         for entry in payload["weights"]:
-            shape = tuple(_exact_ints(entry["shape"], f"shape of weight {entry['name']!r}"))
+            shape = tuple(exact_ints(entry["shape"], f"shape of weight {entry['name']!r}"))
             raw = bytes.fromhex(entry["data"])
             expected = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
             if len(raw) != expected:
@@ -427,7 +409,7 @@ def load_model(path) -> ModelArchive:
         archive = ModelArchive(
             kind=kind,
             hyperparameters=dict(payload["hyperparameters"]),
-            layer_dims=_exact_ints(payload["layer_dims"], "layer_dims"),
+            layer_dims=exact_ints(payload["layer_dims"], "layer_dims"),
             weights=weights,
             vocabulary=dict(payload["vocabulary"]),
         )
@@ -475,22 +457,14 @@ def _is_origin(o) -> bool:
     )
 
 
-def _provenance_from_json(o) -> Provenance:
-    if not _is_origin(o):
-        raise ValueError(
-            f"origin must be a [str, int, str] list "
-            f"(source id, measure offset, transform), got {o!r}"
-        )
-    return Provenance(*o)
-
-
 def _own_provenance(origins) -> Provenance:
-    """The first entry of a unit line's origins, once every entry is
-    shape-checked. A list that is empty or holds a bad entry (or a value
-    that is no list) raises what building every origin raises."""
+    """The first of a unit line's origins, once every entry is shape-checked."""
     if type(origins) is list and origins and all(map(_is_origin, origins)):
         return Provenance(*origins[0])
-    return tuple(_provenance_from_json(o) for o in origins)[0]
+    raise ValueError(
+        f"origins must be a non-empty list of [str, int, str] entries "
+        f"(source id, measure offset, transform), got {origins!r}"
+    )
 
 
 def _deferred_origins(units: tuple[Unit, ...], lines: list[str | None]):
@@ -526,9 +500,10 @@ def load_library(path):
     try:
         header = json.loads(lines[1])
         meter = _fraction_from_pair(header["meter"], "meter")
-        unit_length = int(header["unit_length"])
-        count = header["count"]
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        unit_length, count = exact_ints(
+            [header["unit_length"], header["count"]], "[unit_length, count]"
+        )
+    except (KeyError, TypeError, ValueError) as exc:
         raise ArchiveError(f"{path}:2: malformed library header ({exc!r})") from exc
     units: list[Unit] = []
     more_origins: list[str | None] = []  # the unit line, when it has several
@@ -541,7 +516,7 @@ def load_library(path):
             measures = _measures_from_list(obj["measures"], meter, notes)
             origins = obj["origins"]
             unit = Unit(measures=measures, provenance=_own_provenance(origins))
-        except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ArchiveError(
                 f"{path}:{lineno}: malformed library unit ({exc!r})"
             ) from exc

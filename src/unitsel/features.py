@@ -20,19 +20,22 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._util import canonical_json, sha256_hex
+from ._util import canonical_json, exact_ints, sha256_hex
 from .music import Unit, pitch_class
 
-FAMILIES = (
-    "note",
-    "pitch",
-    "dur",
-    "class",
-    "class_dur",
-    "pitch_bigram",
-    "dur_bigram",
-    "class_bigram",
-)
+# Each family's symbol parts (one or two): an int, or a Fraction that keys
+# and snapshots write as numerator and denominator. One part is no 1-tuple.
+_PARTS = {
+    "note": (int, Fraction),
+    "pitch": (int,),
+    "dur": (Fraction,),
+    "class": (int,),
+    "class_dur": (int, Fraction),
+    "pitch_bigram": (int, int),
+    "dur_bigram": (Fraction, Fraction),
+    "class_bigram": (int, int),
+}
+FAMILIES = tuple(_PARTS)
 
 # The families counted once per note, and once per adjacent pair of notes.
 NOTE_FAMILIES = FAMILIES[:5]
@@ -41,46 +44,43 @@ PAIR_FAMILIES = FAMILIES[5:]
 N_TIE_FLAGS = 2
 
 
-def _frac_json(d: Fraction) -> list[int]:
-    return [d.numerator, d.denominator]
-
-
-def _symbol_json(family: str, sym) -> list | int:
-    if family == "note":
-        return [sym[0], *_frac_json(sym[1])]
-    if family == "pitch" or family == "class":
-        return sym
-    if family == "dur":
-        return _frac_json(sym)
-    if family == "class_dur":
-        return [sym[0], *_frac_json(sym[1])]
-    if family == "pitch_bigram" or family == "class_bigram":
-        return [sym[0], sym[1]]
-    if family == "dur_bigram":
-        return [*_frac_json(sym[0]), *_frac_json(sym[1])]
-    raise ValueError(f"unknown family {family!r}")
+def _part_ints(part, value) -> tuple[int, ...]:
+    return (value,) if part is int else (value.numerator, value.denominator)
 
 
 def _symbol_key(family: str, sym):
-    """The hashable all-integer form of a symbol: its JSON form, as a tuple."""
-    raw = _symbol_json(family, sym)
-    return tuple(raw) if isinstance(raw, list) else raw
+    """The hashable all-integer form of a symbol: the tuple of its integers,
+    or the integer alone in a one-int family (``pitch``, ``class``)."""
+    parts = _PARTS[family]
+    if len(parts) == 1:
+        return sym if parts[0] is int else _part_ints(Fraction, sym)
+    return _part_ints(parts[0], sym[0]) + _part_ints(parts[1], sym[1])
+
+
+def _symbol_json(family: str, sym) -> list | int:
+    key = _symbol_key(family, sym)
+    return key if type(key) is int else list(key)
+
+
+def _symbol_of_key(family: str, key):
+    """The symbol whose key (or snapshot entry) is ``key``, unchecked."""
+    parts = _PARTS[family]
+    if len(parts) == 1:
+        return key if parts[0] is int else Fraction(key[0], key[1])
+    first = key[0] if parts[0] is int else Fraction(key[0], key[1])
+    return (first, key[-1] if parts[1] is int else Fraction(key[-2], key[-1]))
 
 
 def _symbol_from_json(family: str, raw):
-    if family == "note":
-        return (raw[0], Fraction(raw[1], raw[2]))
-    if family == "pitch" or family == "class":
+    """The symbol of a snapshot entry. Anything but exactly the family's
+    integers (``true`` and ``1.0`` are none) is a ValueError."""
+    parts = _PARTS[family]
+    what = f"a {family!r} vocabulary entry"
+    if parts == (int,):
+        if type(raw) is not int:
+            raise ValueError(f"{what} must be an integer, got {raw!r}")
         return raw
-    if family == "dur":
-        return Fraction(raw[0], raw[1])
-    if family == "class_dur":
-        return (raw[0], Fraction(raw[1], raw[2]))
-    if family == "pitch_bigram" or family == "class_bigram":
-        return (raw[0], raw[1])
-    if family == "dur_bigram":
-        return (Fraction(raw[0], raw[1]), Fraction(raw[2], raw[3]))
-    raise ValueError(f"unknown family {family!r}")
+    return _symbol_of_key(family, exact_ints(raw, what, len(parts) + parts.count(Fraction)))
 
 
 class FeatureVocabulary:
@@ -275,7 +275,7 @@ def build_vocab(units: Iterable[Unit]) -> FeatureVocabulary:
     ):
         for j, fam in enumerate(fams):
             families[fam] = sorted(
-                _symbol_from_json(fam, key) for key in {row[j] for row in rows}
+                _symbol_of_key(fam, key) for key in {row[j] for row in rows}
             )
     return FeatureVocabulary(families)
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from ._util import canonical_json, chunked_map, sha256_hex
 from .corpus import ArchivedModel
+from .features import _symbol_from_json, _symbol_json
 from .music import Piece, Unit
 from .nn import (
     DenseLayer,
@@ -71,14 +72,14 @@ class NoteVocabulary:
     def snapshot(self) -> dict:
         return {
             "type": "notes",
-            "symbols": [[p, d.numerator, d.denominator] for p, d in self.symbols],
+            "symbols": [_symbol_json("note", s) for s in self.symbols],
         }
 
     @classmethod
     def from_snapshot(cls, snap: dict) -> "NoteVocabulary":
         if snap.get("type") != "notes":
             raise ValueError("not a note-vocabulary snapshot")
-        return cls([(p, Fraction(n, d)) for p, n, d in snap["symbols"]])
+        return cls([_symbol_from_json("note", raw) for raw in snap["symbols"]])
 
     def hash_hex(self) -> str:
         """sha256 of the canonical snapshot, computed once: a vocabulary is

@@ -722,3 +722,50 @@ class TestThreadCount:
         assert code == 1
         assert "error:" in err and "--threads" in err and "Traceback" not in err
         assert not out.exists()
+
+
+# Commands whose every input file is missing: a bad flag value must be
+# reported first, before any input is read.
+_LIST_AND_FRACTION_FLAGS = [
+    pytest.param(
+        ["eval-nextunit", "--corpus", "no.cor", "--library", "no.lib", "--dssm", "no.model",
+         "--lm", "no.model"],
+        "regimes", value, id=f"regimes-{case}",
+    )
+    for case, value in [("unknown", "foo"), ("repeated", "lstm,lstm,dssm"), ("empty-name", "lstm,")]
+] + [
+    pytest.param(
+        ["interpolate", "--corpus", "no.cor", "--library", "no.lib", "--model", "no.model",
+         "--piece-a", "a", "--piece-b", "b"],
+        "alphas", value, id=f"alphas-{case}",
+    )
+    for case, value in [
+        ("above-1", "0,1.5"), ("negative", "-0.25"), ("nan", "0.5,nan"),
+        ("repeated", "0.5,0.5"), ("same-piece-id", "0.001,0.002"),
+    ]
+] + [
+    pytest.param(
+        ["split", "--corpus", "no.cor"], "train-fraction", value, id=f"train-fraction-{value}"
+    )
+    for value in ["0", "1", "1.5", "nan"]
+]
+
+
+class TestListAndFractionFlags:
+    @pytest.mark.parametrize("argv,flag,value", _LIST_AND_FRACTION_FLAGS)
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_value_is_a_user_error_naming_the_flag(
+        self, tmp_path, capsys, argv, flag, value, source
+    ):
+        if source == "flag":
+            extra = [f"--{flag}={value}"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag.replace("-", "_"): value.split(",")}))
+            extra = ["--config", str(cfg)]
+        out = tmp_path / "o"
+        code = main([*argv, "--out", str(out), *extra])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: argument --{flag}: must be" in err and "Traceback" not in err
+        assert not out.exists()

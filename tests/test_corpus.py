@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import unitsel.corpus as corpus_module
 from unitsel import load_trained
+from unitsel._util import canonical_json, sha256_hex
 from unitsel.augment import AugmentConfig, UnitLibrary, build_library
 from unitsel.autoencoder import embed_library, train_autoencoder
 from unitsel.cli import main as cli_main
@@ -576,6 +577,70 @@ class TestSharedNotes:
         )
 
 
+# Note fields that are not exact JSON integers or true/false: each is
+# refused, not converted.
+_INEXACT_NOTES = {
+    "pitch-float": {"pitch": 60.7},
+    "pitch-string": {"pitch": "60"},
+    "pitch-true": {"pitch": True},
+    "tie-prev-zero": {"tie_prev": 0},
+    "tie-next-string": {"tie_next": "no"},
+    "dur-true": {"dur": [True, 4]},
+}
+_QUARTERS = {"pitch": 60, "dur": [1, 4], "tie_prev": False, "tie_next": False}
+
+
+class TestExactIntegers:
+    """Every integer field of a corpus or library is an exact JSON integer."""
+
+    @staticmethod
+    def _corpus_line(piece_id, notes, meter=(1, 1)):
+        return json.dumps({"id": piece_id, "meter": list(meter), "measures": [{"notes": notes}]})
+
+    @pytest.mark.parametrize("case", sorted(_INEXACT_NOTES))
+    def test_corpus_note_is_a_format_error_naming_file_and_line(self, tmp_path, case):
+        path = tmp_path / "inexact.cor"
+        bad = dict(_QUARTERS, **_INEXACT_NOTES[case])
+        path.write_text(
+            self._corpus_line("a", [_QUARTERS] * 4) + "\n"
+            + self._corpus_line("b", [bad] + [_QUARTERS] * 3) + "\n"
+        )
+        with pytest.raises(CorpusFormatError, match=r"inexact\.cor:2: "):
+            load_corpus(path)
+
+    def test_corpus_meter_is_a_format_error_naming_file_and_line(self, tmp_path):
+        path = tmp_path / "inexact.cor"
+        path.write_text(self._corpus_line("a", [_QUARTERS] * 4, meter=(True, 4)) + "\n")
+        with pytest.raises(CorpusFormatError, match=r"inexact\.cor:1: meter"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("case", sorted(_INEXACT_NOTES))
+    def test_library_note_is_an_archive_error_naming_the_line(self, tmp_path, case):
+        path = tmp_path / "inexact.lib"
+        bad = dict(_QUARTERS, **_INEXACT_NOTES[case])
+        path.write_text(_library_text([{"notes": [_QUARTERS] * 3 + [bad]}], [["p", 0, ""]]))
+        with pytest.raises(ArchiveError, match=r"inexact\.lib:3: "):
+            load_library(path)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("unit_length", 1.7), ("unit_length", "1"), ("unit_length", True),
+         ("count", "3"), ("count", 3.0)],
+    )
+    def test_library_header_is_an_archive_error_on_line_2(self, tmp_path, field, value):
+        path = tmp_path / "inexact.lib"
+        header = dict(json.loads(_GOOD_LIBRARY[1]), **{field: value})
+        lines = [_GOOD_LIBRARY[0], json.dumps(header), *_GOOD_LIBRARY[2:]]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ArchiveError, match=r"inexact\.lib:2: .*unit_length, count"):
+            load_library(path)
+
+    def test_exact_values_load(self, tmp_path):
+        path = tmp_path / "exact.lib"
+        path.write_text("\n".join(_GOOD_LIBRARY) + "\n")
+        assert len(load_library(path)) == 3
+
+
 def _assert_equal_notes_are_one_object(notes):
     first: dict = {}
     count = 0
@@ -747,7 +812,89 @@ def _damaged_archive(draw, text):
     return bytes(data)
 
 
+# A vocabulary entry's replacement that is never a valid entry of any family.
+_JUNK_ENTRIES = [1.5, 2.0, True, False, None, "60", [], {}, math.inf, math.nan]
+
+
+def _vocabulary_lists(vocabulary: dict) -> list[list]:
+    """The entry lists of a vocabulary snapshot: one per non-empty feature
+    family, or the note vocabulary's symbols."""
+    if "symbols" in vocabulary:
+        return [vocabulary["symbols"]]
+    return [entries for entries in vocabulary["families"].values() if entries]
+
+
+@st.composite
+def _damaged_vocabulary(draw, vocabulary: dict):
+    """A copy of a vocabulary snapshot with one entry no longer exactly its
+    family's integers: replaced by junk, wrapped in a list, or with one of
+    its integers replaced by junk, dropped or joined by another integer."""
+    vocabulary = json.loads(json.dumps(vocabulary))
+    entries = draw(st.sampled_from(_vocabulary_lists(vocabulary)))
+    at = draw(st.integers(0, len(entries) - 1))
+    entry = entries[at]
+    hows = ["junk", "item", "drop", "extend"] if type(entry) is list else ["junk", "wrap"]
+    how = draw(st.sampled_from(hows))
+    if how == "junk":
+        entries[at] = draw(st.sampled_from(_JUNK_ENTRIES))
+    elif how == "wrap":
+        entries[at] = [entry]
+    elif how == "item":
+        entry[draw(st.integers(0, len(entry) - 1))] = draw(st.sampled_from(_JUNK_ENTRIES))
+    elif how == "drop":
+        del entry[draw(st.integers(0, len(entry) - 1))]
+    else:
+        entry.append(draw(st.integers(-2, 2)))
+    return vocabulary
+
+
+def _with_vocabulary(good, bad, vocabulary: dict) -> None:
+    """Write ``good``'s archive to ``bad`` with ``vocabulary`` and its hash,
+    so that only the content check of the vocabulary can refuse it."""
+    header, body = good.read_text(encoding="utf-8").split("\n", 1)
+    payload = json.loads(body)
+    payload["vocabulary"] = vocabulary
+    payload["vocab_hash"] = sha256_hex(canonical_json(vocabulary))
+    bad.write_text(header + "\n" + json.dumps(payload) + "\n", encoding="utf-8")
+
+
 class TestArchiveFuzz:
+    @pytest.mark.parametrize("kind", ["autoencoder", "dssm", "lstm"])
+    def test_damaged_vocabulary_with_its_hash_is_an_archive_error(
+        self, tmp_path, tiny_models, kind
+    ):
+        good = tmp_path / f"{kind}.model"
+        save_model(tiny_models[kind].to_archive(), good)
+        bad = tmp_path / "bad.model"
+        vocabulary = tiny_models[kind].to_archive().vocabulary
+
+        @settings(deadline=None, max_examples=60)
+        @given(_damaged_vocabulary(vocabulary))
+        def check(damaged):
+            _with_vocabulary(good, bad, damaged)
+            with pytest.raises(ArchiveError, match="vocabulary entry"):
+                load_trained(bad)
+
+        check()
+
+    def test_short_note_entry_exits_1_from_the_cli(self, tmp_path, tiny_ae, capsys):
+        model, lib = tiny_ae
+        good = tmp_path / "autoencoder.model"
+        save_model(model.to_archive(), good)
+        vocabulary = model.to_archive().vocabulary
+        vocabulary["families"]["note"][0] = [60]
+        bad = tmp_path / "bad.model"
+        _with_vocabulary(good, bad, vocabulary)
+        save_library(lib, tmp_path / "lib.lib")
+        code = cli_main([
+            "eval-rank50", "--library", str(tmp_path / "lib.lib"), "--model", str(bad),
+            "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and "'note' vocabulary entry" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("kind", ["autoencoder", "dssm", "lstm"])
     def test_damaged_archive_loads_or_is_an_archive_error(
         self, tmp_path, tiny_models, kind

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from unitsel.augment import AugmentConfig, build_library
+from unitsel._util import canonical_json, sha256_hex
+from unitsel.augment import FULL, AugmentConfig, build_library
 from unitsel.features import (
     FAMILIES,
     FeatureVocabulary,
+    _symbol_from_json,
+    _symbol_json,
     build_vocab,
     extract,
     extract_matrix,
@@ -24,6 +27,20 @@ from unitsel.music import (
 
 Q = Fraction(1, 4)
 WHOLE = Fraction(1, 1)
+
+# Any symbol of each family: ints and positive durations, not only musical ones.
+_INT = st.integers(-(2**40), 2**40)
+_FRACTION = st.fractions(min_value=Fraction(1, 10**6), max_value=64)
+_SYMBOLS = {
+    "note": st.tuples(_INT, _FRACTION),
+    "pitch": _INT,
+    "dur": _FRACTION,
+    "class": _INT,
+    "class_dur": st.tuples(_INT, _FRACTION),
+    "pitch_bigram": st.tuples(_INT, _INT),
+    "dur_bigram": st.tuples(_FRACTION, _FRACTION),
+    "class_bigram": st.tuples(_INT, _INT),
+}
 
 
 def unit_of(events, length=1):
@@ -196,6 +213,52 @@ class TestSnapshot:
         assert again.hash_hex() == vocab.hash_hex()
         u = lib.units[0]
         np.testing.assert_array_equal(extract(u, vocab), extract(u, again))
+
+    def test_snapshot_bytes_are_pinned(self, fixture_corpus):
+        # every archive embeds this snapshot: a codec change that reorders or
+        # rewrites its entries changes the bytes of every archive
+        lib = build_library(
+            fixture_corpus,
+            AugmentConfig(unit_length=1, transpose_shifts=(-2, -1, 0, 1, 2), mode=FULL),
+        )
+        snap = build_vocab(lib).snapshot()
+        assert sha256_hex(canonical_json(snap)) == (
+            "13ab7b1ea7b92c9ae4d2df1eaa93ec6e9f959151c31581e19492c1037976919c"
+        )
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.sampled_from(FAMILIES).flatmap(lambda f: st.tuples(st.just(f), _SYMBOLS[f])))
+    def test_symbol_round_trip(self, family_and_symbol):
+        family, sym = family_and_symbol
+        assert _symbol_from_json(family, _symbol_json(family, sym)) == sym
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.fixed_dictionaries({f: st.lists(_SYMBOLS[f], max_size=6) for f in FAMILIES}))
+    def test_snapshot_round_trip(self, families):
+        snap = FeatureVocabulary(families).snapshot()
+        assert FeatureVocabulary.from_snapshot(snap).snapshot() == snap
+
+    @pytest.mark.parametrize(
+        "family,raw",
+        [
+            ("note", [60]),
+            ("note", [60, 1, 4, 1]),
+            ("note", [True, 1, 4]),
+            ("note", [60.0, 1, 4]),
+            ("pitch", [60]),
+            ("pitch", True),
+            ("pitch", 60.5),
+            ("dur", 4),
+            ("dur", [1, "4"]),
+            ("class_dur", [0, 1, None]),
+            ("pitch_bigram", {"a": 1}),
+            ("dur_bigram", [1, 4, 1]),
+            ("class_bigram", "01"),
+        ],
+    )
+    def test_entry_that_is_not_exactly_integers_is_refused(self, family, raw):
+        with pytest.raises(ValueError, match=f"'{family}' vocabulary entry"):
+            _symbol_from_json(family, raw)
 
     def test_matrix_matches_rows(self, fixture_corpus):
         lib = build_library(

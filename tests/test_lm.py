@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from toygen import make_toy_corpus
-from unitsel._util import chunked_map
+from unitsel._util import canonical_json, chunked_map, sha256_hex
 from unitsel.lm import (
     CONTEXT_LEN,
     OOV,
@@ -518,3 +518,29 @@ class TestVocabularySnapshot:
         again = NoteVocabulary.from_snapshot(vocab.snapshot())
         assert again.symbols == vocab.symbols
         assert again.hash_hex() == vocab.hash_hex()
+
+    def test_snapshot_bytes_are_pinned(self, fixture_corpus):
+        # every LSTM archive embeds this snapshot: a codec change that
+        # reorders or rewrites its entries changes the bytes of every archive
+        snap = build_note_vocab(fixture_corpus).snapshot()
+        assert sha256_hex(canonical_json(snap)) == (
+            "980db32660b59aeadcc5852ab94f88ce24e663c535291d21ea10dc1165718bda"
+        )
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-1, 127), st.fractions(min_value=Fraction(1, 128), max_value=4)),
+            unique=True,
+            max_size=8,
+        )
+    )
+    def test_snapshot_round_trip(self, symbols):
+        snap = NoteVocabulary(symbols).snapshot()
+        assert NoteVocabulary.from_snapshot(snap).snapshot() == snap
+
+    @pytest.mark.parametrize("raw", [[60], [60, 1, 4, 1], [True, 1, 4], [60.0, 1, 4], [60, 1, "4"]])
+    def test_symbol_that_is_not_three_integers_is_refused(self, raw):
+        snap = {"type": "notes", "symbols": [[62, 1, 4], raw]}
+        with pytest.raises(ValueError, match="'note' vocabulary entry"):
+            NoteVocabulary.from_snapshot(snap)
