@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -27,6 +28,54 @@ def exact_ints(values, what: str, length: int | None = None) -> list[int]:
     if length is not None and len(values) != length:
         raise ValueError(f"{what} must be a list of {length} integers, got {values!r}")
     return values
+
+
+def read_text(path, error: type[Exception]) -> str:
+    """A file's UTF-8 text; a file that cannot be read (a directory, say) or
+    is not UTF-8 raises ``error`` naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise error(f"{path}: file not found or not readable ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def decode_json(text: str, error: type[Exception], where: str):
+    """One JSON value; text that is not JSON, or JSON nested too deeply to
+    decode, raises ``error`` naming ``where``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where}: cannot decode JSON ({exc})") from None
+
+
+def json_lines(path, error: type[Exception], magic: str | None = None) -> Iterator[tuple]:
+    """(line number, value, text) of each JSON line of a UTF-8 file, decoded
+    as it is reached. Lines are numbered as an editor numbers them: blank
+    lines count and are skipped. With ``magic`` (``"UNITSEL-LIB 1"``, say)
+    the first line must be that word and version. Every failure raises
+    ``error`` naming the path and, where there is one, the line."""
+    path = os.fspath(path)  # a str formats faster than a Path into each line's name
+    text, start, lineno = read_text(path, error), 0, 0
+    # str.find runs at memory speed; str.split and str.count step a character at a time
+    while start <= len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        line, start, lineno = text[start:end], end + 1, lineno + 1
+        if lineno == 1 and magic is not None:
+            if line.split() != magic.split():
+                wrong = "magic" if line.split()[:1] != magic.split()[:1] else "version"
+                raise error(f"{path}:1: bad {wrong}, expected {magic!r}")
+        elif line.strip():
+            yield lineno, decode_json(line, error, f"{path}:{lineno}"), line
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """A UTF-8 file of one line per item (a magic line is the first item)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(part for line in lines for part in (line, "\n"))  # no copy of a line
 
 
 def write_json(obj, path) -> None:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, load_trained
-from ._util import canonical_json, file_sha256, sha256_hex, write_json
+from ._util import canonical_json, decode_json, file_sha256, read_text, sha256_hex, write_json
 from .augment import FULL, TRANSPOSE_ONLY, AugmentConfig, build_library, transpose_corpus
 from .autoencoder import (
     collision_rate,
@@ -106,18 +106,13 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 def _load_checked(path: str, kind: str):
-    """Load an input file: a "corpus", a "library" or a model archive of
-    ``kind``. A missing file or one the loader rejects is a UserError."""
-    p = Path(path)
-    if not p.exists():
-        what = kind if kind in ("corpus", "library") else "model"
-        raise UserError(f"{what} file not found: {p}")
+    """Load a "corpus", a "library" or a model of ``kind``; any failure is a UserError."""
     try:
         if kind == "corpus":
-            return load_corpus(p)
-        return load_library(p) if kind == "library" else load_trained(p, kind)
+            return load_corpus(path)
+        return load_library(path) if kind == "library" else load_trained(path, kind)
     except (CorpusFormatError, CorpusValidationError) as exc:
-        raise UserError(f"invalid corpus {p}: {exc}") from exc
+        raise UserError(f"invalid corpus {path}: {exc}") from exc
     except ArchiveError as exc:
         raise UserError(str(exc)) from exc
 
@@ -574,12 +569,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         return argv
     if not cfg_path.is_file():
         raise UserError(f"config file not found: {cfg_path}")
-    try:
-        overrides = json.loads(cfg_path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise UserError(f"config file is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise UserError("config file is nested too deeply to read") from exc
+    overrides = decode_json(read_text(cfg_path, UserError), UserError, f"config file {cfg_path}")
     if not isinstance(overrides, dict):
         raise UserError("config file must hold a JSON object of flag values")
     injected: list[str] = []

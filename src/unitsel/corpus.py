@@ -4,20 +4,19 @@ Corpus files are UTF-8 with one JSON piece per line; rests use pitch -1
 and durations are [numerator, denominator] pairs. Model archives carry a
 ``UNITSEL-MODEL`` magic header and hex-encoded float64 weights so that
 save -> load -> save is byte-identical. Unit libraries persist the same
-way under a ``UNITSEL-LIB`` header.
+way under a ``UNITSEL-LIB`` header. ``_util.json_lines`` reads every file
+and ``_util.write_lines`` writes it; the loaders check their records.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
-from ._util import canonical_json, exact_ints, sha256_hex
+from ._util import canonical_json, decode_json, exact_ints, json_lines, sha256_hex, write_lines
 from .music import (
     Measure,
     Note,
@@ -28,9 +27,9 @@ from .music import (
 )
 from .nn import stream_rng
 
-ARCHIVE_MAGIC = "UNITSEL-MODEL"
-LIBRARY_MAGIC = "UNITSEL-LIB"
 FORMAT_VERSION = 1
+ARCHIVE_MAGIC = f"UNITSEL-MODEL {FORMAT_VERSION}"
+LIBRARY_MAGIC = f"UNITSEL-LIB {FORMAT_VERSION}"
 
 MODEL_KINDS = ("autoencoder", "dssm", "lstm")
 
@@ -165,20 +164,11 @@ def load_corpus(path) -> Corpus:
     (with one diagnostic per problem, naming piece and measure) when pieces
     parse but break invariants.
     """
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise CorpusFormatError(f"{path}: empty corpus file")
     pieces: list[Piece] = []
     ids: set[str] = set()
     diagnostics: list[str] = []
     notes: dict = {}
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{path}:{lineno}: not valid JSON ({exc})") from exc
+    for lineno, obj, _ in json_lines(path, CorpusFormatError):
         try:
             piece = piece_from_dict(obj, notes)
         except CorpusFormatError as exc:
@@ -192,6 +182,8 @@ def load_corpus(path) -> Corpus:
             diagnostics.append(f"piece {piece.id}: duplicate piece id at line {lineno}")
         ids.add(piece.id)
         pieces.append(piece)
+    if not pieces and not diagnostics:  # every JSON line gives one or the other
+        raise CorpusFormatError(f"{path}: empty corpus file")
     if diagnostics:
         raise CorpusValidationError(diagnostics)
     meters = {p.measures[0].meter for p in pieces if p.measures}
@@ -204,10 +196,7 @@ def load_corpus(path) -> Corpus:
 
 
 def save_corpus(c: Corpus, path) -> None:
-    Path(path).write_text(
-        "".join(canonical_json(piece_to_dict(p)) + "\n" for p in c.pieces),
-        encoding="utf-8",
-    )
+    write_lines(path, (canonical_json(piece_to_dict(p)) for p in c.pieces))
 
 
 def split_corpus(c: Corpus, train_fraction: float, seed: int) -> tuple[Corpus, Corpus]:
@@ -317,6 +306,8 @@ class ArchivedModel:
             raise ArchiveError(
                 f"{cls.kind} archive has bad vocabulary or hyperparameters ({exc!r})"
             ) from exc
+        if vocab.hash_hex() != archive.vocab_hash():  # not canonical: an unreduced duration, say
+            raise ArchiveError(f"{cls.kind} archive vocabulary is not in canonical form")
         # every shape is compared before the model is built, so a huge
         # hyperparameter is refused before anything is allocated from it
         weights = {}
@@ -363,31 +354,15 @@ def save_model(archive: ModelArchive, path) -> None:
         + canonical_json({"name": name, "shape": list(arr.shape)})[1:]
         for name, arr in archive.weights
     )
-    text = f"{ARCHIVE_MAGIC} {FORMAT_VERSION}\n{head[:-1]},\"weights\":[{weights}]}}\n"
-    Path(path).write_text(text, encoding="utf-8")
+    write_lines(path, [ARCHIVE_MAGIC, f"{head[:-1]},\"weights\":[{weights}]}}"])
 
 
 def load_model(path) -> ModelArchive:
     """Read a model archive; every malformed or tampered file is an ArchiveError."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ArchiveError(f"{path}: not a model archive (not UTF-8 text)") from exc
-    header, _, body = text.partition("\n")
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != ARCHIVE_MAGIC:
-        raise ArchiveError(f"{path}: not a model archive (bad magic)")
-    if parts[1] != str(FORMAT_VERSION):
-        raise ArchiveError(
-            f"{path}: unsupported archive version {parts[1]} (expected {FORMAT_VERSION})"
-        )
-    try:
-        payload = json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise ArchiveError(f"{path}: corrupt archive payload ({exc})") from exc
+    payloads = [value for _, value, _ in json_lines(path, ArchiveError, ARCHIVE_MAGIC)]
+    payload = payloads[0] if len(payloads) == 1 else None
     if not isinstance(payload, dict) or payload.get("format_version") != FORMAT_VERSION:
-        raise ArchiveError(f"{path}: payload version mismatch")
+        raise ArchiveError(f"{path}: expected one payload object of version {FORMAT_VERSION}")
     kind = payload.get("kind")
     if kind not in MODEL_KINDS:
         raise ArchiveError(f"{path}: unknown model kind {kind!r}")
@@ -440,10 +415,8 @@ def save_library(lib, path) -> None:
             "count": len(lib.units),
         }
     )
-    lines = [f"{LIBRARY_MAGIC} {FORMAT_VERSION}", header]
-    for u, origins in zip(lib.units, lib.origins):
-        lines.append(canonical_json(_unit_to_dict(u, origins)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    units = (canonical_json(_unit_to_dict(u, o)) for u, o in zip(lib.units, lib.origins))
+    write_lines(path, [LIBRARY_MAGIC, header, *units])
 
 
 def _is_origin(o) -> bool:
@@ -474,7 +447,10 @@ def _deferred_origins(units: tuple[Unit, ...], lines: list[str | None]):
     return tuple(
         (u.provenance,)
         if line is None
-        else (u.provenance, *(Provenance(*o) for o in json.loads(line)["origins"][1:]))
+        else (
+            u.provenance,
+            *(Provenance(*o) for o in decode_json(line, ArchiveError, "unit line")["origins"][1:]),
+        )
         for u, line in zip(units, lines)
     )
 
@@ -483,36 +459,23 @@ def load_library(path):
     """Read a unit library; every malformed file is an ArchiveError naming it."""
     from .augment import UnitLibrary  # local import to avoid a cycle
 
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ArchiveError(f"{path}: not a unit library (not UTF-8 text)") from exc
-    if not lines:
-        raise ArchiveError(f"{path}: empty library file")
-    parts = lines[0].split()
-    if len(parts) != 2 or parts[0] != LIBRARY_MAGIC:
-        raise ArchiveError(f"{path}: not a unit library (bad magic)")
-    if parts[1] != str(FORMAT_VERSION):
-        raise ArchiveError(f"{path}: unsupported library version {parts[1]}")
-    if len(lines) < 2:
+    records = json_lines(path, ArchiveError, LIBRARY_MAGIC)
+    first = next(records, None)
+    if first is None:
         raise ArchiveError(f"{path}: missing library header line")
+    lineno, header, _ = first
     try:
-        header = json.loads(lines[1])
         meter = _fraction_from_pair(header["meter"], "meter")
         unit_length, count = exact_ints(
             [header["unit_length"], header["count"]], "[unit_length, count]"
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise ArchiveError(f"{path}:2: malformed library header ({exc!r})") from exc
+        raise ArchiveError(f"{path}:{lineno}: malformed library header ({exc!r})") from exc
     units: list[Unit] = []
     more_origins: list[str | None] = []  # the unit line, when it has several
     notes: dict = {}
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
+    for lineno, obj, line in records:
         try:
-            obj = json.loads(line)
             measures = _measures_from_list(obj["measures"], meter, notes)
             origins = obj["origins"]
             unit = Unit(measures=measures, provenance=_own_provenance(origins))

@@ -27,7 +27,6 @@ from .lm import (
     first_note_costs,
     note_distribution,
     tokenize,
-    tokenize_unit,
 )
 from .music import (
     REST,
@@ -293,7 +292,7 @@ def continue_piece(
             )
         current = pick.unit
         measures.extend(current.measures)
-        context.extend(tokenize_unit(current, lm_model.vocab))
+        context.extend(tokenize(current, lm_model.vocab))
     return assemble_piece(measures, f"{piece.id}+{n_units}u")
 
 

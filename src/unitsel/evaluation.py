@@ -11,19 +11,18 @@ the uniform expectation instead of favouring the truth.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from ._util import write_json
+from ._util import decode_json, read_text, write_json
 from .autoencoder import EmbeddedLibrary, require_index
 from .dssm import DssmModel
 from .engine import combined_order
 from .features import extract_matrix
-from .lm import LmModel, context_window, first_tokens, note_distributions, tokenize_unit
+from .lm import LmModel, context_window, first_tokens, note_distributions, tokenize
 from .music import Unit
 from .nn import cosine_rows, draw_pool, rank_order, stream_rng
 
@@ -97,7 +96,7 @@ def next_unit_ranking(
     if needs_lstm:
         contexts = np.stack(
             [
-                context_window(tokenize_unit(p, lm_model.vocab), lm_model.context_len)
+                context_window(tokenize(p, lm_model.vocab), lm_model.context_len)
                 for p in prevs
             ]
         )
@@ -181,5 +180,5 @@ def report(rows: Sequence[RankingRow], path) -> str:
 
 def load_report(json_path) -> list[RankingRow]:
     """Read back the machine-readable report with identical values."""
-    data = json.loads(Path(json_path).read_text(encoding="utf-8"))
+    data = decode_json(read_text(json_path, ValueError), ValueError, str(json_path))
     return [RankingRow(**entry) for entry in data]

@@ -83,7 +83,18 @@ def _symbol_from_json(family: str, raw):
     return _symbol_of_key(family, exact_ints(raw, what, len(parts) + parts.count(Fraction)))
 
 
-class FeatureVocabulary:
+class Vocabulary:
+    _hash_hex: str | None = None
+
+    def hash_hex(self) -> str:
+        """sha256 of the canonical snapshot, computed once: a vocabulary (the
+        feature or the note vocabulary) is never changed after construction."""
+        if self._hash_hex is None:
+            self._hash_hex = sha256_hex(canonical_json(self.snapshot()))
+        return self._hash_hex
+
+
+class FeatureVocabulary(Vocabulary):
     """Dense disjoint index space over the eight families plus tie flags.
 
     Each family block ends with its OOV slot; the last two dimensions are
@@ -102,10 +113,11 @@ class FeatureVocabulary:
             self._columns[fam] = {
                 _symbol_key(fam, sym): offset + i for i, sym in enumerate(syms)
             }
+            if len(self._columns[fam]) != len(syms):
+                raise ValueError(f"duplicate {fam!r} vocabulary entries")
             self._offsets[fam] = offset
             offset += len(syms) + 1  # +1 for the family OOV slot
         self.dimension = offset + N_TIE_FLAGS
-        self._hash_hex: str | None = None
 
     def family_size(self, family: str) -> int:
         return len(self.family_symbols[family])
@@ -147,13 +159,6 @@ class FeatureVocabulary:
                 for fam in FAMILIES
             }
         )
-
-    def hash_hex(self) -> str:
-        """sha256 of the canonical snapshot, computed once: a vocabulary is
-        never changed after construction."""
-        if self._hash_hex is None:
-            self._hash_hex = sha256_hex(canonical_json(self.snapshot()))
-        return self._hash_hex
 
 
 def _note_keys(note: tuple) -> tuple:

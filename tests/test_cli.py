@@ -301,6 +301,50 @@ class TestErrors:
         assert "Traceback" not in err
 
 
+# Each input flag and a command that reads it; the pipeline gives the other files.
+_INPUT_COMMANDS = {
+    "--corpus": lambda p, bad: ["split", "--corpus", bad],
+    "--seed-piece": lambda p, bad: ["generate-notes", "--seed-piece", bad, "--lm", p["lm"]],
+    "--library": lambda p, bad: ["eval-rank50", "--library", bad, "--model", p["ae"]],
+    "--model": lambda p, bad: ["eval-rank50", "--library", p["lib"], "--model", bad],
+    "--dssm": lambda p, bad: ["generate", "--seed-piece", p["test"], "--library", p["lib"],
+                              "--dssm", bad, "--lm", p["lm"]],
+    "--lm": lambda p, bad: ["generate-notes", "--seed-piece", p["test"], "--lm", bad],
+}
+# The line each flag's file starts with: a magic line, or none for a corpus.
+_FIRST_LINE = {"--corpus": "", "--seed-piece": "", "--library": "UNITSEL-LIB 1\n"}
+
+
+class TestUnreadableInputs:
+    """A file that cannot be read, decoded or parsed is a user error naming it."""
+
+    @pytest.mark.parametrize("content", ["directory", "not-utf8", "deep"])
+    @pytest.mark.parametrize("flag", list(_INPUT_COMMANDS))
+    def test_unreadable_input_is_a_user_error(self, pipeline, tmp_path, capsys, flag, content):
+        magic = _FIRST_LINE.get(flag, "UNITSEL-MODEL 1\n")
+        bad = tmp_path / "bad"
+        if content == "directory":
+            bad.mkdir()
+        elif content == "not-utf8":
+            bad.write_bytes(magic.encode() + b"\xff\xfe\n")
+        else:  # json.loads raises RecursionError on it
+            bad.write_text(magic + "[" * 100_000 + "]" * 100_000 + "\n")
+        code = main([*_INPUT_COMMANDS[flag](pipeline, str(bad)), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith("error:") and str(bad) in err
+        assert "Traceback" not in err
+
+    def test_corpus_error_names_the_line_counting_blank_lines(self, tmp_path, capsys):
+        bad = tmp_path / "blanks.cor"
+        first = FIXTURE_CORPUS.read_text(encoding="utf-8").splitlines()[0]
+        bad.write_text(first + '\n\n\n{"id": "p", "measures": [{"notes": [{"pitch": 60}]}]}\n')
+        code = main(["split", "--corpus", str(bad), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{bad}:4: dur" in err and "Traceback" not in err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, pipeline, tmp_path):
         cfg = tmp_path / "cfg.json"

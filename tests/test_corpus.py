@@ -138,19 +138,62 @@ _PIECES = st.fixed_dictionaries(
     },
     optional={"meter": _or_junk(_PAIRS)},
 )
+# JSON nested 100,000 deep, which json.loads refuses with a RecursionError;
+# a value a fuzz replaces by _DEEP_SLOT is written as this text.
+_DEEP = "[" * 100_000 + "]" * 100_000
+_DEEP_SLOT = "@@deep@@"
+# A line's tail that is not UTF-8: the byte 0xff, once the file is written
+# with the surrogateescape error handler (see _file_bytes).
+_NOT_UTF8 = "\udcff"
+
+
+def _dumps(value) -> str:
+    return json.dumps(value).replace(json.dumps(_DEEP_SLOT), _DEEP)
+
+
+def _file_bytes(lines) -> bytes:
+    return ("\n".join(lines) + "\n").encode("utf-8", "surrogateescape")
+
+
+def _damage(draw, value):
+    """``value`` with one nested item replaced by any JSON value (deep
+    nesting included) or removed."""
+    if isinstance(value, (dict, list)) and value and draw(st.booleans()):
+        copy = dict(value) if isinstance(value, dict) else list(value)
+        key = draw(st.sampled_from(list(copy) if isinstance(copy, dict) else range(len(copy))))
+        if draw(st.integers(0, 3)) == 0:
+            del copy[key]
+        else:
+            copy[key] = _damage(draw, copy[key])
+        return copy
+    return draw(JSON_VALUES | st.sampled_from([math.inf, -math.inf, math.nan, _DEEP_SLOT]))
+
+
+_FIXTURE_LINES = FIXTURE_CORPUS.read_text(encoding="utf-8").splitlines()
+
+
+@st.composite
+def _damaged_fixture_line(draw):
+    return _dumps(_damage(draw, json.loads(draw(st.sampled_from(_FIXTURE_LINES)))))
+
+
 _LINES = st.one_of(
     _or_junk(_PIECES).map(json.dumps),
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
-    st.sampled_from(FIXTURE_CORPUS.read_text(encoding="utf-8").splitlines()),
+    st.sampled_from(_FIXTURE_LINES),
+    _damaged_fixture_line(),
+    st.sampled_from(_FIXTURE_LINES).map(lambda line: line + _NOT_UTF8),
 )
 
 
 class TestCorpusFuzz:
     @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.lists(_LINES, min_size=1, max_size=3))
+    @example([_FIXTURE_LINES[0], _DEEP])
+    @example([_FIXTURE_LINES[0] + _NOT_UTF8])
     def test_any_line_loads_or_is_a_corpus_error(self, tmp_path, lines):
         path = tmp_path / "fuzz.cor"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_bytes(_file_bytes(lines))
         try:
             assert isinstance(load_corpus(path), Corpus)
         except (CorpusFormatError, CorpusValidationError):
@@ -170,34 +213,23 @@ _GOOD_LIBRARY = [
 _JUNK_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 
 
-def _damage(draw, value):
-    """``value`` with one nested item replaced by any JSON value or removed."""
-    if isinstance(value, (dict, list)) and value and draw(st.booleans()):
-        copy = dict(value) if isinstance(value, dict) else list(value)
-        key = draw(st.sampled_from(list(copy) if isinstance(copy, dict) else range(len(copy))))
-        if draw(st.integers(0, 3)) == 0:
-            del copy[key]
-        else:
-            copy[key] = _damage(draw, copy[key])
-        return copy
-    return draw(JSON_VALUES | st.sampled_from([math.inf, -math.inf, math.nan]))
-
-
 @st.composite
 def _damaged_libraries(draw):
     """Some JSON lines damaged by value, then up to two lines replaced by junk
-    text, cut short or dropped."""
+    text, cut short, given a tail that is not UTF-8, or dropped."""
     lines = _GOOD_LIBRARY[:1] + [
-        json.dumps(_damage(draw, json.loads(line))) if draw(st.booleans()) else line
+        _dumps(_damage(draw, json.loads(line))) if draw(st.booleans()) else line
         for line in _GOOD_LIBRARY[1:]
     ]
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(lines) - 1))
-        how = draw(st.sampled_from(["text", "cut", "drop"]))
+        how = draw(st.sampled_from(["text", "cut", "not-utf8", "drop"]))
         if how == "text":
             lines[at] = draw(_JUNK_TEXT)
         elif how == "cut":
             lines[at] = lines[at][: draw(st.integers(0, len(lines[at])))]
+        elif how == "not-utf8":
+            lines[at] += _NOT_UTF8
         elif len(lines) > 1:
             del lines[at]
     return lines
@@ -212,9 +244,11 @@ class TestLibraryFuzz:
         + _GOOD_LIBRARY[2:]
     )
     @example(_GOOD_LIBRARY[:2] + [_GOOD_LIBRARY[2].replace('0, "t+1"', 'Infinity, "t+1"')] * 3)
+    @example(_GOOD_LIBRARY[:1] + [_DEEP] + _GOOD_LIBRARY[2:])
+    @example(_GOOD_LIBRARY[:-1] + [_GOOD_LIBRARY[-1] + _NOT_UTF8])
     def test_any_file_loads_or_is_an_archive_error(self, tmp_path, lines):
         path = tmp_path / "fuzz.lib"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_bytes(_file_bytes(lines))
         try:
             assert isinstance(load_library(path), UnitLibrary)
         except ArchiveError:
@@ -788,19 +822,20 @@ def _value_slots(payload):
 
 @st.composite
 def _damaged_archive(draw, text):
-    """A saved archive's text with one value replaced by a junk token, then
-    up to three edits: a cut, a flipped byte or an inserted JSON token."""
+    """A saved archive's text with one value replaced by a junk token or deep
+    nesting, then up to three edits: a cut, a flipped byte, an inserted JSON
+    token or a tail that is not UTF-8."""
     header, body = text.split("\n", 1)
     if draw(st.booleans()):
         payload = json.loads(body)
         container, key = draw(st.sampled_from(_value_slots(payload)))
         container[key] = _JUNK_SLOT
         body = json.dumps(payload).replace(
-            json.dumps(_JUNK_SLOT), draw(st.sampled_from(_JUNK_TOKENS))
+            json.dumps(_JUNK_SLOT), draw(st.sampled_from(_JUNK_TOKENS + [_DEEP]))
         ) + "\n"
     data = bytearray((header + "\n" + body).encode("utf-8"))
     for _ in range(draw(st.integers(0, 3))):
-        how = draw(st.sampled_from(["cut", "flip", "insert"]))
+        how = draw(st.sampled_from(["cut", "flip", "insert", "not-utf8"]))
         at = draw(st.integers(0, len(data)))
         if how == "cut":
             del data[at:]
@@ -809,6 +844,8 @@ def _damaged_archive(draw, text):
         elif how == "insert":
             token = draw(st.sampled_from(_JUNK_TOKENS + [",", ":", "[", "]", "{", "}"]))
             data[at:at] = token.encode()
+        elif how == "not-utf8":
+            data += _NOT_UTF8.encode("utf-8", "surrogateescape")
     return bytes(data)
 
 
@@ -905,6 +942,8 @@ class TestArchiveFuzz:
 
         @settings(deadline=None, max_examples=60)
         @given(_damaged_archive(good.read_text(encoding="utf-8")))
+        @example(f"UNITSEL-MODEL 1\n{_DEEP}\n".encode())
+        @example(good.read_bytes() + _NOT_UTF8.encode("utf-8", "surrogateescape"))
         def check(data):
             bad.write_bytes(data)
             try:
@@ -940,6 +979,39 @@ class TestArchiveFuzz:
         assert code == 1
         assert "error:" in err and "width" in err
         assert "Traceback" not in err
+
+
+def _unreduce_first(entries: list) -> None:
+    """Double the numerator and denominator of the first entry's last fraction."""
+    entries[0] = entries[0][:-2] + [2 * entries[0][-2], 2 * entries[0][-1]]
+
+
+# Each edit leaves every entry exact integers, yet the vocabulary no longer
+# in the canonical form that a model's own snapshot writes.
+_NOT_CANONICAL = {
+    "unreduced-entry": (_unreduce_first, "canonical"),
+    "repeated-entry": (lambda entries: entries.append(entries[0]), "duplicate"),
+}
+
+
+class TestCanonicalVocabulary:
+    """An archive's vocabulary, hash recomputed, must be the canonical snapshot
+    of the vocabulary it rebuilds, so the model's hash is the archive's."""
+
+    @pytest.mark.parametrize("case", sorted(_NOT_CANONICAL))
+    @pytest.mark.parametrize("kind", ["autoencoder", "dssm", "lstm"])
+    def test_vocabulary_not_in_canonical_form_is_an_archive_error(
+        self, tmp_path, tiny_models, kind, case
+    ):
+        edit, message = _NOT_CANONICAL[case]
+        good = tmp_path / f"{kind}.model"
+        save_model(tiny_models[kind].to_archive(), good)
+        vocabulary = tiny_models[kind].to_archive().vocabulary
+        edit(vocabulary["symbols"] if kind == "lstm" else vocabulary["families"]["dur"])
+        bad = tmp_path / "bad.model"
+        _with_vocabulary(good, bad, vocabulary)
+        with pytest.raises(ArchiveError, match=message):
+            load_trained(bad)
 
 
 def _edited_archive(tmp_path, model, edit):

@@ -233,7 +233,9 @@ class TestSnapshot:
         assert _symbol_from_json(family, _symbol_json(family, sym)) == sym
 
     @settings(deadline=None, max_examples=50)
-    @given(st.fixed_dictionaries({f: st.lists(_SYMBOLS[f], max_size=6) for f in FAMILIES}))
+    @given(
+        st.fixed_dictionaries({f: st.lists(_SYMBOLS[f], max_size=6, unique=True) for f in FAMILIES})
+    )
     def test_snapshot_round_trip(self, families):
         snap = FeatureVocabulary(families).snapshot()
         assert FeatureVocabulary.from_snapshot(snap).snapshot() == snap
