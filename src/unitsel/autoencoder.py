@@ -18,14 +18,15 @@ import numpy as np
 
 from ._util import chunked_map
 from .augment import UnitLibrary
-from .corpus import ArchivedModel
-from .features import FeatureVocabulary, extract, extract_matrix
+from .corpus import FeatureModel
+from .features import FeatureVocabulary, extract_matrix
 from .lm import NoteVocabulary, first_tokens
 from .music import Piece, Unit, concatenate_units, slice_units
 from .nn import (
     DenseLayer,
     TrainConfig,
     cosine_rows,
+    dense_stack_forward,
     draw_pool,
     rank_order,
     relevance_batch_loss,
@@ -39,13 +40,12 @@ EMBED_DIM_DEFAULT = 128
 HIDDEN_DIM_DEFAULT = 512
 
 
-class AutoencoderModel(ArchivedModel):
+class AutoencoderModel(FeatureModel):
     """Hourglass dense stack; all layers leaky-rectified."""
 
     kind = "autoencoder"
     layer_names = ("enc1", "enc2", "dec1", "dec2")
     hyperparameter_names = ("hidden", "embedding")
-    vocab_class = FeatureVocabulary
 
     def __init__(
         self,
@@ -54,38 +54,21 @@ class AutoencoderModel(ArchivedModel):
         embedding: int = EMBED_DIM_DEFAULT,
         rng: np.random.Generator | None = None,
     ):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        d = vocab.dimension
-        self.vocab = vocab
-        self.hidden = hidden
-        self.embedding = embedding
-        self.enc1 = DenseLayer(d, hidden, "leaky_relu", rng=rng)
-        self.enc2 = DenseLayer(hidden, embedding, "leaky_relu", rng=rng)
-        self.dec1 = DenseLayer(embedding, hidden, "leaky_relu", rng=rng)
-        self.dec2 = DenseLayer(hidden, d, "leaky_relu", rng=rng)
+        super().__init__(vocab, rng, hidden=hidden, embedding=embedding)
         self.loss_curve: list[float] = []
 
     @staticmethod
     def layer_dims(vocab, hidden, embedding):
         d = vocab.dimension
         dims = [(d, hidden), (hidden, embedding), (embedding, hidden), (hidden, d)]
-        return [(DenseLayer, *io) for io in dims]
+        return [(DenseLayer, *io, "leaky_relu") for io in dims]
 
     def encode_features(self, x: np.ndarray) -> np.ndarray:
         """Deterministic embedding of feature rows (dropout off)."""
-        h, _ = self.enc1.forward(x)
-        e, _ = self.enc2.forward(h)
-        return e
-
-    def encode_unit(self, u: Unit) -> np.ndarray:
-        return self.encode_features(extract(u, self.vocab)[None, :])[0]
+        return dense_stack_forward([self.enc1, self.enc2], x)[0]
 
     def reconstruct_features(self, x: np.ndarray) -> np.ndarray:
-        e = self.encode_features(x)
-        g, _ = self.dec1.forward(e)
-        r, _ = self.dec2.forward(g)
-        return r
+        return dense_stack_forward([self.dec1, self.dec2], self.encode_features(x))[0]
 
 
 def _cases(x: np.ndarray, batch_idx: np.ndarray, negatives: np.ndarray):

@@ -162,29 +162,23 @@ def _write_manifest(args, out: Path) -> None:
     write_json(manifest, out / "manifest.json")
 
 
-def _augment_config(args, mode: str) -> AugmentConfig:
-    return AugmentConfig(
-        unit_length=args.unit_length,
-        transpose_shifts=args.shifts,
-        interval_add_constants=args.add_constants,
-        interval_mul_constants=args.mul_constants,
-        enable_double_time=not args.no_double_time,
-        mode=mode,
-    )
-
-
 def _transposed_corpus(args):
     """The sequence models' material: --corpus at its --shifts only, and the config."""
     corpus = _load_checked(args.corpus, "corpus")
-    cfg = _augment_config(args, TRANSPOSE_ONLY)
+    cfg = AugmentConfig(
+        unit_length=getattr(args, "unit_length", AugmentConfig.unit_length),
+        transpose_shifts=args.shifts,
+        mode=TRANSPOSE_ONLY,
+    )
     return transpose_corpus(corpus, cfg), cfg
 
 
 def _train_config(args) -> TrainConfig:
+    """Training settings from the flags; train-lm has no --negatives."""
     return TrainConfig(
         learning_rate=args.learning_rate,
         dropout_keep=args.dropout_keep,
-        negatives=args.negatives,
+        negatives=getattr(args, "negatives", TrainConfig.negatives),
         epochs=args.epochs,
         batch_size=args.batch_size,
         seed=args.seed,
@@ -225,7 +219,14 @@ def _max_probes(probes: list, args, stream: str) -> list:
 
 def cmd_build_lib(args, out: Path) -> str:
     corpus = _load_checked(args.corpus, "corpus")
-    cfg = _augment_config(args, args.mode)
+    cfg = AugmentConfig(
+        unit_length=args.unit_length,
+        transpose_shifts=args.shifts,
+        interval_add_constants=args.add_constants,
+        interval_mul_constants=args.mul_constants,
+        enable_double_time=not args.no_double_time,
+        mode=args.mode,
+    )
     lib = build_library(corpus, cfg)
     save_library(lib, out / "library.lib")
     return f"built library of {len(lib)} units -> {out / 'library.lib'}"
@@ -402,29 +403,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file of flag defaults (flags win)")
 
 
-def _add_augment_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--unit-length", type=int, default=1, choices=(1, 2, 4))
+def _add_shifts(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--shifts",
         type=_int_list,
         default=None,
         help="comma-separated transpose shifts (default: all in-range)",
     )
-    p.add_argument(
-        "--add-constants", type=_int_list, default=(-2, -1, 1, 2),
-        help="interval addition constants (full mode)",
-    )
-    p.add_argument(
-        "--mul-constants", type=_fraction_list, default=(Fraction(1, 2), Fraction(2)),
-        help="interval multiplication constants, e.g. 1/2,2 (full mode)",
-    )
-    p.add_argument("--no-double-time", action="store_true")
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--learning-rate", type=_POSITIVE, default=0.005)
     p.add_argument("--dropout-keep", type=_SHARE, default=0.5)
-    p.add_argument("--negatives", type=_COUNT, default=4)
     p.add_argument("--epochs", type=_COUNT, default=100)
     p.add_argument("--batch-size", type=_COUNT, default=32)
 
@@ -441,7 +431,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-lib", help="build a unit library from a corpus")
     _add_common(p)
     p.add_argument("--corpus", required=True)
-    _add_augment_flags(p)
+    p.add_argument("--unit-length", type=int, default=1, choices=(1, 2, 4))
+    _add_shifts(p)
+    p.add_argument(
+        "--add-constants", type=_int_list, default=(-2, -1, 1, 2),
+        help="interval addition constants (full mode)",
+    )
+    p.add_argument(
+        "--mul-constants", type=_fraction_list, default=(Fraction(1, 2), Fraction(2)),
+        help="interval multiplication constants, e.g. 1/2,2 (full mode)",
+    )
+    p.add_argument("--no-double-time", action="store_true")
     p.add_argument("--mode", choices=(FULL, TRANSPOSE_ONLY), default=FULL)
     p.set_defaults(func=cmd_build_lib)
 
@@ -449,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--library", required=True)
     _add_train_flags(p)
+    p.add_argument("--negatives", type=_COUNT, default=4)
     p.add_argument("--hidden", type=_COUNT, default=512)
     p.add_argument("--embedding", type=_COUNT, default=128)
     p.set_defaults(func=cmd_train_ae)
@@ -456,14 +457,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-dssm", help="train the successor-relevance model")
     _add_common(p)
     p.add_argument("--corpus", required=True)
-    _add_augment_flags(p)
+    p.add_argument("--unit-length", type=int, default=1, choices=(1, 2, 4))
+    _add_shifts(p)
     _add_train_flags(p)
+    p.add_argument("--negatives", type=_COUNT, default=4)
     p.set_defaults(func=cmd_train_dssm)
 
     p = sub.add_parser("train-lm", help="train the note-level language model")
     _add_common(p)
     p.add_argument("--corpus", required=True)
-    _add_augment_flags(p)
+    _add_shifts(p)
     _add_train_flags(p)
     p.add_argument("--hidden", type=_COUNT, default=128)
     p.set_defaults(func=cmd_train_lm)
@@ -567,8 +570,6 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             break
     else:
         return argv
-    if not cfg_path.is_file():
-        raise UserError(f"config file not found: {cfg_path}")
     overrides = decode_json(read_text(cfg_path, UserError), UserError, f"config file {cfg_path}")
     if not isinstance(overrides, dict):
         raise UserError("config file must hold a JSON object of flag values")

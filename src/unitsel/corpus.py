@@ -10,13 +10,14 @@ and ``_util.write_lines`` writes it; the loaders check their records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
 from ._util import canonical_json, decode_json, exact_ints, json_lines, sha256_hex, write_lines
+from .features import FeatureVocabulary, extract
 from .music import (
     Measure,
     Note,
@@ -227,6 +228,7 @@ class ModelArchive:
 
     Weights are kept as named float64 arrays; the vocabulary snapshot is
     the exact featurizer state used at training time, hash-checked on load.
+    ``verified_hash`` keeps the hash ``load_model`` checked for ``from_archive``.
     """
 
     kind: str
@@ -235,6 +237,7 @@ class ModelArchive:
     weights: list[tuple[str, np.ndarray]]
     vocabulary: dict
     format_version: int = FORMAT_VERSION
+    verified_hash: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def vocab_hash(self) -> str:
         return sha256_hex(canonical_json(self.vocabulary))
@@ -247,16 +250,28 @@ class ModelArchive:
 
 
 class ArchivedModel:
-    """Base of the model classes: named layers and the archive codec.
+    """Base of the model classes: layers declared once, and the archive codec.
 
     A subclass sets ``kind``, the attribute names of its layers in forward
     order (``layer_names``), the integer constructor arguments recorded as
     hyperparameters (``hyperparameter_names``) and the class of its
-    ``vocab`` (``vocab_class``). Its constructor takes the vocabulary
-    followed by those hyperparameters as keywords, and its ``layer_dims``
-    gives, without building anything, each layer's (class, input
-    dimension, output dimension) from the same arguments.
+    ``vocab`` (``vocab_class``). ``layer_dims``, the one list of its layers,
+    gives from the vocabulary and those hyperparameters, without building
+    anything, each layer's class, input and output dimensions and other
+    constructor arguments (a dense layer's activation); the constructor
+    builds them from one generator. ``fixed_hyperparameters`` are checked on load.
     """
+
+    fixed_hyperparameters: dict = {}
+
+    def __init__(self, vocab, rng: np.random.Generator | None = None, **hyperparameters):
+        if rng is None:
+            rng = np.random.default_rng(0)
+        self.vocab = vocab
+        vars(self).update(hyperparameters)
+        dims = self.layer_dims(vocab, **hyperparameters)
+        for name, (layer_class, *args) in zip(self.layer_names, dims):
+            setattr(self, name, layer_class(*args, rng=rng))
 
     @property
     def vocab_hash(self) -> str:
@@ -301,17 +316,21 @@ class ArchivedModel:
                     raise ValueError(
                         f"hyperparameter {h!r} is {value!r}, expected a positive integer"
                     )
+            for h, fixed in cls.fixed_hyperparameters.items():
+                if hp[h] != fixed:
+                    raise ValueError(f"{h} is {hp[h]}, expected {fixed}")
             dims = cls.layer_dims(vocab, **hp)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ArchiveError(
                 f"{cls.kind} archive has bad vocabulary or hyperparameters ({exc!r})"
             ) from exc
-        if vocab.hash_hex() != archive.vocab_hash():  # not canonical: an unreduced duration, say
+        # not canonical: an unreduced duration, say
+        if vocab.hash_hex() != (archive.verified_hash or archive.vocab_hash()):
             raise ArchiveError(f"{cls.kind} archive vocabulary is not in canonical form")
         # every shape is compared before the model is built, so a huge
         # hyperparameter is refused before anything is allocated from it
         weights = {}
-        for name, (layer_class, in_dim, out_dim) in zip(cls.layer_names, dims):
+        for name, (layer_class, in_dim, out_dim, *_) in zip(cls.layer_names, dims):
             shapes = layer_class.param_shapes(in_dim, out_dim)
             for p, expected in zip(layer_class.param_names, shapes):
                 arr = archive.weight(f"{name}.{p}")
@@ -325,6 +344,15 @@ class ArchivedModel:
         for (name, p), arr in weights.items():
             setattr(getattr(model, name), p, arr)
         return model
+
+
+class FeatureModel(ArchivedModel):
+    """An archived model over feature rows: the autoencoder and the relevance model."""
+
+    vocab_class = FeatureVocabulary
+
+    def encode_unit(self, u: Unit) -> np.ndarray:
+        return self.encode_features(extract(u, self.vocab)[None, :])[0]
 
 
 def save_model(archive: ModelArchive, path) -> None:
@@ -395,6 +423,7 @@ def load_model(path) -> ModelArchive:
         raise ArchiveError(f"{path}: malformed archive payload ({exc!r})") from exc
     if archive.vocab_hash() != vocab_hash:
         raise ArchiveError(f"{path}: vocabulary hash mismatch (archive tampered?)")
+    archive.verified_hash = vocab_hash
     return archive
 
 

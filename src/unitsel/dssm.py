@@ -14,13 +14,14 @@ from functools import partial
 
 import numpy as np
 
-from .corpus import ArchivedModel, Corpus
-from .features import FeatureVocabulary, extract, extract_matrix
+from .corpus import Corpus, FeatureModel
+from .features import FeatureVocabulary, extract_matrix
 from .music import Unit, slice_units
 from .nn import (
     DenseLayer,
     TrainConfig,
     cosine_sim,
+    dense_stack_forward,
     relevance_batch_loss,
     stack_rows,
     stream_rng,
@@ -31,11 +32,10 @@ TOWER_WIDTH = 128
 EMBED_DIM = 128
 
 
-class DssmModel(ArchivedModel):
+class DssmModel(FeatureModel):
     kind = "dssm"
     layer_names = ("h1", "h2", "out")
     hyperparameter_names = ("width", "embedding")
-    vocab_class = FeatureVocabulary
 
     def __init__(
         self,
@@ -44,29 +44,19 @@ class DssmModel(ArchivedModel):
         embedding: int = EMBED_DIM,
         rng: np.random.Generator | None = None,
     ):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.vocab = vocab
-        self.width = width
-        self.embedding = embedding
-        self.h1 = DenseLayer(vocab.dimension, width, "relu", rng=rng)
-        self.h2 = DenseLayer(width, width, "relu", rng=rng)
-        self.out = DenseLayer(width, embedding, "linear", rng=rng)
+        super().__init__(vocab, rng, width=width, embedding=embedding)
         self.loss_curve: list[float] = []
 
     @staticmethod
     def layer_dims(vocab, width, embedding):
-        dims = [(vocab.dimension, width), (width, width), (width, embedding)]
-        return [(DenseLayer, *io) for io in dims]
+        return [
+            (DenseLayer, vocab.dimension, width, "relu"),
+            (DenseLayer, width, width, "relu"),
+            (DenseLayer, width, embedding, "linear"),
+        ]
 
     def encode_features(self, x: np.ndarray) -> np.ndarray:
-        a, _ = self.h1.forward(x)
-        b, _ = self.h2.forward(a)
-        e, _ = self.out.forward(b)
-        return e
-
-    def encode_unit(self, u: Unit) -> np.ndarray:
-        return self.encode_features(extract(u, self.vocab)[None, :])[0]
+        return dense_stack_forward(self.layers, x)[0]
 
 
 def make_training_pairs(

@@ -27,9 +27,8 @@ from .nn import (
     DenseLayer,
     LstmLayer,
     TrainConfig,
+    sgd_epochs,
     softmax,
-    dropout_mask,
-    sgd_step,
     stream_rng,
 )
 
@@ -118,6 +117,9 @@ class LmModel(ArchivedModel):
     layer_names = ("lstm1", "lstm2", "out")
     hyperparameter_names = ("hidden", "context_len")
     vocab_class = NoteVocabulary
+    # not a weight shape, so nothing else bounds it; training writes only
+    # CONTEXT_LEN, and scoring allocates a window of this length
+    fixed_hyperparameters = {"context_len": CONTEXT_LEN}
 
     def __init__(
         self,
@@ -126,26 +128,15 @@ class LmModel(ArchivedModel):
         context_len: int = CONTEXT_LEN,
         rng: np.random.Generator | None = None,
     ):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.vocab = vocab
-        self.hidden = hidden
-        self.context_len = context_len
-        self.lstm1 = LstmLayer(vocab.size, hidden, rng=rng)
-        self.lstm2 = LstmLayer(hidden, hidden, rng=rng)
-        self.out = DenseLayer(hidden, vocab.size, "linear", rng=rng)
+        super().__init__(vocab, rng, hidden=hidden, context_len=context_len)
         self.perplexity_curve: list[float] = []
 
     @staticmethod
     def layer_dims(vocab, hidden, context_len):
-        # not a weight shape, so nothing else bounds it; training writes only
-        # CONTEXT_LEN, and scoring allocates a window of this length
-        if context_len != CONTEXT_LEN:
-            raise ValueError(f"context_len is {context_len}, expected {CONTEXT_LEN}")
         return [
             (LstmLayer, vocab.size, hidden),
             (LstmLayer, hidden, hidden),
-            (DenseLayer, hidden, vocab.size),
+            (DenseLayer, hidden, vocab.size, "linear"),
         ]
 
     def step_distributions(
@@ -248,8 +239,7 @@ def lm_batch_loss(
     total = supervised.sum()
     if total == 0:
         raise ValueError("batch has no supervised positions")
-    h1, c1 = model.lstm1.zero_state(b)
-    h2, c2 = model.lstm2.zero_state(b)
+    h1, c1, h2, c2 = model._zero_state(b)
     caches = []
     probs_steps = np.empty((b, t, v))
     for step in range(t):
@@ -268,8 +258,7 @@ def lm_batch_loss(
     loss = nll / total
 
     grads = [np.zeros_like(p) for p in model.params]  # lstm1, lstm2, out
-    dh1_carry, dc1_carry = model.lstm1.zero_state(b)
-    dh2_carry, dc2_carry = model.lstm2.zero_state(b)
+    dh1_carry, dc1_carry, dh2_carry, dc2_carry = model._zero_state(b)
     for step in reversed(range(t)):
         cache1, cache2, cache_out = caches[step]
         dlogits = probs_steps[:, step, :].copy()
@@ -293,9 +282,7 @@ def _eval_perplexity(model: LmModel, x: np.ndarray, y: np.ndarray) -> float:
         yb = y[start : start + 256]
         probs = model.step_distributions(xb)
         sup = yb != PAD
-        rows = np.arange(len(xb))[:, None]
-        cols = np.arange(xb.shape[1])[None, :]
-        p_true = probs[rows, cols, yb]
+        p_true = np.take_along_axis(probs, yb[:, :, None], axis=2)[:, :, 0]
         nll_total -= float(np.sum(np.log(p_true[sup])))
         supervised_total += float(sup.sum())
     return float(np.exp(nll_total / supervised_total))
@@ -307,7 +294,8 @@ def train_lm(
     cfg: TrainConfig,
     hidden: int = 128,
 ) -> LmModel:
-    """Teacher-forced training over sliding windows; deterministic by seed.
+    """Teacher-forced training over sliding windows; deterministic by seed
+    (see :func:`unitsel.nn.sgd_epochs` for the epoch loop).
 
     The recorded curve is evaluation perplexity (dropout off) after each
     epoch.
@@ -316,19 +304,12 @@ def train_lm(
         raise ValueError("need at least one token sequence of length >= 2")
     x, y = make_windows(streams)
     model = LmModel(vocab, hidden=hidden, rng=stream_rng(cfg.seed, "lm-init"))
-    n = len(x)
-    for epoch in range(cfg.epochs):
-        order = stream_rng(cfg.seed, "lm-shuffle", epoch).permutation(n)
-        drop_rng = stream_rng(cfg.seed, "lm-dropout", epoch)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            masks = (
-                dropout_mask(drop_rng, (len(idx), hidden), cfg.dropout_keep),
-                dropout_mask(drop_rng, (len(idx), hidden), cfg.dropout_keep),
-            )
-            _, grads = lm_batch_loss(model, x[idx], y[idx], masks)
-            sgd_step(model.params, grads, cfg.learning_rate)
-        model.perplexity_curve.append(_eval_perplexity(model, x, y))
+    # no negatives, and one dropout row per window, shared across timesteps
+    sgd_epochs(
+        model, len(x), cfg, "lm",
+        lambda idx, _, masks: lm_batch_loss(model, x[idx], y[idx], masks),
+        0, 1, lambda: model.perplexity_curve.append(_eval_perplexity(model, x, y)),
+    )
     return model
 
 

@@ -1,10 +1,10 @@
 """Minimal neural toolkit with manual backpropagation.
 
 Dense layers (linear / rectified / leaky-rectified) and dense stacks, an
-LSTM cell, the cosine-softmax relevance loss with the training loop shared
-by the autoencoder and the relevance model, inverted dropout, plain SGD,
-and a central finite-difference gradient checker. Everything is float64
-numpy; forward passes on frozen parameters are pure and thread-safe.
+LSTM cell, the cosine-softmax relevance loss, the one SGD epoch loop of the
+autoencoder, relevance model and note-LSTM trainers, inverted dropout,
+plain SGD and a central finite-difference gradient checker. Everything is
+float64 numpy; forward passes on frozen parameters are pure and thread-safe.
 
 Randomness is reproducible: every stochastic choice draws from a stream
 generator derived from one master seed via splitmix64 (see
@@ -521,6 +521,42 @@ def _distinct_row_losses(
     return _cosine_softmax(q, out[inverse[cand_rows]], np.zeros(b, dtype=int))[0]
 
 
+def sgd_epochs(
+    model, n: int, cfg: TrainConfig, label: str, batch_loss, negatives: int, rows: int, end_epoch
+) -> None:
+    """The one training loop: ``cfg.epochs`` epochs of minibatch SGD over
+    ``n`` cases, shuffled each epoch by the ``{label}-shuffle`` stream.
+
+    Each batch draws ``negatives`` per case from ``{label}-negatives``
+    (``negs`` is None when 0), then from ``{label}-dropout`` one mask of
+    ``rows`` rows per case for each hidden layer (``model.layers[:-1]``);
+    :func:`sgd_step` applies the gradients of ``batch_loss(idx, negs,
+    masks)``, and ``end_epoch()`` runs after each epoch. A zero-norm output
+    is a :class:`ZeroNormError` naming the epoch and batch (from 1) or loss pass.
+    """
+    for epoch in range(cfg.epochs):
+        order = stream_rng(cfg.seed, f"{label}-shuffle", epoch).permutation(n)
+        neg_rng = stream_rng(cfg.seed, f"{label}-negatives", epoch)
+        drop_rng = stream_rng(cfg.seed, f"{label}-dropout", epoch)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            negs = sample_negatives(neg_rng, idx, n, negatives) if negatives else None
+            masks = [
+                dropout_mask(drop_rng, (len(idx) * rows, layer.out_dim), cfg.dropout_keep)
+                for layer in model.layers[:-1]
+            ]
+            try:
+                _, grads = batch_loss(idx, negs, masks)
+            except ZeroNormError as exc:
+                batch = start // cfg.batch_size + 1
+                raise ZeroNormError(f"epoch {epoch + 1}, batch {batch}: {exc}") from exc
+            sgd_step(model.params, grads, cfg.learning_rate)
+        try:
+            end_epoch()
+        except ZeroNormError as exc:
+            raise ZeroNormError(f"epoch {epoch + 1}, loss pass: {exc}") from exc
+
+
 def train_relevance(
     model,
     n: int,
@@ -531,8 +567,8 @@ def train_relevance(
     encode,
     query_in_tower: bool,
 ) -> None:
-    """SGD epochs of a relevance model over ``n`` cases; negatives are
-    re-sampled each epoch from the ``{label}-negatives`` stream.
+    """:func:`sgd_epochs` of a relevance model over ``n`` cases, with
+    ``cfg.negatives`` negatives per case re-sampled each epoch.
 
     ``cases(idx, negs)`` gives the tower inputs as ``(x, rows)`` parts
     (see :func:`stack_rows`) and the raw queries (None when
@@ -541,42 +577,21 @@ def train_relevance(
     each epoch comes from ``encode`` with dropout off and one fixed
     negative set, so the curve is comparable across epochs; it is taken
     over 512 cases at a time, encoding each distinct input row once.
-    A zero-norm tower output is a :class:`ZeroNormError` naming the epoch
-    and batch (counted from 1).
     """
     k = cfg.negatives
     eval_negs = sample_negatives(
         stream_rng(cfg.seed, f"{label}-eval-negatives"), np.arange(n), n, k
     )
-    rows_per_case = k + (2 if query_in_tower else 1)
-    for epoch in range(cfg.epochs):
-        order = stream_rng(cfg.seed, f"{label}-shuffle", epoch).permutation(n)
-        neg_rng = stream_rng(cfg.seed, f"{label}-negatives", epoch)
-        drop_rng = stream_rng(cfg.seed, f"{label}-dropout", epoch)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            negs = sample_negatives(neg_rng, idx, n, k)
-            rows = len(idx) * rows_per_case
-            masks = [
-                dropout_mask(drop_rng, (rows, layer.out_dim), cfg.dropout_keep)
-                for layer in model.layers[:-1]
-            ]
-            try:
-                _, grads = batch_loss(idx, negs, masks)
-            except ZeroNormError as exc:
-                batch = start // cfg.batch_size + 1
-                raise ZeroNormError(f"epoch {epoch + 1}, batch {batch}: {exc}") from exc
-            sgd_step(model.params, grads, cfg.learning_rate)
+
+    def loss_pass() -> None:
         total = 0.0
         for start in range(0, n, 512):
             idx = np.arange(start, min(start + 512, n))
             parts, raw_query = cases(idx, eval_negs[idx])
-            try:
-                losses = _distinct_row_losses(encode, parts, len(idx), raw_query)
-            except ZeroNormError as exc:
-                raise ZeroNormError(f"epoch {epoch + 1}, loss pass: {exc}") from exc
-            total += float(losses.sum())
+            total += float(_distinct_row_losses(encode, parts, len(idx), raw_query).sum())
         model.loss_curve.append(total / n)
+
+    sgd_epochs(model, n, cfg, label, batch_loss, k, k + (2 if query_in_tower else 1), loss_pass)
 
 
 def grad_check(

@@ -79,6 +79,13 @@ def test_benchmark_calls_still_bind():
     engine.GenerationConfig(unit_length=1, n_units=4, mode=engine.SAMPLED, seed=2025)
     engine.GenerationConfig(mode=engine.DETERMINISTIC, seed=2025)
     assert callable(lm.tokenize_unit)
+    # the train workload's calls, and the constructors its trainers call
+    bind(autoencoder.train_autoencoder, x, x, x)
+    bind(dssm.train_dssm, x, x, x)
+    bind(lm.train_lm, x, x, x, hidden=128)
+    bind(autoencoder.AutoencoderModel, x, hidden=16, embedding=8, rng=x)
+    bind(dssm.DssmModel, x, width=16, embedding=8, rng=x)
+    bind(lm.LmModel, x, hidden=8, context_len=lm.CONTEXT_LEN, rng=x)
 
 
 def test_selection_loop_hits_traced_spans(small_setup):

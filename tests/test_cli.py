@@ -374,7 +374,7 @@ class TestConfigFile:
         code = main(["split", "--corpus", CORPUS, "--out", str(tmp_path / "o"), f"--config={path}"])
         err = capsys.readouterr().err
         assert code == 1
-        assert "config file not found" in err and "Traceback" not in err
+        assert "file not found or not readable" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("shifts", [[-1, 0, 1], "-1,0,1"], ids=["list", "string"])
     def test_config_shifts_match_the_flag(self, tmp_path, shifts):
@@ -403,7 +403,9 @@ _CONFIG_KEYS = [
     "mode", "out", "corpus", "config", "colour", "", "-", "a b", "shifts=1",
 ]
 # Flags of the other fuzzed commands other than their sizes, likewise;
-# train-dssm has the flags of train-lm but --hidden, so it shares their list.
+# train-dssm has the flags of train-lm but --hidden, plus --negatives and
+# --unit-length, so it shares their list (for train-lm those two keys, and
+# no_double_time for both, are flags the command does not know).
 _TRAIN_LM_KEYS = [
     "seed", "learning_rate", "learning-rate", "dropout_keep", "dropout-keep",
     "negatives", "batch_size", "batch-size", "shifts", "unit_length", "no_double_time",
@@ -695,7 +697,8 @@ def _bad_flag_cases():
             ("--batch-size", "0"), ("--epochs", "0"), ("--negatives", "0"),
             ("--dropout-keep", "0"), ("--dropout-keep", "1.5"),
         ):
-            cases.append((f"{command}{flag}-{value}", argv, flag, value))
+            if (command, flag) != ("train-lm", "--negatives"):  # train-lm has no --negatives
+                cases.append((f"{command}{flag}-{value}", argv, flag, value))
     return [pytest.param(argv, flag, value, id=case_id) for case_id, argv, flag, value in cases]
 
 
@@ -709,6 +712,28 @@ class TestBadFlagValues:
         err = capsys.readouterr().err
         assert code == 1
         assert f"error: argument {flag}: must be" in err and "Traceback" not in err
+        assert not out.exists()
+
+    # train-dssm and train-lm read the corpus at its transpositions only, and
+    # train-lm reads neither units nor negatives, so these flags are gone
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            (command, flag)
+            for command in ("train-dssm", "train-lm")
+            for flag in ("--add-constants=5", "--mul-constants=3", "--no-double-time")
+        ]
+        + [("train-lm", "--unit-length=4"), ("train-lm", "--negatives=9")],
+    )
+    def test_removed_flag_is_a_user_error_naming_it(
+        self, pipeline, tmp_path, capsys, command, flag
+    ):
+        out = tmp_path / "o"
+        code = main([command, "--corpus", pipeline["train"], "--shifts=0", flag,
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and flag in err and "Traceback" not in err
         assert not out.exists()
 
     def test_diverged_training_saves_no_model(self, tmp_path, capsys):

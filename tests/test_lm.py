@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from toygen import make_toy_corpus
 from unitsel._util import canonical_json, chunked_map, sha256_hex
+from unitsel.corpus import save_model
 from unitsel.lm import (
     CONTEXT_LEN,
     OOV,
@@ -14,6 +15,7 @@ from unitsel.lm import (
     PAD_PREFIX_ROWS,
     LmModel,
     NoteVocabulary,
+    _eval_perplexity,
     build_note_vocab,
     concat_cost,
     context_window,
@@ -29,7 +31,15 @@ from unitsel.lm import (
     train_lm,
 )
 from unitsel.music import Measure, Note, Piece, Provenance, Unit, whole_rest_measure, REST
-from unitsel.nn import TrainConfig, dropout_mask, softmax, stream_rng
+from unitsel.nn import (
+    DenseLayer,
+    LstmLayer,
+    TrainConfig,
+    dropout_mask,
+    sgd_step,
+    softmax,
+    stream_rng,
+)
 
 Q = Fraction(1, 4)
 
@@ -136,6 +146,46 @@ class TestTraining:
         vocab = NoteVocabulary([(60, Q)])
         with pytest.raises(ValueError):
             train_lm([[vocab.encode((60, Q))]], vocab, TrainConfig(epochs=1, seed=0))
+
+    def test_archive_bytes_are_the_parent_loops(self, tmp_path):
+        # several batches, the last one short, with dropout on
+        corpus = make_toy_corpus(6, n_measures=12, seed=17)
+        vocab = build_note_vocab(corpus)
+        streams = [tokenize(p, vocab) for p in corpus.pieces]
+        cfg = TrainConfig(epochs=2, seed=17, learning_rate=1.0, dropout_keep=0.8, batch_size=5)
+        assert len(make_windows(streams)[0]) % cfg.batch_size != 0
+        model = train_lm(streams, vocab, cfg, hidden=8)
+        parent = _parent_train_lm(streams, vocab, cfg, hidden=8)
+        assert model.perplexity_curve == parent.perplexity_curve
+        save_model(model.to_archive(), tmp_path / "lm.model")
+        save_model(parent.to_archive(), tmp_path / "parent.model")
+        assert (tmp_path / "lm.model").read_bytes() == (tmp_path / "parent.model").read_bytes()
+
+
+def _parent_train_lm(streams, vocab, cfg, hidden):
+    """``train_lm`` as it was before one loop ran every trainer: layers built
+    by hand from the ``lm-init`` stream, and its own epoch loop drawing two
+    ``(batch, hidden)`` dropout masks per batch from ``lm-dropout``."""
+    x, y = make_windows(streams)
+    rng = stream_rng(cfg.seed, "lm-init")
+    model = LmModel(vocab, hidden=hidden)
+    model.lstm1 = LstmLayer(vocab.size, hidden, rng=rng)
+    model.lstm2 = LstmLayer(hidden, hidden, rng=rng)
+    model.out = DenseLayer(hidden, vocab.size, "linear", rng=rng)
+    n = len(x)
+    for epoch in range(cfg.epochs):
+        order = stream_rng(cfg.seed, "lm-shuffle", epoch).permutation(n)
+        drop_rng = stream_rng(cfg.seed, "lm-dropout", epoch)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            masks = (
+                dropout_mask(drop_rng, (len(idx), hidden), cfg.dropout_keep),
+                dropout_mask(drop_rng, (len(idx), hidden), cfg.dropout_keep),
+            )
+            _, grads = lm_batch_loss(model, x[idx], y[idx], masks)
+            sgd_step(model.params, grads, cfg.learning_rate)
+        model.perplexity_curve.append(_eval_perplexity(model, x, y))
+    return model
 
 
 class TestNoteDistribution:
