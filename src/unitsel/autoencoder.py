@@ -38,6 +38,7 @@ from .nn import (
 
 EMBED_DIM_DEFAULT = 128
 HIDDEN_DIM_DEFAULT = 512
+POOL_SIZE = 50  # the paper's ranking pool: the truth plus 49 distractors
 
 
 class AutoencoderModel(FeatureModel):
@@ -213,18 +214,18 @@ def library_similarities(
     """Cosine similarity of one embedding against the whole library.
 
     One ``cosine_rows`` call with the library's cached row norms.
-    ``threads`` is accepted for compatibility and has no effect.
+    ``threads`` is accepted because the benchmark passes it; it has no effect.
     """
     return cosine_rows(query_emb, elib.embeddings, elib.norms)
 
 
 def select_nearest(
-    query_emb: np.ndarray, elib: EmbeddedLibrary, k: int, threads: int = 1
+    query_emb: np.ndarray, elib: EmbeddedLibrary, k: int
 ) -> list[tuple[Unit, float]]:
     """Top-k library units by cosine similarity, ties broken by library order."""
     if len(elib) == 0:
         raise ValueError("empty library")
-    sims = library_similarities(query_emb, elib, threads)
+    sims = library_similarities(query_emb, elib)
     order = rank_order(-sims, top=k)
     return [(elib.library.units[i], float(sims[i])) for i in order]
 
@@ -232,7 +233,8 @@ def select_nearest(
 def reconstruct(
     p: Piece, elib: EmbeddedLibrary, model: AutoencoderModel, threads: int = 1
 ) -> Piece:
-    """Replace each unit of the piece by its nearest library unit."""
+    """Replace each unit of the piece by its nearest library unit.
+    ``threads`` is accepted because the benchmark passes it; it has no effect."""
     require_index(elib, model, AutoencoderModel.kind)
     length = elib.library.unit_length
     if len(p.measures) % length != 0:
@@ -244,7 +246,7 @@ def reconstruct(
     q_emb = model.encode_features(extract_matrix(queries, model.vocab))
     chosen = []
     for row in q_emb:
-        chosen.append(select_nearest(row, elib, 1, threads)[0][0])
+        chosen.append(select_nearest(row, elib, 1)[0][0])
     return concatenate_units(chosen, piece_id=f"{p.id}-recon")
 
 
@@ -254,7 +256,6 @@ def interpolate(
     alpha: float,
     elib: EmbeddedLibrary,
     model: AutoencoderModel,
-    threads: int = 1,
 ) -> Unit:
     """Select the unit nearest to the blend (1-alpha)*enc(a) + alpha*enc(b)."""
     if not 0.0 <= alpha <= 1.0:
@@ -263,7 +264,7 @@ def interpolate(
     blended = (1.0 - alpha) * model.encode_unit(a) + alpha * model.encode_unit(b)
     if np.linalg.norm(blended) == 0.0:
         raise ValueError("degenerate interpolation: blended embedding is zero")
-    return select_nearest(blended, elib, 1, threads)[0][0]
+    return select_nearest(blended, elib, 1)[0][0]
 
 
 def rank_at_50(
@@ -271,7 +272,6 @@ def rank_at_50(
     elib: EmbeddedLibrary,
     probes: list[Unit],
     seed: int,
-    pool_size: int = 50,
 ) -> tuple[float, float]:
     """Identity-retrieval ranking: each probe against itself plus 49 random
     distractors. Returns (mean_rank, top1_accuracy). Ties (collisions)
@@ -279,8 +279,8 @@ def rank_at_50(
     """
     require_index(elib, model, AutoencoderModel.kind)
     n = len(elib)
-    if n < pool_size:
-        raise ValueError(f"library of {n} units is smaller than the pool ({pool_size})")
+    if n < POOL_SIZE:
+        raise ValueError(f"library of {n} units is smaller than the pool ({POOL_SIZE})")
     if not probes:
         raise ValueError("no probes given")
     q_emb = model.encode_features(extract_matrix(probes, model.vocab))
@@ -290,20 +290,18 @@ def rank_at_50(
         if truth_idx is None:
             raise ValueError(f"probe {i} is not in the library")
         rng = stream_rng(seed, "rank50", i)
-        pool = np.concatenate([[truth_idx], draw_pool(rng, n, truth_idx, pool_size - 1)])
+        pool = np.concatenate([[truth_idx], draw_pool(rng, n, truth_idx, POOL_SIZE - 1)])
         sims = cosine_rows(q_emb[i], elib.embeddings[pool])
-        order = rank_order(-sims, rng.random(pool_size))
+        order = rank_order(-sims, rng.random(POOL_SIZE))
         ranks[i] = int(np.where(order == 0)[0][0]) + 1
     return float(ranks.mean()), float(np.mean(ranks == 1))
 
 
-def collision_rate(
-    elib: EmbeddedLibrary, tolerance: float = 1e-9, threads: int = 1
-) -> float:
+def collision_rate(elib: EmbeddedLibrary, threads: int = 1) -> float:
     """Collisions per 100k units.
 
     A unit collides when some distinct unit's embedding has cosine
-    similarity >= 1 - tolerance with it (default tolerance 1e-9).
+    similarity >= 1 - 1e-9 with it.
     """
     n = len(elib)
     if n < 2:
@@ -317,7 +315,7 @@ def collision_rate(
         sims = unit_vecs[start:stop] @ unit_vecs.T
         rows = np.arange(start, stop)
         sims[np.arange(stop - start), rows] = -np.inf  # ignore self
-        return int(np.sum(sims.max(axis=1) >= 1.0 - tolerance))
+        return int(np.sum(sims.max(axis=1) >= 1.0 - 1e-9))
 
     collisions = sum(chunked_map(collide_chunk, n, threads))
     return collisions * 100_000.0 / n

@@ -228,14 +228,16 @@ def cmd_build_lib(args, out: Path) -> str:
         mode=args.mode,
     )
     lib = build_library(corpus, cfg)
+    if not lib.units:
+        raise UserError("the library would have no units; check --shifts and --unit-length")
     save_library(lib, out / "library.lib")
     return f"built library of {len(lib)} units -> {out / 'library.lib'}"
 
 
 def cmd_train_ae(args, out: Path) -> str:
     lib = _load_checked(args.library, "library")
-    vocab = build_vocab(lib)
     with _user_error("cannot train the autoencoder: "):
+        vocab = build_vocab(lib)
         model = train_autoencoder(
             lib, vocab, _train_config(args), hidden=args.hidden, embedding=args.embedding
         )
@@ -264,7 +266,8 @@ def cmd_train_lm(args, out: Path) -> str:
     tcorp, _ = _transposed_corpus(args)
     vocab = build_note_vocab(tcorp)
     streams = [tokenize(p, vocab) for p in tcorp.pieces]
-    model = train_lm(streams, vocab, _train_config(args), hidden=args.hidden)
+    with _user_error("cannot train the note model: "):
+        model = train_lm(streams, vocab, _train_config(args), hidden=args.hidden)
     _save_trained(model, out / "lstm.model")
     return (
         f"trained note model (vocab {vocab.size}, final perplexity "
@@ -277,7 +280,7 @@ def cmd_reconstruct(args, out: Path) -> str:
     lib = _load_checked(args.library, "library")
     model = _load_checked(args.model, "autoencoder")
     elib = _embed_checked(model, lib, args.threads)
-    pieces = _each_piece(corpus, lambda p: reconstruct(p, elib, model, args.threads), "reconstruct")
+    pieces = _each_piece(corpus, lambda p: reconstruct(p, elib, model), "reconstruct")
     _save_pieces(pieces, corpus.meter, out / "reconstructed.cor")
     return f"reconstructed {len(pieces)} pieces -> {out / 'reconstructed.cor'}"
 
@@ -304,7 +307,7 @@ def cmd_interpolate(args, out: Path) -> str:
     pieces = []
     for alpha in args.alphas:
         with _user_error():
-            unit = interpolate(a, b, float(alpha), elib, model, args.threads)
+            unit = interpolate(a, b, float(alpha), elib, model)
         pieces.append(Piece(id=f"interp-{float(alpha):.2f}", measures=unit.measures))
     _save_pieces(pieces, corpus.meter, out / "interpolated.cor")
     return f"interpolated {len(pieces)} blends -> {out / 'interpolated.cor'}"
@@ -320,9 +323,7 @@ def cmd_generate(args, out: Path) -> str:
     audit: list = []
 
     def extend(p: Piece) -> Piece:
-        return continue_piece(
-            p, args.units, elib, dssm_model, lm_model, cfg, threads=args.threads, audit=audit
-        )
+        return continue_piece(p, args.units, elib, dssm_model, lm_model, cfg, audit=audit)
 
     pieces = _each_piece(seed_corpus, extend, "extend")
     _save_pieces(pieces, seed_corpus.meter, out / "generated.cor")
@@ -396,10 +397,13 @@ def cmd_split(args, out: Path) -> str:
     return f"split {len(corpus.pieces)} pieces -> {len(train.pieces)} train / {len(test.pieces)} test"
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, threads: bool = False) -> None:
+    """--out, --seed and --config; --threads only where a thread pool runs."""
     p.add_argument("--out", required=True, help="output directory for artifacts")
     p.add_argument("--seed", type=int, default=0, help="global random seed")
-    p.add_argument("--threads", type=_COUNT, default=1, help="worker threads for scoring")
+    if threads:
+        help_text = "worker threads for embedding and batched scoring"
+        p.add_argument("--threads", type=_COUNT, default=1, help=help_text)
     p.add_argument("--config", help="JSON file of flag defaults (flags win)")
 
 
@@ -472,14 +476,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_lm)
 
     p = sub.add_parser("reconstruct", help="reconstruct pieces by unit selection")
-    _add_common(p)
+    _add_common(p, threads=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--library", required=True)
     p.add_argument("--model", required=True, help="autoencoder archive")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("interpolate", help="blend two units in embedding space")
-    _add_common(p)
+    _add_common(p, threads=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--library", required=True)
     p.add_argument("--model", required=True, help="autoencoder archive")
@@ -497,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_interpolate)
 
     p = sub.add_parser("generate", help="extend a seed piece by unit selection")
-    _add_common(p)
+    _add_common(p, threads=True)
     p.add_argument("--seed-piece", required=True, help="corpus file of seed pieces")
     p.add_argument("--library", required=True)
     p.add_argument("--dssm", required=True)
@@ -518,14 +522,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate_notes)
 
     p = sub.add_parser("eval-rank50", help="identity-retrieval ranking of a library")
-    _add_common(p)
+    _add_common(p, threads=True)
     p.add_argument("--library", required=True)
     p.add_argument("--model", required=True, help="autoencoder archive")
     p.add_argument("--max-probes", type=_OPTIONAL_COUNT, default=0, help="0 = all units")
     p.set_defaults(func=cmd_eval_rank50)
 
     p = sub.add_parser("eval-nextunit", help="next-unit ranking on held-out pieces")
-    _add_common(p)
+    _add_common(p, threads=True)
     p.add_argument("--corpus", required=True, help="held-out corpus of probe pieces")
     p.add_argument("--library", required=True)
     p.add_argument("--dssm", required=True)

@@ -340,6 +340,11 @@ class ArchivedModel:
                         f"expected {expected}"
                     )
                 weights[name, p] = arr
+        implied = [dims[0][1], *(d[2] for d in dims)]  # as to_archive writes them
+        if list(archive.layer_dims) != implied:
+            raise ArchiveError(
+                f"{cls.kind} archive has layer_dims {list(archive.layer_dims)}, expected {implied}"
+            )
         model = cls(vocab, **hp)
         for (name, p), arr in weights.items():
             setattr(getattr(model, name), p, arr)

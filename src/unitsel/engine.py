@@ -45,6 +45,9 @@ SAMPLED = "sampled"
 
 @dataclass(frozen=True)
 class GenerationConfig:
+    """Selection settings. No code reads ``unit_length`` or ``n_units``; they
+    stay because the benchmark sets them."""
+
     unit_length: int = 1
     n_units: int = 4
     shortlist_fraction: float = 0.05
@@ -148,7 +151,6 @@ def rank_candidates(
     dssm_model: DssmModel,
     lm_model: LmModel,
     cfg: GenerationConfig,
-    threads: int = 1,
     *,
     top: int | None = None,
 ) -> list[RankedCandidate]:
@@ -166,7 +168,7 @@ def rank_candidates(
         raise ValueError(f"top must be at least 1, got {top}")
     require_index(elib, dssm_model, DssmModel.kind)
     q = dssm_model.encode_unit(seed_unit)
-    sims = library_similarities(q, elib, threads)
+    sims = library_similarities(q, elib)
     units = elib.library.units
     first_ids = elib.first_tokens(lm_model.vocab)
 
@@ -214,7 +216,6 @@ def generate(
     lm_model: LmModel,
     cfg: GenerationConfig,
     piece_id: str = "generated",
-    threads: int = 1,
     audit: list | None = None,
 ) -> Piece:
     """Iteratively select and append ``n_units`` units after the seed.
@@ -228,8 +229,7 @@ def generate(
             f"{elib.library.unit_length}"
         )
     piece = continue_piece(
-        Piece(piece_id, seed.measures), n_units, elib, dssm_model, lm_model, cfg,
-        threads, audit,
+        Piece(piece_id, seed.measures), n_units, elib, dssm_model, lm_model, cfg, audit=audit
     )
     return replace(piece, id=piece_id)
 
@@ -249,7 +249,8 @@ def continue_piece(
     The piece's last unit seeds the selection; the note context handed to
     the join cost is the last 36 tokens of everything emitted so far,
     crossing unit boundaries. Pass ``audit`` to collect one record per
-    step with the shortlist and both ranks.
+    step with the shortlist and both ranks. ``threads`` is accepted because
+    the benchmark passes it; it has no effect.
     """
     length = elib.library.unit_length
     if len(piece.measures) < length:
@@ -268,9 +269,7 @@ def continue_piece(
     measures = list(piece.measures)
     k = shortlist_size(len(elib), cfg.shortlist_fraction)
     for step in range(n_units):
-        shortlist = rank_candidates(
-            current, context, elib, dssm_model, lm_model, cfg, threads, top=k
-        )
+        shortlist = rank_candidates(current, context, elib, dssm_model, lm_model, cfg, top=k)
         pick = _pick(shortlist, cfg, step)
         if audit is not None:
             audit.append(

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from ._util import decode_json, read_text, write_json
-from .autoencoder import EmbeddedLibrary, require_index
+from .autoencoder import POOL_SIZE, EmbeddedLibrary, require_index
 from .dssm import DssmModel
 from .engine import combined_order
 from .features import extract_matrix
@@ -33,7 +33,6 @@ REGIME_RANDOM = "random"
 
 REGIME_ORDER = (REGIME_LSTM, REGIME_DSSM, REGIME_COMBINED, REGIME_RANDOM)
 
-POOL_SIZE = 50
 SHORTLIST_FRACTION = 0.05
 
 
@@ -54,8 +53,6 @@ def next_unit_ranking(
     lm_model: LmModel | None,
     regime: str,
     seed: int,
-    pool_size: int = POOL_SIZE,
-    shortlist_fraction: float = SHORTLIST_FRACTION,
     threads: int = 1,
 ) -> RankingRow:
     """Rank each probe's true successor among seeded random distractors.
@@ -67,9 +64,9 @@ def next_unit_ranking(
     if regime not in REGIME_ORDER:
         raise ValueError(f"unknown regime {regime!r}")
     n_lib = len(elib)
-    if n_lib < pool_size:
+    if n_lib < POOL_SIZE:
         raise ValueError(
-            f"library has {n_lib} units; need at least {pool_size} candidates"
+            f"library has {n_lib} units; need at least {POOL_SIZE} candidates"
         )
     if not test_pairs:
         raise ValueError("no probe pairs")
@@ -108,8 +105,8 @@ def next_unit_ranking(
     ranks = np.empty(n)
     for i in range(n):
         rng = stream_rng(seed, "nextunit", i)
-        draw = draw_pool(rng, n_lib, elib.library.index_of(truths[i]), pool_size - 1)
-        jitter = rng.random(pool_size)
+        draw = draw_pool(rng, n_lib, elib.library.index_of(truths[i]), POOL_SIZE - 1)
+        jitter = rng.random(POOL_SIZE)
 
         if needs_dssm:
             cand_emb = np.concatenate(
@@ -126,11 +123,11 @@ def next_unit_ranking(
             order = rank_order(costs, jitter)
         elif regime == REGIME_COMBINED:
             ranking = combined_order(
-                sims, lambda idxs: costs[idxs], shortlist_fraction, jitter
+                sims, lambda idxs: costs[idxs], SHORTLIST_FRACTION, jitter
             )
             order = ranking.order
         else:
-            order = rank_order(-rng.random(pool_size))
+            order = rank_order(-rng.random(POOL_SIZE))
         ranks[i] = int(np.where(order == 0)[0][0]) + 1
 
     return RankingRow(

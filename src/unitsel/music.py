@@ -251,21 +251,18 @@ def _repair_ties(measures: Sequence[Measure], notes: list[Note]) -> tuple[Measur
     return tuple(out)
 
 
-def slice_units(
-    p: Piece, unit_length: int, stride: int, source_id: str | None = None
-) -> list[Unit]:
+def slice_units(p: Piece, unit_length: int, stride: int) -> list[Unit]:
     """Cut a piece into units of ``unit_length`` measures at the given stride."""
     if unit_length not in (1, 2, 4):
         raise ValueError("unit_length must be 1, 2 or 4")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    sid = source_id if source_id is not None else p.id
     units = []
     for off in range(0, len(p.measures) - unit_length + 1, stride):
         units.append(
             Unit(
                 measures=tuple(p.measures[off : off + unit_length]),
-                provenance=Provenance(source_id=sid, offset=off),
+                provenance=Provenance(source_id=p.id, offset=off),
             )
         )
     return units

@@ -80,7 +80,7 @@ def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
 
-LEAKY_ALPHA_DEFAULT = 0.001
+LEAKY_ALPHA = 0.001  # slope of leaky_relu below zero
 
 
 class DenseLayer:
@@ -93,7 +93,6 @@ class DenseLayer:
         in_dim: int,
         out_dim: int,
         activation: str = "linear",
-        alpha: float = LEAKY_ALPHA_DEFAULT,
         rng: np.random.Generator | None = None,
     ):
         if activation not in ("linear", "relu", "leaky_relu"):
@@ -103,7 +102,6 @@ class DenseLayer:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.activation = activation
-        self.alpha = alpha
         self.w = glorot_uniform(rng, out_dim, in_dim)
         self.b = np.zeros(out_dim)
 
@@ -122,7 +120,7 @@ class DenseLayer:
         elif self.activation == "relu":
             y = np.maximum(z, 0.0)
         else:
-            y = np.where(z > 0.0, z, self.alpha * z)
+            y = np.where(z > 0.0, z, LEAKY_ALPHA * z)
         return y, (x, z)
 
     def backward(
@@ -136,7 +134,7 @@ class DenseLayer:
         elif self.activation == "relu":
             dz = dy * (z > 0.0)
         else:
-            dz = dy * np.where(z > 0.0, 1.0, self.alpha)
+            dz = dy * np.where(z > 0.0, 1.0, LEAKY_ALPHA)
         dw = dz.T @ x
         db = dz.sum(axis=0)
         dx = dz @ self.w if input_grad else None

@@ -1,7 +1,9 @@
+import argparse
 import json
 import sys
 import warnings
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,9 +11,11 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from unitsel import load_trained
 from unitsel.autoencoder import embed_library
-from unitsel.cli import main
-from unitsel.corpus import Corpus, load_corpus, load_library, save_corpus, save_model
-from unitsel.music import Piece, validate_piece
+from unitsel.cli import build_parser, main
+from unitsel.corpus import (
+    LIBRARY_MAGIC, Corpus, load_corpus, load_library, save_corpus, save_model,
+)
+from unitsel.music import Measure, Note, Piece, validate_piece
 
 from conftest import FIXTURE_CORPUS
 
@@ -490,14 +494,19 @@ _SMALL_SIZES = {
 }
 
 
+# The commands that take --threads: those that run a thread pool.
+_THREADED = {"reconstruct", "interpolate", "generate", "eval-rank50", "eval-nextunit"}
+
+
 @st.composite
-def _config_bytes(draw, keys=_CONFIG_KEYS, values=_JSON_VALUES, sizes=None):
-    """Config-file contents: a JSON object of known and unknown flags, any
-    other JSON document, text that is not JSON, or bytes that are not UTF-8."""
+def _config_bytes(draw, keys=_CONFIG_KEYS, values=_JSON_VALUES, sizes=None, threads=False):
+    """Config-file contents: a JSON object of known and unknown flags (with
+    ``threads``, sometimes a --threads value), any other JSON document, text
+    that is not JSON, or bytes that are not UTF-8."""
     shape = draw(st.sampled_from(["object", "object", "object", "json", "text", "bytes"]))
     if shape == "object":
         doc = draw(st.dictionaries(st.sampled_from(keys), values, max_size=4))
-        if draw(st.booleans()):
+        if threads and draw(st.booleans()):
             doc["threads"] = draw(_THREADS)
         for name, size in (sizes or {}).items():
             doc[name] = draw(size)
@@ -537,70 +546,80 @@ _FUZZ_INPUTS = {
 }
 
 
+def _artifact(tmp_path_factory, argv, artifact):
+    out = tmp_path_factory.mktemp("fuzz-input")
+    assert main([*argv, "--out", str(out)]) == 0
+    return str(out / artifact)
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory, fixture_corpus):
+    path = tmp_path_factory.mktemp("fuzz") / "small.cor"
+    pieces = tuple(Piece(p.id, p.measures[:4]) for p in fixture_corpus.pieces[:3])
+    save_corpus(Corpus(pieces=pieces, meter=fixture_corpus.meter), path)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def small_lm(tmp_path_factory, small_corpus):
+    return _artifact(
+        tmp_path_factory,
+        ["train-lm", "--corpus", small_corpus, "--shifts=0", "--epochs", "1", "--hidden", "8"],
+        "lstm.model",
+    )
+
+
+@pytest.fixture(scope="module")
+def small_lib(tmp_path_factory, small_corpus):
+    return _artifact(
+        tmp_path_factory,
+        ["build-lib", "--corpus", small_corpus, "--mode", "transpose_only", _SMALL_SHIFTS],
+        "library.lib",
+    )
+
+
+@pytest.fixture(scope="module")
+def small_ae(tmp_path_factory, small_lib):
+    return _artifact(
+        tmp_path_factory,
+        ["train-ae", "--library", small_lib, "--epochs", "1", "--hidden", "8",
+         "--embedding", "8", "--dropout-keep", "1"],
+        "autoencoder.model",
+    )
+
+
+@pytest.fixture(scope="module")
+def small_dssm(tmp_path_factory, small_corpus):
+    return _artifact(
+        tmp_path_factory,
+        ["train-dssm", "--corpus", small_corpus, _SMALL_SHIFTS, "--epochs", "1"],
+        "dssm.model",
+    )
+
+
+def _small_inputs(request, command) -> list[str]:
+    """The command's input flags, each naming its small file."""
+    return [
+        word if word.startswith("--") else request.getfixturevalue(word)
+        for word in _FUZZ_INPUTS.get(command, ["--corpus", "small_corpus"])
+    ]
+
+
 class TestConfigFuzz:
     """Whatever a config file holds, every fuzzed command succeeds or exits 1
     with an error message and no warning; never an internal error."""
 
-    @staticmethod
-    def _artifact(tmp_path_factory, argv, artifact):
-        out = tmp_path_factory.mktemp("fuzz-input")
-        assert main([*argv, "--out", str(out)]) == 0
-        return str(out / artifact)
-
-    @pytest.fixture(scope="class")
-    def small_corpus(self, tmp_path_factory, fixture_corpus):
-        path = tmp_path_factory.mktemp("fuzz") / "small.cor"
-        pieces = tuple(Piece(p.id, p.measures[:4]) for p in fixture_corpus.pieces[:3])
-        save_corpus(Corpus(pieces=pieces, meter=fixture_corpus.meter), path)
-        return str(path)
-
-    @pytest.fixture(scope="class")
-    def small_lm(self, tmp_path_factory, small_corpus):
-        return self._artifact(
-            tmp_path_factory,
-            ["train-lm", "--corpus", small_corpus, "--shifts=0", "--epochs", "1", "--hidden", "8"],
-            "lstm.model",
-        )
-
-    @pytest.fixture(scope="class")
-    def small_lib(self, tmp_path_factory, small_corpus):
-        return self._artifact(
-            tmp_path_factory,
-            ["build-lib", "--corpus", small_corpus, "--mode", "transpose_only", _SMALL_SHIFTS],
-            "library.lib",
-        )
-
-    @pytest.fixture(scope="class")
-    def small_ae(self, tmp_path_factory, small_lib):
-        return self._artifact(
-            tmp_path_factory,
-            ["train-ae", "--library", small_lib, "--epochs", "1", "--hidden", "8",
-             "--embedding", "8", "--dropout-keep", "1"],
-            "autoencoder.model",
-        )
-
-    @pytest.fixture(scope="class")
-    def small_dssm(self, tmp_path_factory, small_corpus):
-        return self._artifact(
-            tmp_path_factory,
-            ["train-dssm", "--corpus", small_corpus, _SMALL_SHIFTS, "--epochs", "1"],
-            "dssm.model",
-        )
-
     @pytest.mark.parametrize("command", list(_FUZZED))
     def test_config_file_succeeds_or_is_a_user_error(self, request, tmp_path, capsys, command):
         keys, values, sizes = _FUZZED[command]
-        inputs = [
-            word if word.startswith("--") else request.getfixturevalue(word)
-            for word in _FUZZ_INPUTS.get(command, ["--corpus", "small_corpus"])
-        ]
+        inputs = _small_inputs(request, command)
         cfg = tmp_path / "cfg.json"
 
         @settings(
             deadline=None, max_examples=150,
             suppress_health_check=[HealthCheck.function_scoped_fixture],
         )
-        @given(_config_bytes(keys, values, sizes))
+        @given(_config_bytes(keys, values, sizes, threads=command in _THREADED))
         @example(b'{"mul_constants": "1/0"}')
         @example(b'{"mul_constants": [2, "1/0"]}')
         @example(b"[" * 100_000 + b"]" * 100_000)
@@ -627,6 +646,40 @@ class TestConfigFuzz:
         check()
 
 
+def _recording(args: argparse.Namespace):
+    """A copy of ``args`` that records the name of every attribute read, and
+    the set it records them in."""
+    read: set[str] = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    return Recording(**vars(args)), read
+
+
+# Read outside the commands: --out and --config by main, and --seed is
+# recorded in every manifest, read or not.
+_UNREAD_ALLOWED = {"out", "config", "seed"}
+
+
+class TestEveryFlagReachesItsCommand:
+    @pytest.mark.parametrize("command", list(_FUZZED))
+    def test_every_parsed_flag_is_read(self, request, tmp_path, command):
+        sizes = [f"--{name}={_SMALL_SIZES[name]}" for name in _FUZZED[command][2]]
+        out = tmp_path / "o"
+        args = build_parser().parse_args(
+            [command, *_small_inputs(request, command), *sizes, "--out", str(out)]
+        )
+        recorded, read = _recording(args)
+        out.mkdir()
+        args.func(recorded, out)
+        # the subcommand's name and its function are set by the parser, not flags
+        flags = set(vars(args)) - {"command", "func"}
+        assert flags - read - _UNREAD_ALLOWED == set()
+
+
 class TestTrainingUserErrors:
     def test_zero_denominator_flag_is_a_user_error(self, tmp_path, capsys):
         code = main(["build-lib", "--corpus", CORPUS, "--out", str(tmp_path / "o"),
@@ -642,6 +695,39 @@ class TestTrainingUserErrors:
         assert code == 1
         assert "error: cannot train the relevance model: epoch 1, batch 1:" in err
         assert "dropout zeroed a whole row" in err and "Traceback" not in err
+
+    def test_corpus_without_a_two_note_piece_is_a_user_error(self, tmp_path, capsys):
+        whole = Measure((Note(60, Fraction(1)),), Fraction(1))
+        path = tmp_path / "one-note.cor"
+        pieces = (Piece("a", (whole,)), Piece("b", (whole,)))
+        save_corpus(Corpus(pieces=pieces, meter=Fraction(1)), path)
+        out = tmp_path / "o"
+        code = main(["train-lm", "--corpus", str(path), "--out", str(out), "--shifts=0",
+                     "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert "error: cannot train the note model:" in err and "Traceback" not in err
+        assert not (out / "lstm.model").exists()
+
+    @pytest.mark.parametrize("shifts", ["--shifts=", "--shifts=99"])
+    def test_library_of_no_units_is_not_saved(self, tmp_path, capsys, shifts):
+        out = tmp_path / "o"
+        code = main(["build-lib", "--corpus", CORPUS, "--out", str(out), shifts])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert "error:" in err and "--shifts" in err and "Traceback" not in err
+        assert not (out / "library.lib").exists()
+
+    def test_training_on_a_library_of_no_units_is_a_user_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.lib"
+        header = json.dumps({"count": 0, "meter": [1, 1], "unit_length": 1})
+        path.write_text(f"{LIBRARY_MAGIC}\n{header}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["train-ae", "--library", str(path), "--out", str(out), "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert "error: cannot train the autoencoder:" in err and "Traceback" not in err
+        assert not (out / "autoencoder.model").exists()
 
     @pytest.mark.parametrize("command", ["train-ae", "train-dssm"])
     def test_more_negatives_than_cases_is_a_user_error(self, tmp_path, capsys, command):
@@ -702,6 +788,17 @@ def _bad_flag_cases():
     return [pytest.param(argv, flag, value, id=case_id) for case_id, argv, flag, value in cases]
 
 
+# The pipeline's input files of each command that has no --threads.
+_UNTHREADED_INPUTS = {
+    "split": lambda p: ["--corpus", p["train"]],
+    "build-lib": lambda p: ["--corpus", p["train"]],
+    "train-ae": lambda p: ["--library", p["lib"]],
+    "train-dssm": lambda p: ["--corpus", p["train"], "--shifts=0"],
+    "train-lm": lambda p: ["--corpus", p["train"], "--shifts=0"],
+    "generate-notes": lambda p: ["--seed-piece", p["test"], "--lm", p["lm"]],
+}
+
+
 class TestBadFlagValues:
     @pytest.mark.parametrize("argv,flag,value", _bad_flag_cases())
     def test_bad_value_is_a_user_error_naming_the_flag(
@@ -714,8 +811,9 @@ class TestBadFlagValues:
         assert f"error: argument {flag}: must be" in err and "Traceback" not in err
         assert not out.exists()
 
-    # train-dssm and train-lm read the corpus at its transpositions only, and
-    # train-lm reads neither units nor negatives, so these flags are gone
+    # train-dssm and train-lm read the corpus at its transpositions only,
+    # train-lm reads neither units nor negatives, and only the commands that
+    # run a thread pool read --threads, so these flags are gone
     @pytest.mark.parametrize(
         "command,flag",
         [
@@ -723,13 +821,14 @@ class TestBadFlagValues:
             for command in ("train-dssm", "train-lm")
             for flag in ("--add-constants=5", "--mul-constants=3", "--no-double-time")
         ]
-        + [("train-lm", "--unit-length=4"), ("train-lm", "--negatives=9")],
+        + [("train-lm", "--unit-length=4"), ("train-lm", "--negatives=9")]
+        + [(command, "--threads=2") for command in _UNTHREADED_INPUTS],
     )
     def test_removed_flag_is_a_user_error_naming_it(
         self, pipeline, tmp_path, capsys, command, flag
     ):
         out = tmp_path / "o"
-        code = main([command, "--corpus", pipeline["train"], "--shifts=0", flag,
+        code = main([command, *_UNTHREADED_INPUTS[command](pipeline), flag,
                      "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
@@ -775,7 +874,8 @@ class TestWarnings:
 
 
 class TestThreadCount:
-    # Only counts below 1 are run here: a large count would start that many threads.
+    # Only counts below 1 are run here: a large count would start that many
+    # threads. The input files are missing: the bad value is reported first.
     @pytest.mark.parametrize("count", ["0", "-1"])
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_thread_count_below_one_is_a_user_error(self, tmp_path, capsys, count, source):
@@ -786,7 +886,8 @@ class TestThreadCount:
             cfg.write_text(json.dumps({"threads": int(count)}))
             extra = ["--config", str(cfg)]
         out = tmp_path / "o"
-        code = main(["split", "--corpus", CORPUS, "--out", str(out), *extra])
+        code = main(["eval-rank50", "--library", "no.lib", "--model", "no.model",
+                     "--out", str(out), *extra])
         err = capsys.readouterr().err
         assert code == 1
         assert "error:" in err and "--threads" in err and "Traceback" not in err

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -1109,6 +1110,17 @@ class TestHyperparameterSizes:
         assert code == 1
         assert "error:" in err and f"context_len is {value}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["autoencoder", "dssm", "lstm"])
+    def test_layer_dims_other_than_the_weights_imply_is_an_archive_error(
+        self, tmp_path, tiny_models, kind
+    ):
+        # a model loaded from it would save other layer_dims than it was read with
+        model = tiny_models[kind]
+        bad = _edited_archive(tmp_path, model, lambda p: p.update(layer_dims=[7, 7, 7, 7]))
+        implied = re.escape(str(model.to_archive().layer_dims))
+        with pytest.raises(ArchiveError, match=rf"layer_dims \[7, 7, 7, 7\], expected {implied}"):
+            load_trained(bad)
 
     @pytest.mark.parametrize("kind", ["autoencoder", "dssm", "lstm"])
     def test_layer_dims_match_the_built_model(self, tiny_models, kind):

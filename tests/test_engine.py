@@ -139,17 +139,6 @@ class TestRankCandidates:
         head = rank_candidates(*args, top=top)
         assert head == full[:top]
 
-    def test_threads_identical(self, small_setup):
-        s = small_setup
-        cfg = GenerationConfig(unit_length=1, n_units=1)
-        r1 = rank_candidates(
-            s["lib"].units[2], [], s["dssm_elib"], s["dssm"], s["lm"], cfg, threads=1
-        )
-        r4 = rank_candidates(
-            s["lib"].units[2], [], s["dssm_elib"], s["dssm"], s["lm"], cfg, threads=4
-        )
-        assert [rc.index for rc in r1] == [rc.index for rc in r4]
-
     def test_top_below_one_rejected(self, small_setup):
         s = small_setup
         cfg = GenerationConfig(unit_length=1, n_units=1)

@@ -150,7 +150,7 @@ class TestDenseLayer:
         np.testing.assert_array_equal(y, x)
 
     def test_leaky_slope_at_negative_one(self):
-        layer = DenseLayer(1, 1, "leaky_relu", alpha=0.001)
+        layer = DenseLayer(1, 1, "leaky_relu")
         layer.w = np.array([[1.0]])
         layer.b = np.zeros(1)
         y, _ = layer.forward(np.array([[-1.0]]))
