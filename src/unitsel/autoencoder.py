@@ -26,7 +26,7 @@ from .nn import (
     DenseLayer,
     TrainConfig,
     cosine_rows,
-    dense_stack_forward,
+    dense_stack_output,
     draw_pool,
     rank_order,
     relevance_batch_loss,
@@ -36,8 +36,6 @@ from .nn import (
     train_relevance,
 )
 
-EMBED_DIM_DEFAULT = 128
-HIDDEN_DIM_DEFAULT = 512
 POOL_SIZE = 50  # the paper's ranking pool: the truth plus 49 distractors
 
 
@@ -45,18 +43,9 @@ class AutoencoderModel(FeatureModel):
     """Hourglass dense stack; all layers leaky-rectified."""
 
     kind = "autoencoder"
+    hyperparameters = {"hidden": 512, "embedding": 128}
     layer_names = ("enc1", "enc2", "dec1", "dec2")
-    hyperparameter_names = ("hidden", "embedding")
-
-    def __init__(
-        self,
-        vocab: FeatureVocabulary,
-        hidden: int = HIDDEN_DIM_DEFAULT,
-        embedding: int = EMBED_DIM_DEFAULT,
-        rng: np.random.Generator | None = None,
-    ):
-        super().__init__(vocab, rng, hidden=hidden, embedding=embedding)
-        self.loss_curve: list[float] = []
+    curve = "loss_curve"
 
     @staticmethod
     def layer_dims(vocab, hidden, embedding):
@@ -66,10 +55,10 @@ class AutoencoderModel(FeatureModel):
 
     def encode_features(self, x: np.ndarray) -> np.ndarray:
         """Deterministic embedding of feature rows (dropout off)."""
-        return dense_stack_forward([self.enc1, self.enc2], x)[0]
+        return dense_stack_output([self.enc1, self.enc2], x)
 
     def reconstruct_features(self, x: np.ndarray) -> np.ndarray:
-        return dense_stack_forward([self.dec1, self.dec2], self.encode_features(x))[0]
+        return dense_stack_output([self.dec1, self.dec2], self.encode_features(x))
 
 
 def _cases(x: np.ndarray, batch_idx: np.ndarray, negatives: np.ndarray):
@@ -99,8 +88,8 @@ def train_autoencoder(
     lib: UnitLibrary,
     vocab: FeatureVocabulary,
     cfg: TrainConfig,
-    hidden: int = HIDDEN_DIM_DEFAULT,
-    embedding: int = EMBED_DIM_DEFAULT,
+    hidden: int = AutoencoderModel.hyperparameters["hidden"],
+    embedding: int = AutoencoderModel.hyperparameters["embedding"],
 ) -> AutoencoderModel:
     """SGD training of the relevance-reconstruction objective (see
     :func:`unitsel.nn.train_relevance` for the epoch loop and loss curve)."""

@@ -1,9 +1,9 @@
 """Command-line surface for the unit-selection pipeline.
 
 Every subcommand writes its artifacts plus a manifest.json (resolved
-config, config hash, input-file hashes, seed) into the output directory,
-so any artifact can be regenerated bit-exactly from the manifest and the
-inputs; ``main`` runs every command. Exit codes: 0 success, 1 user error,
+config, config hash, input-file hashes, seed where the command takes one)
+into the output directory, so any artifact can be regenerated bit-exactly
+from the manifest and the inputs; ``main`` runs every command. Exit codes: 0 success, 1 user error,
 2 internal error.
 """
 
@@ -25,6 +25,7 @@ from . import __version__, load_trained
 from ._util import canonical_json, decode_json, file_sha256, read_text, sha256_hex, write_json
 from .augment import FULL, TRANSPOSE_ONLY, AugmentConfig, build_library, transpose_corpus
 from .autoencoder import (
+    AutoencoderModel,
     collision_rate,
     embed_library,
     interpolate,
@@ -54,7 +55,7 @@ from .engine import (
 )
 from .evaluation import REGIME_ORDER, next_unit_ranking, report
 from .features import build_vocab
-from .lm import build_note_vocab, tokenize, train_lm
+from .lm import LmModel, build_note_vocab, tokenize, train_lm
 from .music import Piece, slice_units
 from .nn import TrainConfig, stream_rng
 
@@ -397,10 +398,11 @@ def cmd_split(args, out: Path) -> str:
     return f"split {len(corpus.pieces)} pieces -> {len(train.pieces)} train / {len(test.pieces)} test"
 
 
-def _add_common(p: argparse.ArgumentParser, threads: bool = False) -> None:
-    """--out, --seed and --config; --threads only where a thread pool runs."""
+def _add_common(p: argparse.ArgumentParser, threads: bool = False, seed: bool = True) -> None:
+    """--out, --config, --seed where a random stream is drawn, --threads where a pool runs."""
     p.add_argument("--out", required=True, help="output directory for artifacts")
-    p.add_argument("--seed", type=int, default=0, help="global random seed")
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="global random seed")
     if threads:
         help_text = "worker threads for embedding and batched scoring"
         p.add_argument("--threads", type=_COUNT, default=1, help=help_text)
@@ -417,10 +419,11 @@ def _add_shifts(p: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--learning-rate", type=_POSITIVE, default=0.005)
-    p.add_argument("--dropout-keep", type=_SHARE, default=0.5)
-    p.add_argument("--epochs", type=_COUNT, default=100)
-    p.add_argument("--batch-size", type=_COUNT, default=32)
+    """The TrainConfig flags of every trainer, at its defaults."""
+    p.add_argument("--learning-rate", type=_POSITIVE, default=TrainConfig.learning_rate)
+    p.add_argument("--dropout-keep", type=_SHARE, default=TrainConfig.dropout_keep)
+    p.add_argument("--epochs", type=_COUNT, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=_COUNT, default=TrainConfig.batch_size)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,16 +436,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-lib", help="build a unit library from a corpus")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--unit-length", type=int, default=1, choices=(1, 2, 4))
+    p.add_argument("--unit-length", type=int, default=AugmentConfig.unit_length, choices=(1, 2, 4))
     _add_shifts(p)
     p.add_argument(
-        "--add-constants", type=_int_list, default=(-2, -1, 1, 2),
+        "--add-constants", type=_int_list, default=AugmentConfig.interval_add_constants,
         help="interval addition constants (full mode)",
     )
     p.add_argument(
-        "--mul-constants", type=_fraction_list, default=(Fraction(1, 2), Fraction(2)),
+        "--mul-constants", type=_fraction_list, default=AugmentConfig.interval_mul_constants,
         help="interval multiplication constants, e.g. 1/2,2 (full mode)",
     )
     p.add_argument("--no-double-time", action="store_true")
@@ -453,18 +456,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--library", required=True)
     _add_train_flags(p)
-    p.add_argument("--negatives", type=_COUNT, default=4)
-    p.add_argument("--hidden", type=_COUNT, default=512)
-    p.add_argument("--embedding", type=_COUNT, default=128)
+    p.add_argument("--negatives", type=_COUNT, default=TrainConfig.negatives)
+    for name, default in AutoencoderModel.hyperparameters.items():
+        p.add_argument(f"--{name}", type=_COUNT, default=default)
     p.set_defaults(func=cmd_train_ae)
 
     p = sub.add_parser("train-dssm", help="train the successor-relevance model")
     _add_common(p)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--unit-length", type=int, default=1, choices=(1, 2, 4))
+    p.add_argument("--unit-length", type=int, default=AugmentConfig.unit_length, choices=(1, 2, 4))
     _add_shifts(p)
     _add_train_flags(p)
-    p.add_argument("--negatives", type=_COUNT, default=4)
+    p.add_argument("--negatives", type=_COUNT, default=TrainConfig.negatives)
     p.set_defaults(func=cmd_train_dssm)
 
     p = sub.add_parser("train-lm", help="train the note-level language model")
@@ -472,18 +475,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     _add_shifts(p)
     _add_train_flags(p)
-    p.add_argument("--hidden", type=_COUNT, default=128)
+    p.add_argument("--hidden", type=_COUNT, default=LmModel.hyperparameters["hidden"])
     p.set_defaults(func=cmd_train_lm)
 
     p = sub.add_parser("reconstruct", help="reconstruct pieces by unit selection")
-    _add_common(p, threads=True)
+    _add_common(p, threads=True, seed=False)
     p.add_argument("--corpus", required=True)
     p.add_argument("--library", required=True)
     p.add_argument("--model", required=True, help="autoencoder archive")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("interpolate", help="blend two units in embedding space")
-    _add_common(p, threads=True)
+    _add_common(p, threads=True, seed=False)
     p.add_argument("--corpus", required=True)
     p.add_argument("--library", required=True)
     p.add_argument("--model", required=True, help="autoencoder archive")
@@ -507,9 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dssm", required=True)
     p.add_argument("--lm", required=True)
     p.add_argument("--units", type=_COUNT, default=4)
-    p.add_argument("--shortlist-fraction", type=_SHARE, default=0.05)
+    p.add_argument("--shortlist-fraction", type=_SHARE, default=GenerationConfig.shortlist_fraction)
     p.add_argument("--sample", action="store_true", help="sample instead of argmax")
-    p.add_argument("--temperature", type=_POSITIVE, default=1.0)
+    p.add_argument("--temperature", type=_POSITIVE, default=GenerationConfig.temperature)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("generate-notes", help="extend a seed piece note by note")
@@ -518,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lm", required=True)
     p.add_argument("--measures", type=_COUNT, default=4)
     p.add_argument("--sample", action="store_true")
-    p.add_argument("--temperature", type=_POSITIVE, default=1.0)
+    p.add_argument("--temperature", type=_POSITIVE, default=GenerationConfig.temperature)
     p.set_defaults(func=cmd_generate_notes)
 
     p = sub.add_parser("eval-rank50", help="identity-retrieval ranking of a library")

@@ -250,28 +250,40 @@ class ModelArchive:
 
 
 class ArchivedModel:
-    """Base of the model classes: layers declared once, and the archive codec.
+    """Base of the model classes: each model declared once, and the archive codec.
 
-    A subclass sets ``kind``, the attribute names of its layers in forward
-    order (``layer_names``), the integer constructor arguments recorded as
-    hyperparameters (``hyperparameter_names``) and the class of its
-    ``vocab`` (``vocab_class``). ``layer_dims``, the one list of its layers,
-    gives from the vocabulary and those hyperparameters, without building
-    anything, each layer's class, input and output dimensions and other
-    constructor arguments (a dense layer's activation); the constructor
-    builds them from one generator. ``fixed_hyperparameters`` are checked on load.
+    A subclass sets ``kind``, ``hyperparameters`` (each integer
+    hyperparameter's name and default, in archive order), the attribute
+    names of its layers in forward order (``layer_names``), the name of its
+    training curve (``curve``) and the class of its ``vocab``
+    (``vocab_class``). ``layer_dims``, the one list of its layers, gives
+    from the vocabulary and the hyperparameters, without building anything,
+    each layer's class, input and output dimensions and other constructor
+    arguments (a dense layer's activation). A fresh model's layers hold
+    ``initial_params`` drawn in that order from one generator; a loaded
+    model's hold the archive's arrays, shape-checked first, and draw
+    nothing. Both go through ``_assemble``. ``fixed_hyperparameters`` are
+    checked on load.
     """
 
     fixed_hyperparameters: dict = {}
 
-    def __init__(self, vocab, rng: np.random.Generator | None = None, **hyperparameters):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, vocab, *, rng: np.random.Generator | None = None, **hyperparameters):
+        for h in hyperparameters.keys() - self.hyperparameters:
+            raise TypeError(f"{type(self).__name__} has no hyperparameter {h!r}")
+        hp = {**self.hyperparameters, **hyperparameters}
+        rng = np.random.default_rng(0) if rng is None else rng
+        dims = self.layer_dims(vocab, **hp)
+        self._assemble(vocab, hp, dims, [c.initial_params(rng, i, o) for c, i, o, *_ in dims])
+
+    def _assemble(self, vocab, hp: dict, dims: list, params: list[tuple]) -> None:
+        """Set the vocabulary and hyperparameters, build each layer of
+        ``dims`` around its arrays in ``params``, and start an empty curve."""
         self.vocab = vocab
-        vars(self).update(hyperparameters)
-        dims = self.layer_dims(vocab, **hyperparameters)
-        for name, (layer_class, *args) in zip(self.layer_names, dims):
-            setattr(self, name, layer_class(*args, rng=rng))
+        vars(self).update(hp)
+        for name, (layer_class, _, _, *args), arrays in zip(self.layer_names, dims, params):
+            setattr(self, name, layer_class(*arrays, *args))
+        setattr(self, self.curve, [])
 
     @property
     def vocab_hash(self) -> str:
@@ -289,7 +301,7 @@ class ArchivedModel:
         layers = self.layers
         return ModelArchive(
             kind=self.kind,
-            hyperparameters={h: getattr(self, h) for h in self.hyperparameter_names},
+            hyperparameters={h: getattr(self, h) for h in self.hyperparameters},
             layer_dims=[layers[0].in_dim] + [layer.out_dim for layer in layers],
             weights=[
                 (f"{name}.{p}", getattr(layer, p))
@@ -308,7 +320,7 @@ class ArchivedModel:
             )
         try:
             vocab = cls.vocab_class.from_snapshot(archive.vocabulary)
-            hp = {h: archive.hyperparameters[h] for h in cls.hyperparameter_names}
+            hp = {h: archive.hyperparameters[h] for h in cls.hyperparameters}
             for h, value in hp.items():
                 # exact integers only: 1.5 is refused, not truncated, and
                 # JSON's 1e999 (a float infinity) is refused too
@@ -329,9 +341,10 @@ class ArchivedModel:
             raise ArchiveError(f"{cls.kind} archive vocabulary is not in canonical form")
         # every shape is compared before the model is built, so a huge
         # hyperparameter is refused before anything is allocated from it
-        weights = {}
+        params = []
         for name, (layer_class, in_dim, out_dim, *_) in zip(cls.layer_names, dims):
             shapes = layer_class.param_shapes(in_dim, out_dim)
+            params.append([])
             for p, expected in zip(layer_class.param_names, shapes):
                 arr = archive.weight(f"{name}.{p}")
                 if arr.shape != expected:
@@ -339,15 +352,14 @@ class ArchivedModel:
                         f"archive weight {name}.{p} has shape {arr.shape}, "
                         f"expected {expected}"
                     )
-                weights[name, p] = arr
+                params[-1].append(arr)
         implied = [dims[0][1], *(d[2] for d in dims)]  # as to_archive writes them
         if list(archive.layer_dims) != implied:
             raise ArchiveError(
                 f"{cls.kind} archive has layer_dims {list(archive.layer_dims)}, expected {implied}"
             )
-        model = cls(vocab, **hp)
-        for (name, p), arr in weights.items():
-            setattr(getattr(model, name), p, arr)
+        model = cls.__new__(cls)
+        model._assemble(vocab, hp, dims, params)
         return model
 
 

@@ -21,31 +21,19 @@ from .nn import (
     DenseLayer,
     TrainConfig,
     cosine_sim,
-    dense_stack_forward,
+    dense_stack_output,
     relevance_batch_loss,
     stack_rows,
     stream_rng,
     train_relevance,
 )
 
-TOWER_WIDTH = 128
-EMBED_DIM = 128
-
 
 class DssmModel(FeatureModel):
     kind = "dssm"
+    hyperparameters = {"width": 128, "embedding": 128}
     layer_names = ("h1", "h2", "out")
-    hyperparameter_names = ("width", "embedding")
-
-    def __init__(
-        self,
-        vocab: FeatureVocabulary,
-        width: int = TOWER_WIDTH,
-        embedding: int = EMBED_DIM,
-        rng: np.random.Generator | None = None,
-    ):
-        super().__init__(vocab, rng, width=width, embedding=embedding)
-        self.loss_curve: list[float] = []
+    curve = "loss_curve"
 
     @staticmethod
     def layer_dims(vocab, width, embedding):
@@ -56,7 +44,7 @@ class DssmModel(FeatureModel):
         ]
 
     def encode_features(self, x: np.ndarray) -> np.ndarray:
-        return dense_stack_forward(self.layers, x)[0]
+        return dense_stack_output(self.layers, x)
 
 
 def make_training_pairs(
@@ -109,8 +97,8 @@ def train_dssm(
     pairs: list[tuple[Unit, Unit]],
     vocab: FeatureVocabulary,
     cfg: TrainConfig,
-    width: int = TOWER_WIDTH,
-    embedding: int = EMBED_DIM,
+    width: int = DssmModel.hyperparameters["width"],
+    embedding: int = DssmModel.hyperparameters["embedding"],
 ) -> DssmModel:
     """SGD on the consecutive-unit objective (see
     :func:`unitsel.nn.train_relevance`); a zero learning rate yields a flat

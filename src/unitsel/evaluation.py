@@ -20,7 +20,7 @@ import numpy as np
 from ._util import decode_json, read_text, write_json
 from .autoencoder import POOL_SIZE, EmbeddedLibrary, require_index
 from .dssm import DssmModel
-from .engine import combined_order
+from .engine import GenerationConfig, combined_order
 from .features import extract_matrix
 from .lm import LmModel, context_window, first_tokens, note_distributions, tokenize
 from .music import Unit
@@ -33,7 +33,7 @@ REGIME_RANDOM = "random"
 
 REGIME_ORDER = (REGIME_LSTM, REGIME_DSSM, REGIME_COMBINED, REGIME_RANDOM)
 
-SHORTLIST_FRACTION = 0.05
+SHORTLIST_FRACTION = GenerationConfig.shortlist_fraction
 
 
 @dataclass(frozen=True)

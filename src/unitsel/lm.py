@@ -114,22 +114,13 @@ def context_window(history: Sequence[int], length: int = CONTEXT_LEN) -> np.ndar
 
 class LmModel(ArchivedModel):
     kind = "lstm"
+    hyperparameters = {"hidden": 128, "context_len": CONTEXT_LEN}
     layer_names = ("lstm1", "lstm2", "out")
-    hyperparameter_names = ("hidden", "context_len")
+    curve = "perplexity_curve"
     vocab_class = NoteVocabulary
     # not a weight shape, so nothing else bounds it; training writes only
     # CONTEXT_LEN, and scoring allocates a window of this length
     fixed_hyperparameters = {"context_len": CONTEXT_LEN}
-
-    def __init__(
-        self,
-        vocab: NoteVocabulary,
-        hidden: int = 128,
-        context_len: int = CONTEXT_LEN,
-        rng: np.random.Generator | None = None,
-    ):
-        super().__init__(vocab, rng, hidden=hidden, context_len=context_len)
-        self.perplexity_curve: list[float] = []
 
     @staticmethod
     def layer_dims(vocab, hidden, context_len):
@@ -292,7 +283,7 @@ def train_lm(
     streams: Sequence[Sequence[int]],
     vocab: NoteVocabulary,
     cfg: TrainConfig,
-    hidden: int = 128,
+    hidden: int = LmModel.hyperparameters["hidden"],
 ) -> LmModel:
     """Teacher-forced training over sliding windows; deterministic by seed
     (see :func:`unitsel.nn.sgd_epochs` for the epoch loop).

@@ -1,9 +1,10 @@
 """Minimal neural toolkit with manual backpropagation.
 
 Dense layers (linear / rectified / leaky-rectified) and dense stacks, an
-LSTM cell, the cosine-softmax relevance loss, the one SGD epoch loop of the
-autoencoder, relevance model and note-LSTM trainers, inverted dropout,
-plain SGD and a central finite-difference gradient checker. Everything is
+LSTM cell (each layer built around its weight arrays; ``initial_params``
+draws fresh ones), the cosine-softmax relevance loss, the one SGD epoch
+loop of the autoencoder, relevance model and note-LSTM trainers, inverted
+dropout, plain SGD and a central finite-difference gradient checker. Everything is
 float64 numpy; forward passes on frozen parameters are pure and thread-safe.
 
 Randomness is reproducible: every stochastic choice draws from a stream
@@ -88,22 +89,18 @@ class DenseLayer:
 
     param_names = ("w", "b")
 
-    def __init__(
-        self,
-        in_dim: int,
-        out_dim: int,
-        activation: str = "linear",
-        rng: np.random.Generator | None = None,
-    ):
+    def __init__(self, w: np.ndarray, b: np.ndarray, activation: str = "linear"):
         if activation not in ("linear", "relu", "leaky_relu"):
             raise ValueError(f"unknown activation {activation!r}")
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.in_dim = in_dim
-        self.out_dim = out_dim
+        self.out_dim, self.in_dim = w.shape
         self.activation = activation
-        self.w = glorot_uniform(rng, out_dim, in_dim)
-        self.b = np.zeros(out_dim)
+        self.w = w
+        self.b = b
+
+    @staticmethod
+    def initial_params(rng: np.random.Generator, in_dim: int, out_dim: int) -> tuple:
+        """Fresh ``w`` (Glorot-uniform) and ``b`` (zeros)."""
+        return glorot_uniform(rng, out_dim, in_dim), np.zeros(out_dim)
 
     @staticmethod
     def param_shapes(in_dim: int, out_dim: int) -> tuple[tuple[int, ...], ...]:
@@ -146,16 +143,22 @@ class LstmLayer:
 
     param_names = ("w", "u", "b")
 
-    def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator | None = None):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.in_dim = in_dim
-        self.hidden = self.out_dim = hidden
-        self.w = glorot_uniform(rng, 4 * hidden, in_dim)
-        self.u = glorot_uniform(rng, 4 * hidden, hidden)
-        self.b = np.zeros(4 * hidden)
-        # forget-gate bias starts at 1 so early training does not wipe state
-        self.b[hidden : 2 * hidden] = 1.0
+    def __init__(self, w: np.ndarray, u: np.ndarray, b: np.ndarray):
+        self.in_dim = w.shape[1]
+        self.hidden = self.out_dim = u.shape[1]
+        self.w = w
+        self.u = u
+        self.b = b
+
+    @staticmethod
+    def initial_params(rng: np.random.Generator, in_dim: int, hidden: int) -> tuple:
+        """Fresh ``w``, then ``u`` (Glorot-uniform), and ``b``: zero but for
+        the forget gate's 1, so early training does not wipe state."""
+        w = glorot_uniform(rng, 4 * hidden, in_dim)
+        u = glorot_uniform(rng, 4 * hidden, hidden)
+        b = np.zeros(4 * hidden)
+        b[hidden : 2 * hidden] = 1.0
+        return w, u, b
 
     @staticmethod
     def param_shapes(in_dim: int, hidden: int) -> tuple[tuple[int, ...], ...]:
@@ -407,6 +410,15 @@ def dense_stack_forward(
         if masks is not None and i < len(masks):
             x = x * masks[i]
     return x, caches
+
+
+def dense_stack_output(layers: list[DenseLayer], x: np.ndarray) -> np.ndarray:
+    """The stack's output with dropout off, the same bits as
+    ``dense_stack_forward(layers, x)[0]``; each layer's cache is dropped
+    as soon as the next layer has its input, not kept for a backward pass."""
+    for layer in layers:
+        x = layer.forward(x)[0]
+    return x
 
 
 def dense_stack_backward(

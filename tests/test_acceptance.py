@@ -291,7 +291,6 @@ def cli_artifacts(tmp_path_factory):
     run(
         "build-lib", "--corpus", train, "--out", str(root / "lib"),
         "--unit-length", "1", "--shifts=-2,-1,0,1,2", "--mode", "transpose_only",
-        "--seed", "7",
     )
     lib = str(root / "lib" / "library.lib")
     run(

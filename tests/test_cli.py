@@ -1,5 +1,6 @@
 import argparse
 import json
+import shlex
 import sys
 import warnings
 from contextlib import contextmanager
@@ -10,12 +11,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from unitsel import load_trained
-from unitsel.autoencoder import embed_library
+from unitsel.augment import AugmentConfig
+from unitsel.autoencoder import AutoencoderModel, embed_library
 from unitsel.cli import build_parser, main
 from unitsel.corpus import (
     LIBRARY_MAGIC, Corpus, load_corpus, load_library, save_corpus, save_model,
 )
+from unitsel.engine import SAMPLED, GenerationConfig
+from unitsel.lm import LmModel
 from unitsel.music import Measure, Note, Piece, validate_piece
+from unitsel.nn import TrainConfig
 
 from conftest import FIXTURE_CORPUS
 
@@ -51,8 +56,7 @@ def pipeline(tmp_path_factory):
     test_cor = str(root / "split" / "test.cor")
 
     run("build-lib", "--corpus", train_cor, "--out", str(root / "lib"),
-        "--unit-length", "1", "--shifts=-2,-1,0,1,2", "--mode", "transpose_only",
-        "--seed", "7")
+        "--unit-length", "1", "--shifts=-2,-1,0,1,2", "--mode", "transpose_only")
     lib = str(root / "lib" / "library.lib")
 
     run("train-ae", "--library", lib, "--out", str(root / "ae"),
@@ -400,7 +404,8 @@ class TestConfigFile:
         assert from_file["shifts"] == [-1, 0, 1]
 
 
-# Flags of split and build-lib (with "_" or "-"), plus keys no command knows.
+# Flags of split and build-lib (with "_" or "-"), plus keys no command knows
+# (seed is a flag of split only).
 _CONFIG_KEYS = [
     "train_fraction", "train-fraction", "seed", "unit_length", "unit-length",
     "shifts", "add_constants", "mul_constants", "mul-constants", "no_double_time",
@@ -427,6 +432,7 @@ _GENERATE_KEYS = _GENERATE_NOTES_KEYS + [
     "library", "dssm", "shortlist_fraction", "shortlist-fraction",
 ]
 _RANK50_KEYS = ["seed", "library", "model", "out", "config", "colour", "", "a b"]
+# seed is a flag reconstruct and interpolate do not know
 _RECONSTRUCT_KEYS = _RANK50_KEYS + ["corpus"]
 _INTERPOLATE_KEYS = _RECONSTRUCT_KEYS + ["piece_a", "piece-a", "piece_b", "alphas"]
 _NEXTUNIT_KEYS = [
@@ -659,9 +665,8 @@ def _recording(args: argparse.Namespace):
     return Recording(**vars(args)), read
 
 
-# Read outside the commands: --out and --config by main, and --seed is
-# recorded in every manifest, read or not.
-_UNREAD_ALLOWED = {"out", "config", "seed"}
+# Read outside the commands: --out and --config by main.
+_UNREAD_ALLOWED = {"out", "config"}
 
 
 class TestEveryFlagReachesItsCommand:
@@ -797,6 +802,12 @@ _UNTHREADED_INPUTS = {
     "train-lm": lambda p: ["--corpus", p["train"], "--shifts=0"],
     "generate-notes": lambda p: ["--seed-piece", p["test"], "--lm", p["lm"]],
 }
+# The same for the commands that have --threads but no --seed.
+_UNSEEDED_INPUTS = {
+    "reconstruct": lambda p: ["--corpus", p["test"], "--library", p["lib"], "--model", p["ae"]],
+    "interpolate": lambda p: ["--corpus", p["test"], "--library", p["lib"], "--model", p["ae"],
+                              "--piece-a=a", "--piece-b=b"],
+}
 
 
 class TestBadFlagValues:
@@ -812,8 +823,9 @@ class TestBadFlagValues:
         assert not out.exists()
 
     # train-dssm and train-lm read the corpus at its transpositions only,
-    # train-lm reads neither units nor negatives, and only the commands that
-    # run a thread pool read --threads, so these flags are gone
+    # train-lm reads neither units nor negatives, only the commands that run
+    # a thread pool read --threads, and build-lib, reconstruct and
+    # interpolate draw no random stream, so these flags are gone
     @pytest.mark.parametrize(
         "command,flag",
         [
@@ -822,14 +834,15 @@ class TestBadFlagValues:
             for flag in ("--add-constants=5", "--mul-constants=3", "--no-double-time")
         ]
         + [("train-lm", "--unit-length=4"), ("train-lm", "--negatives=9")]
-        + [(command, "--threads=2") for command in _UNTHREADED_INPUTS],
+        + [(command, "--threads=2") for command in _UNTHREADED_INPUTS]
+        + [(command, "--seed=7") for command in ("build-lib", *_UNSEEDED_INPUTS)],
     )
     def test_removed_flag_is_a_user_error_naming_it(
         self, pipeline, tmp_path, capsys, command, flag
     ):
         out = tmp_path / "o"
-        code = main([command, *_UNTHREADED_INPUTS[command](pipeline), flag,
-                     "--out", str(out)])
+        inputs = {**_UNTHREADED_INPUTS, **_UNSEEDED_INPUTS}[command](pipeline)
+        code = main([command, *inputs, flag, "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
         assert "error:" in err and flag in err and "Traceback" not in err
@@ -939,3 +952,85 @@ class TestListAndFractionFlags:
         assert code == 1
         assert f"error: argument --{flag}: must be" in err and "Traceback" not in err
         assert not out.exists()
+
+
+# Each command's required flags; parsing reads none of their values.
+_REQUIRED_FLAGS = {
+    "split": ["--corpus"],
+    "build-lib": ["--corpus"],
+    "train-ae": ["--library"],
+    "train-dssm": ["--corpus"],
+    "train-lm": ["--corpus"],
+    "reconstruct": ["--corpus", "--library", "--model"],
+    "interpolate": ["--corpus", "--library", "--model", "--piece-a", "--piece-b"],
+    "generate": ["--seed-piece", "--library", "--dssm", "--lm"],
+    "generate-notes": ["--seed-piece", "--lm"],
+    "eval-rank50": ["--library", "--model"],
+    "eval-nextunit": ["--corpus", "--library", "--dssm", "--lm"],
+}
+# The library value that each flag's default feeds.
+_LIBRARY_DEFAULTS = {
+    "learning_rate": TrainConfig.learning_rate,
+    "dropout_keep": TrainConfig.dropout_keep,
+    "epochs": TrainConfig.epochs,
+    "batch_size": TrainConfig.batch_size,
+    "negatives": TrainConfig.negatives,
+    "seed": TrainConfig.seed,
+    "shortlist_fraction": GenerationConfig.shortlist_fraction,
+    "temperature": GenerationConfig.temperature,
+    "sample": GenerationConfig.mode == SAMPLED,
+    "unit_length": AugmentConfig.unit_length,
+    "shifts": AugmentConfig.transpose_shifts,
+    "add_constants": AugmentConfig.interval_add_constants,
+    "mul_constants": AugmentConfig.interval_mul_constants,
+    "no_double_time": not AugmentConfig.enable_double_time,
+    "mode": AugmentConfig.mode,
+}
+# The model whose hyperparameter table holds a command's size defaults.
+_MODEL_OF = {"train-ae": AutoencoderModel, "train-lm": LmModel}
+# Defaults that no library function or config holds.
+_CLI_ONLY = {"threads", "train_fraction", "units", "measures", "max_probes", "regimes", "alphas"}
+
+
+class TestFlagDefaults:
+    def test_every_command_is_listed(self):
+        commands = build_parser()._subparsers._group_actions[0].choices
+        assert set(commands) == set(_REQUIRED_FLAGS)
+
+    @pytest.mark.parametrize("command", list(_REQUIRED_FLAGS))
+    def test_each_default_is_the_library_value_it_feeds(self, command):
+        required = _REQUIRED_FLAGS[command]
+        args = build_parser().parse_args([command, "--out=o", *(f"{f}=x" for f in required)])
+        given = {"command", "func", "out", "config"} | {f[2:].replace("-", "_") for f in required}
+        hyperparameters = getattr(_MODEL_OF.get(command), "hyperparameters", {})
+        # --seed feeds a TrainConfig or a GenerationConfig, whose defaults agree
+        assert GenerationConfig.seed == TrainConfig.seed
+        for name, value in vars(args).items():
+            if name in given:
+                continue
+            if name in hyperparameters:
+                expected = hyperparameters[name]
+            else:
+                assert name in _LIBRARY_DEFAULTS or name in _CLI_ONLY, name
+                expected = _LIBRARY_DEFAULTS.get(name, value)
+            assert (type(value), value) == (type(expected), expected), name
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every ``unitsel ...`` command line of README.md, continuation lines
+    joined, as the argument words after ``unitsel``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = text.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("unitsel ")]
+
+
+class TestReadmeCommands:
+    def test_the_walkthrough_runs_every_command(self):
+        assert {argv[0] for argv in _readme_commands()} == set(_REQUIRED_FLAGS)
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+    def test_readme_command_parses(self, argv, capsys):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"unitsel {' '.join(argv)}: {capsys.readouterr().err}")

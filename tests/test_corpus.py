@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import unitsel.corpus as corpus_module
+import unitsel.nn as nn_module
 from unitsel import load_trained
 from unitsel._util import canonical_json, sha256_hex
 from unitsel.augment import AugmentConfig, UnitLibrary, build_library
@@ -395,6 +396,37 @@ class TestModelArchive:
         loaded = load_trained(path)
         assert type(loaded) is type(model)
         np.testing.assert_array_equal(model_outputs(model), model_outputs(loaded))
+
+    @pytest.mark.parametrize("kind", ["autoencoder", "dssm", "lstm"])
+    def test_loading_draws_no_weights(self, tmp_path, tiny_models, kind, monkeypatch):
+        # a loaded model's layers are built around the archive's arrays
+        model = tiny_models[kind]
+        path = tmp_path / f"{kind}.model"
+        save_model(model.to_archive(), path)
+
+        def no_draw(*args):
+            raise AssertionError("a weight was drawn while loading")
+
+        monkeypatch.setattr(nn_module, "glorot_uniform", no_draw)
+        loaded = load_trained(path)
+        np.testing.assert_array_equal(model_outputs(model), model_outputs(loaded))
+        assert getattr(loaded, loaded.curve) == []
+
+    @pytest.mark.parametrize("kind", ["autoencoder", "dssm", "lstm"])
+    def test_unknown_hyperparameter_is_a_type_error_naming_it(self, tiny_models, kind):
+        model_class, vocab = type(tiny_models[kind]), tiny_models[kind].vocab
+        with pytest.raises(TypeError, match="no hyperparameter 'depth'"):
+            model_class(vocab, depth=3)
+        # the generator is keyword-only, so no value is taken for it by position
+        with pytest.raises(TypeError):
+            model_class(vocab, 8)
+
+    @pytest.mark.parametrize("kind", ["autoencoder", "dssm", "lstm"])
+    def test_a_fresh_model_has_the_declared_defaults(self, tiny_models, kind):
+        model_class, vocab = type(tiny_models[kind]), tiny_models[kind].vocab
+        fresh = model_class(vocab)
+        assert fresh.to_archive().hyperparameters == model_class.hyperparameters
+        assert getattr(fresh, model_class.curve) == []
 
     @pytest.mark.parametrize("kind", ["autoencoder", "dssm", "lstm"])
     def test_save_load_save_byte_identical(self, tmp_path, tiny_models, kind):
@@ -1125,7 +1157,7 @@ class TestHyperparameterSizes:
     @pytest.mark.parametrize("kind", ["autoencoder", "dssm", "lstm"])
     def test_layer_dims_match_the_built_model(self, tiny_models, kind):
         model = tiny_models[kind]
-        hp = {h: getattr(model, h) for h in model.hyperparameter_names}
+        hp = {h: getattr(model, h) for h in type(model).hyperparameters}
         built = [(type(layer), layer.in_dim, layer.out_dim) for layer in model.layers]
         # each entry's fields after the first three are constructor arguments
         assert [entry[:3] for entry in type(model).layer_dims(model.vocab, **hp)] == built

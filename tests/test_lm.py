@@ -36,6 +36,7 @@ from unitsel.nn import (
     LstmLayer,
     TrainConfig,
     dropout_mask,
+    glorot_uniform,
     sgd_step,
     softmax,
     stream_rng,
@@ -164,14 +165,19 @@ class TestTraining:
 
 def _parent_train_lm(streams, vocab, cfg, hidden):
     """``train_lm`` as it was before one loop ran every trainer: layers built
-    by hand from the ``lm-init`` stream, and its own epoch loop drawing two
-    ``(batch, hidden)`` dropout masks per batch from ``lm-dropout``."""
+    by hand from the ``lm-init`` stream (each LSTM's ``w``, then its ``u``,
+    layer by layer, then the output layer's ``w``), and its own epoch loop
+    drawing two ``(batch, hidden)`` dropout masks per batch from ``lm-dropout``."""
     x, y = make_windows(streams)
     rng = stream_rng(cfg.seed, "lm-init")
     model = LmModel(vocab, hidden=hidden)
-    model.lstm1 = LstmLayer(vocab.size, hidden, rng=rng)
-    model.lstm2 = LstmLayer(hidden, hidden, rng=rng)
-    model.out = DenseLayer(hidden, vocab.size, "linear", rng=rng)
+    for name, in_dim in (("lstm1", vocab.size), ("lstm2", hidden)):
+        w = glorot_uniform(rng, 4 * hidden, in_dim)
+        u = glorot_uniform(rng, 4 * hidden, hidden)
+        b = np.zeros(4 * hidden)
+        b[hidden : 2 * hidden] = 1.0
+        setattr(model, name, LstmLayer(w, u, b))
+    model.out = DenseLayer(glorot_uniform(rng, vocab.size, hidden), np.zeros(vocab.size), "linear")
     n = len(x)
     for epoch in range(cfg.epochs):
         order = stream_rng(cfg.seed, "lm-shuffle", epoch).permutation(n)

@@ -18,6 +18,7 @@ from unitsel.nn import (
     derive_seed,
     draw_pool,
     dropout_mask,
+    glorot_uniform,
     grad_check,
     rank_order,
     sgd_step,
@@ -142,24 +143,30 @@ class TestSoftmaxRelevance:
 
 class TestDenseLayer:
     def test_linear_identity(self):
-        layer = DenseLayer(3, 3, "linear")
-        layer.w = np.eye(3)
-        layer.b = np.zeros(3)
+        layer = DenseLayer(np.eye(3), np.zeros(3), "linear")
         x = np.array([[1.0, -2.0, 3.0]])
         y, _ = layer.forward(x)
         np.testing.assert_array_equal(y, x)
 
     def test_leaky_slope_at_negative_one(self):
-        layer = DenseLayer(1, 1, "leaky_relu")
-        layer.w = np.array([[1.0]])
-        layer.b = np.zeros(1)
+        layer = DenseLayer(np.array([[1.0]]), np.zeros(1), "leaky_relu")
         y, _ = layer.forward(np.array([[-1.0]]))
         assert y[0, 0] == pytest.approx(-0.001, abs=1e-15)
 
     def test_shape_check(self):
-        layer = DenseLayer(3, 2)
+        layer = DenseLayer(*DenseLayer.initial_params(stream_rng(0, "dense"), 3, 2))
+        assert (layer.in_dim, layer.out_dim) == (3, 2)
         with pytest.raises(ValueError):
             layer.forward(np.ones((1, 4)))
+
+    def test_initial_params_are_glorot_weights_and_zero_bias(self):
+        w, b = DenseLayer.initial_params(stream_rng(0, "dense"), 3, 2)
+        expected = glorot_uniform(stream_rng(0, "dense"), 2, 3)
+        assert np.array_equal(w, expected) and np.array_equal(b, np.zeros(2))
+
+    def test_unknown_activation_is_refused(self):
+        with pytest.raises(ValueError, match="unknown activation 'tanh'"):
+            DenseLayer(np.eye(2), np.zeros(2), "tanh")
 
 
 class TestSgdStep:
@@ -284,13 +291,21 @@ class TestGradCheck:
 
 class TestLstmLayer:
     def test_zero_state_shapes(self):
-        layer = LstmLayer(3, 4)
+        layer = LstmLayer(*LstmLayer.initial_params(stream_rng(0, "lstm"), 3, 4))
+        assert (layer.in_dim, layer.hidden, layer.out_dim) == (3, 4, 4)
         h, c = layer.zero_state(2)
         assert h.shape == (2, 4) and c.shape == (2, 4)
 
+    def test_initial_params_draw_w_then_u_and_open_the_forget_gate(self):
+        w, u, b = LstmLayer.initial_params(stream_rng(0, "lstm"), 3, 4)
+        rng = stream_rng(0, "lstm")
+        assert np.array_equal(w, glorot_uniform(rng, 16, 3))
+        assert np.array_equal(u, glorot_uniform(rng, 16, 4))
+        assert np.array_equal(b, np.repeat([0.0, 1.0, 0.0, 0.0], 4))
+
     def test_step_is_pure(self):
         rng = stream_rng(5, "lstm")
-        layer = LstmLayer(3, 4, rng=rng)
+        layer = LstmLayer(*LstmLayer.initial_params(rng, 3, 4))
         x = rng.normal(size=(2, 3))
         h, c = layer.zero_state(2)
         h1, c1, _ = layer.step(x, h, c)
@@ -323,7 +338,7 @@ def _steps_both_ways(vocab, hidden, ids, seed):
     equal one-hot rows ``np.eye(vocab)[ids]``, and the gate gradient ``da``
     (the dense path's ``dw`` for identity input rows is ``da.T``)."""
     rng = np.random.default_rng(seed)
-    layer = LstmLayer(vocab, hidden, rng=rng)
+    layer = LstmLayer(*LstmLayer.initial_params(rng, vocab, hidden))
     batch = len(ids)
     h, c = rng.normal(size=(batch, hidden)), rng.normal(size=(batch, hidden))
     dh, dc = rng.normal(size=(batch, hidden)), rng.normal(size=(batch, hidden))

@@ -126,7 +126,7 @@ class TestFirstLayerBackward:
     def test_skipping_the_input_gradient_keeps_dw_and_db(self):
         rng = stream_rng(4, "dense-backward")
         for activation in ("linear", "relu", "leaky_relu"):
-            layer = DenseLayer(37, 19, activation, rng=rng)
+            layer = DenseLayer(*DenseLayer.initial_params(rng, 37, 19), activation)
             x = rng.normal(size=(23, 37))
             dy = rng.normal(size=(23, 19))
             _, cache = layer.forward(x)
@@ -138,9 +138,9 @@ class TestFirstLayerBackward:
     def test_stack_gradients_equal_a_full_backward(self):
         rng = stream_rng(5, "dense-stack")
         layers = [
-            DenseLayer(41, 16, "relu", rng=rng),
-            DenseLayer(16, 16, "relu", rng=rng),
-            DenseLayer(16, 8, "linear", rng=rng),
+            DenseLayer(*DenseLayer.initial_params(rng, 41, 16), "relu"),
+            DenseLayer(*DenseLayer.initial_params(rng, 16, 16), "relu"),
+            DenseLayer(*DenseLayer.initial_params(rng, 16, 8), "linear"),
         ]
         x = rng.random((30, 41))
         masks = [dropout_mask(rng, (30, 16), 0.5) for _ in layers[:-1]]
