@@ -127,20 +127,30 @@ def _user_error(prefix: str = ""):
         raise UserError(f"{prefix}{exc}") from exc
 
 
-def _embed_checked(model, lib, threads: int):
-    with _user_error("cannot embed the library: "):
-        return embed_library(model, lib, threads)
-
-
-def _save_trained(model, path: Path) -> None:
-    """Save a trained model unless it diverged, since no command could load it."""
+def _save_trained(model, out: Path, uniform: float) -> Path:
+    """Save a trained model unless it diverged, since no command could load
+    it, and beside it ``curves.json``: its curve and ``uniform``, the score
+    of a uniform guess. Returns the archive's path."""
     if not all(np.isfinite(p).all() for p in model.params):
         raise UserError("training diverged to non-finite weights; lower --learning-rate")
+    path = out / f"{model.kind}.model"
     save_model(model.to_archive(), path)
+    write_json({model.curve: getattr(model, model.curve), "uniform": uniform}, out / "curves.json")
+    return path
 
 
-# Flags that name input files; the manifest hashes each one a command has.
-_INPUT_FLAGS = ("corpus", "library", "model", "seed_piece", "dssm", "lm")
+# Each flag that names an input file: the kind of file it holds and its
+# help, in the order a command loads them. The manifest hashes each one.
+_INPUTS = {
+    "corpus": ("corpus", "corpus file"),
+    "seed_piece": ("corpus", "corpus file of seed pieces"),
+    "library": ("library", "unit library file"),
+    "model": ("autoencoder", "autoencoder archive"),
+    "dssm": ("dssm", "relevance model archive"),
+    "lm": ("lstm", "note LSTM archive"),
+}
+# The input flags of the feature models that embed a command's library.
+_EMBEDDERS = ("model", "dssm")
 
 
 def _write_manifest(args, out: Path) -> None:
@@ -157,15 +167,14 @@ def _write_manifest(args, out: Path) -> None:
         "config": config,
         "config_hash": sha256_hex(canonical_json(config)),
         "input_hashes": {
-            name: file_sha256(getattr(args, name)) for name in _INPUT_FLAGS if hasattr(args, name)
+            name: file_sha256(getattr(args, name)) for name in _INPUTS if hasattr(args, name)
         },
     }
     write_json(manifest, out / "manifest.json")
 
 
-def _transposed_corpus(args):
-    """The sequence models' material: --corpus at its --shifts only, and the config."""
-    corpus = _load_checked(args.corpus, "corpus")
+def _transposed_corpus(args, corpus: Corpus):
+    """The sequence models' material: the corpus at its --shifts only, and the config."""
     cfg = AugmentConfig(
         unit_length=getattr(args, "unit_length", AugmentConfig.unit_length),
         transpose_shifts=args.shifts,
@@ -218,8 +227,7 @@ def _max_probes(probes: list, args, stream: str) -> list:
     return probes
 
 
-def cmd_build_lib(args, out: Path) -> str:
-    corpus = _load_checked(args.corpus, "corpus")
+def cmd_build_lib(args, inputs: dict, out: Path) -> str:
     cfg = AugmentConfig(
         unit_length=args.unit_length,
         transpose_shifts=args.shifts,
@@ -228,73 +236,68 @@ def cmd_build_lib(args, out: Path) -> str:
         enable_double_time=not args.no_double_time,
         mode=args.mode,
     )
-    lib = build_library(corpus, cfg)
+    lib = build_library(inputs["corpus"], cfg)
     if not lib.units:
         raise UserError("the library would have no units; check --shifts and --unit-length")
     save_library(lib, out / "library.lib")
     return f"built library of {len(lib)} units -> {out / 'library.lib'}"
 
 
-def cmd_train_ae(args, out: Path) -> str:
-    lib = _load_checked(args.library, "library")
+def cmd_train_ae(args, inputs: dict, out: Path) -> str:
+    lib = inputs["library"]
     with _user_error("cannot train the autoencoder: "):
         vocab = build_vocab(lib)
         model = train_autoencoder(
             lib, vocab, _train_config(args), hidden=args.hidden, embedding=args.embedding
         )
-    _save_trained(model, out / "autoencoder.model")
+    path = _save_trained(model, out, math.log(1 + args.negatives))
     return (
         f"trained autoencoder ({args.epochs} epochs, final loss "
-        f"{model.loss_curve[-1]:.4f}) -> {out / 'autoencoder.model'}"
+        f"{model.loss_curve[-1]:.4f}) -> {path}"
     )
 
 
-def cmd_train_dssm(args, out: Path) -> str:
-    tcorp, cfg = _transposed_corpus(args)
+def cmd_train_dssm(args, inputs: dict, out: Path) -> str:
+    tcorp, cfg = _transposed_corpus(args, inputs["corpus"])
     with _user_error():
         pairs = make_training_pairs(tcorp, args.unit_length)
         vocab = build_vocab(build_library(tcorp, cfg))
     with _user_error("cannot train the relevance model: "):
         model = train_dssm(pairs, vocab, _train_config(args))
-    _save_trained(model, out / "dssm.model")
+    path = _save_trained(model, out, math.log(1 + args.negatives))
     return (
         f"trained relevance model on {len(pairs)} pairs (final loss "
-        f"{model.loss_curve[-1]:.4f}) -> {out / 'dssm.model'}"
+        f"{model.loss_curve[-1]:.4f}) -> {path}"
     )
 
 
-def cmd_train_lm(args, out: Path) -> str:
-    tcorp, _ = _transposed_corpus(args)
+def cmd_train_lm(args, inputs: dict, out: Path) -> str:
+    tcorp, _ = _transposed_corpus(args, inputs["corpus"])
     vocab = build_note_vocab(tcorp)
     streams = [tokenize(p, vocab) for p in tcorp.pieces]
     with _user_error("cannot train the note model: "):
         model = train_lm(streams, vocab, _train_config(args), hidden=args.hidden)
-    _save_trained(model, out / "lstm.model")
+    path = _save_trained(model, out, vocab.size)
     return (
         f"trained note model (vocab {vocab.size}, final perplexity "
-        f"{model.perplexity_curve[-1]:.2f}) -> {out / 'lstm.model'}"
+        f"{model.perplexity_curve[-1]:.2f}) -> {path}"
     )
 
 
-def cmd_reconstruct(args, out: Path) -> str:
-    corpus = _load_checked(args.corpus, "corpus")
-    lib = _load_checked(args.library, "library")
-    model = _load_checked(args.model, "autoencoder")
-    elib = _embed_checked(model, lib, args.threads)
+def cmd_reconstruct(args, inputs: dict, out: Path) -> str:
+    corpus, elib, model = inputs["corpus"], inputs["embedded"], inputs["model"]
     pieces = _each_piece(corpus, lambda p: reconstruct(p, elib, model), "reconstruct")
     _save_pieces(pieces, corpus.meter, out / "reconstructed.cor")
     return f"reconstructed {len(pieces)} pieces -> {out / 'reconstructed.cor'}"
 
 
-def cmd_interpolate(args, out: Path) -> str:
-    corpus = _load_checked(args.corpus, "corpus")
-    lib = _load_checked(args.library, "library")
-    model = _load_checked(args.model, "autoencoder")
+def cmd_interpolate(args, inputs: dict, out: Path) -> str:
+    corpus, elib, model = inputs["corpus"], inputs["embedded"], inputs["model"]
     by_id = {p.id: p for p in corpus.pieces}
     for which in (args.piece_a, args.piece_b):
         if which not in by_id:
             raise UserError(f"piece {which!r} not in {args.corpus}")
-    length = lib.unit_length
+    length = inputs["library"].unit_length
 
     def head_unit(piece_id: str):
         piece = by_id[piece_id]
@@ -303,7 +306,6 @@ def cmd_interpolate(args, out: Path) -> str:
             raise UserError(f"piece {piece_id!r} is shorter than one unit")
         return units[0]
 
-    elib = _embed_checked(model, lib, args.threads)
     a, b = head_unit(args.piece_a), head_unit(args.piece_b)
     pieces = []
     for alpha in args.alphas:
@@ -314,17 +316,16 @@ def cmd_interpolate(args, out: Path) -> str:
     return f"interpolated {len(pieces)} blends -> {out / 'interpolated.cor'}"
 
 
-def cmd_generate(args, out: Path) -> str:
-    seed_corpus = _load_checked(args.seed_piece, "corpus")
-    lib = _load_checked(args.library, "library")
-    dssm_model = _load_checked(args.dssm, "dssm")
-    lm_model = _load_checked(args.lm, "lstm")
-    elib = _embed_checked(dssm_model, lib, args.threads)
+def cmd_generate(args, inputs: dict, out: Path) -> str:
+    seed_corpus, elib = inputs["seed_piece"], inputs["embedded"]
     cfg = _generation_config(args)
     audit: list = []
 
     def extend(p: Piece) -> Piece:
-        return continue_piece(p, args.units, elib, dssm_model, lm_model, cfg, audit=audit)
+        records: list = []
+        piece = continue_piece(p, args.units, elib, inputs["dssm"], inputs["lm"], cfg, audit=records)
+        audit.extend({**record, "piece": p.id} for record in records)
+        return piece
 
     pieces = _each_piece(seed_corpus, extend, "extend")
     _save_pieces(pieces, seed_corpus.meter, out / "generated.cor")
@@ -332,9 +333,8 @@ def cmd_generate(args, out: Path) -> str:
     return f"generated {len(pieces)} pieces -> {out / 'generated.cor'}"
 
 
-def cmd_generate_notes(args, out: Path) -> str:
-    seed_corpus = _load_checked(args.seed_piece, "corpus")
-    lm_model = _load_checked(args.lm, "lstm")
+def cmd_generate_notes(args, inputs: dict, out: Path) -> str:
+    seed_corpus, lm_model = inputs["seed_piece"], inputs["lm"]
     cfg = _generation_config(args)
     pieces = _each_piece(
         seed_corpus, lambda p: continue_piece_notes(p, args.measures, lm_model, cfg), "extend"
@@ -343,11 +343,9 @@ def cmd_generate_notes(args, out: Path) -> str:
     return f"generated {len(pieces)} pieces -> {out / 'generated-notes.cor'}"
 
 
-def cmd_eval_rank50(args, out: Path) -> str:
-    lib = _load_checked(args.library, "library")
-    model = _load_checked(args.model, "autoencoder")
-    elib = _embed_checked(model, lib, args.threads)
-    probes = _max_probes(list(lib.units), args, "rank50-probes")
+def cmd_eval_rank50(args, inputs: dict, out: Path) -> str:
+    elib, model = inputs["embedded"], inputs["model"]
+    probes = _max_probes(list(inputs["library"].units), args, "rank50-probes")
     with _user_error():
         mean_rank, accuracy = rank_at_50(model, elib, probes, args.seed)
     collisions = collision_rate(elib, threads=args.threads)
@@ -369,13 +367,9 @@ def cmd_eval_rank50(args, out: Path) -> str:
     return text
 
 
-def cmd_eval_nextunit(args, out: Path) -> str:
-    corpus = _load_checked(args.corpus, "corpus")
-    lib = _load_checked(args.library, "library")
-    dssm_model = _load_checked(args.dssm, "dssm")
-    lm_model = _load_checked(args.lm, "lstm")
-    elib = _embed_checked(dssm_model, lib, args.threads)
-    probes = make_training_pairs(corpus, lib.unit_length, strict=False)
+def cmd_eval_nextunit(args, inputs: dict, out: Path) -> str:
+    elib, dssm_model, lm_model = inputs["embedded"], inputs["dssm"], inputs["lm"]
+    probes = make_training_pairs(inputs["corpus"], inputs["library"].unit_length, strict=False)
     if not probes:
         raise UserError("corpus yields no probe pairs at this unit length")
     probes = _max_probes(probes, args, "nextunit-probes")
@@ -389,8 +383,8 @@ def cmd_eval_nextunit(args, out: Path) -> str:
     return report(rows, out / "report.txt")
 
 
-def cmd_split(args, out: Path) -> str:
-    corpus = _load_checked(args.corpus, "corpus")
+def cmd_split(args, inputs: dict, out: Path) -> str:
+    corpus = inputs["corpus"]
     with _user_error():
         train, test = split_corpus(corpus, args.train_fraction, args.seed)
     save_corpus(train, out / "train.cor")
@@ -398,12 +392,32 @@ def cmd_split(args, out: Path) -> str:
     return f"split {len(corpus.pieces)} pieces -> {len(train.pieces)} train / {len(test.pieces)} test"
 
 
-def _add_common(p: argparse.ArgumentParser, threads: bool = False, seed: bool = True) -> None:
-    """--out, --config, --seed where a random stream is drawn, --threads where a pool runs."""
+def run_command(args, out: Path) -> str:
+    """Load each input file the command has, in ``_INPUTS`` order, embed the
+    library with the command's feature model, if it has one, and return
+    ``cmd_*(args, inputs, out)``: ``inputs`` maps each input flag to its
+    loaded file and, where there is one, "embedded" to the embedded library."""
+    inputs = {
+        name: _load_checked(getattr(args, name), kind)
+        for name, (kind, _) in _INPUTS.items()
+        if hasattr(args, name)
+    }
+    for name in _EMBEDDERS:
+        if name in inputs:
+            with _user_error("cannot embed the library: "):
+                inputs["embedded"] = embed_library(inputs[name], inputs["library"], args.threads)
+    return args.func(args, inputs, out)
+
+
+def _add_common(p: argparse.ArgumentParser, *inputs: str, seed: bool = True) -> None:
+    """--out, the required input flags (names of ``_INPUTS``), --seed where a
+    random stream is drawn, --threads where a library is embedded, --config."""
     p.add_argument("--out", required=True, help="output directory for artifacts")
+    for name in inputs:
+        p.add_argument(f"--{name.replace('_', '-')}", required=True, help=_INPUTS[name][1])
     if seed:
         p.add_argument("--seed", type=int, default=0, help="global random seed")
-    if threads:
+    if set(inputs) & set(_EMBEDDERS):
         help_text = "worker threads for embedding and batched scoring"
         p.add_argument("--threads", type=_COUNT, default=1, help=help_text)
     p.add_argument("--config", help="JSON file of flag defaults (flags win)")
@@ -436,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-lib", help="build a unit library from a corpus")
-    _add_common(p, seed=False)
-    p.add_argument("--corpus", required=True)
+    _add_common(p, "corpus", seed=False)
     p.add_argument("--unit-length", type=int, default=AugmentConfig.unit_length, choices=(1, 2, 4))
     _add_shifts(p)
     p.add_argument(
@@ -453,8 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build_lib)
 
     p = sub.add_parser("train-ae", help="train the autoencoder on a library")
-    _add_common(p)
-    p.add_argument("--library", required=True)
+    _add_common(p, "library")
     _add_train_flags(p)
     p.add_argument("--negatives", type=_COUNT, default=TrainConfig.negatives)
     for name, default in AutoencoderModel.hyperparameters.items():
@@ -462,8 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_ae)
 
     p = sub.add_parser("train-dssm", help="train the successor-relevance model")
-    _add_common(p)
-    p.add_argument("--corpus", required=True)
+    _add_common(p, "corpus")
     p.add_argument("--unit-length", type=int, default=AugmentConfig.unit_length, choices=(1, 2, 4))
     _add_shifts(p)
     _add_train_flags(p)
@@ -471,25 +482,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_dssm)
 
     p = sub.add_parser("train-lm", help="train the note-level language model")
-    _add_common(p)
-    p.add_argument("--corpus", required=True)
+    _add_common(p, "corpus")
     _add_shifts(p)
     _add_train_flags(p)
     p.add_argument("--hidden", type=_COUNT, default=LmModel.hyperparameters["hidden"])
     p.set_defaults(func=cmd_train_lm)
 
     p = sub.add_parser("reconstruct", help="reconstruct pieces by unit selection")
-    _add_common(p, threads=True, seed=False)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--library", required=True)
-    p.add_argument("--model", required=True, help="autoencoder archive")
+    _add_common(p, "corpus", "library", "model", seed=False)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("interpolate", help="blend two units in embedding space")
-    _add_common(p, threads=True, seed=False)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--library", required=True)
-    p.add_argument("--model", required=True, help="autoencoder archive")
+    _add_common(p, "corpus", "library", "model", seed=False)
     p.add_argument("--piece-a", required=True)
     p.add_argument("--piece-b", required=True)
     p.add_argument(
@@ -504,11 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_interpolate)
 
     p = sub.add_parser("generate", help="extend a seed piece by unit selection")
-    _add_common(p, threads=True)
-    p.add_argument("--seed-piece", required=True, help="corpus file of seed pieces")
-    p.add_argument("--library", required=True)
-    p.add_argument("--dssm", required=True)
-    p.add_argument("--lm", required=True)
+    _add_common(p, "seed_piece", "library", "dssm", "lm")
     p.add_argument("--units", type=_COUNT, default=4)
     p.add_argument("--shortlist-fraction", type=_SHARE, default=GenerationConfig.shortlist_fraction)
     p.add_argument("--sample", action="store_true", help="sample instead of argmax")
@@ -516,27 +516,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("generate-notes", help="extend a seed piece note by note")
-    _add_common(p)
-    p.add_argument("--seed-piece", required=True)
-    p.add_argument("--lm", required=True)
+    _add_common(p, "seed_piece", "lm")
     p.add_argument("--measures", type=_COUNT, default=4)
     p.add_argument("--sample", action="store_true")
     p.add_argument("--temperature", type=_POSITIVE, default=GenerationConfig.temperature)
     p.set_defaults(func=cmd_generate_notes)
 
     p = sub.add_parser("eval-rank50", help="identity-retrieval ranking of a library")
-    _add_common(p, threads=True)
-    p.add_argument("--library", required=True)
-    p.add_argument("--model", required=True, help="autoencoder archive")
+    _add_common(p, "library", "model")
     p.add_argument("--max-probes", type=_OPTIONAL_COUNT, default=0, help="0 = all units")
     p.set_defaults(func=cmd_eval_rank50)
 
     p = sub.add_parser("eval-nextunit", help="next-unit ranking on held-out pieces")
-    _add_common(p, threads=True)
-    p.add_argument("--corpus", required=True, help="held-out corpus of probe pieces")
-    p.add_argument("--library", required=True)
-    p.add_argument("--dssm", required=True)
-    p.add_argument("--lm", required=True)
+    _add_common(p, "corpus", "library", "dssm", "lm")
     p.add_argument(
         "--regimes",
         type=_bounded(
@@ -551,8 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval_nextunit)
 
     p = sub.add_parser("split", help="deterministic train/test corpus split")
-    _add_common(p)
-    p.add_argument("--corpus", required=True)
+    _add_common(p, "corpus")
     p.add_argument("--train-fraction", type=_OPEN_SHARE, default=0.6)
     p.set_defaults(func=cmd_split)
 
@@ -597,10 +588,10 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command: make --out, call ``cmd_*(args, out)``, which writes the
-    artifacts and returns a summary, then write the manifest and print the
-    summary. Warnings are printed only on success: a user error prints its
-    ``error:`` line alone."""
+    """Run one command: make --out, then ``run_command``, whose ``cmd_*``
+    writes the artifacts and returns a summary, then write the manifest and
+    print the summary. Warnings are printed only on success: a user error
+    prints its ``error:`` line alone."""
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
@@ -612,7 +603,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:  # a file in the way, or no permission
             raise UserError(f"cannot make the output directory: {exc}") from exc
         with warnings.catch_warnings(record=True) as caught:
-            summary = args.func(args, out)
+            summary = run_command(args, out)
         _write_manifest(args, out)
         for w in caught:
             warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)

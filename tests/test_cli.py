@@ -1,9 +1,11 @@
 import argparse
+import io
 import json
+import math
 import shlex
 import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,9 +13,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from unitsel import load_trained
+from unitsel._util import file_sha256
 from unitsel.augment import AugmentConfig
 from unitsel.autoencoder import AutoencoderModel, embed_library
-from unitsel.cli import build_parser, main
+from unitsel.cli import build_parser, main, run_command
 from unitsel.corpus import (
     LIBRARY_MAGIC, Corpus, load_corpus, load_library, save_corpus, save_model,
 )
@@ -43,12 +46,17 @@ def _warnings_on_stderr():
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """Run the full command chain once; commands under test reuse it."""
+    """Run the full command chain once; commands under test reuse it, and
+    ``summaries`` holds what each command printed."""
     root = tmp_path_factory.mktemp("cli")
+    summaries = {}
 
     def run(*argv):
-        code = main(list(argv))
+        printed = io.StringIO()
+        with redirect_stdout(printed):
+            code = main(list(argv))
         assert code == 0, f"command failed: {argv}"
+        summaries[argv[0]] = printed.getvalue()
 
     run("split", "--corpus", CORPUS, "--out", str(root / "split"),
         "--train-fraction", "0.6", "--seed", "7")
@@ -82,6 +90,7 @@ def pipeline(tmp_path_factory):
         "ae": ae,
         "dssm": dssm,
         "lm": lm,
+        "summaries": summaries,
     }
 
 
@@ -103,6 +112,30 @@ class TestArtifacts:
     def test_models_exist(self, pipeline):
         for key in ("ae", "dssm", "lm"):
             assert Path(pipeline[key]).exists()
+
+
+# Each trained archive's directory in the pipeline, its curve, the pipeline's
+# --epochs and the decimals its summary prints.
+_TRAINED = {
+    "train-ae": ("ae", "loss_curve", 4, 4),
+    "train-dssm": ("dssm", "loss_curve", 6, 4),
+    "train-lm": ("lm", "perplexity_curve", 6, 2),
+}
+
+
+class TestCurves:
+    @pytest.mark.parametrize("command", list(_TRAINED))
+    def test_each_trainer_writes_its_curve_and_the_uniform_bound(self, pipeline, command):
+        name, curve, epochs, decimals = _TRAINED[command]
+        curves = json.loads((pipeline["root"] / name / "curves.json").read_text())
+        assert set(curves) == {curve, "uniform"}
+        assert len(curves[curve]) == epochs
+        assert f" {curves[curve][-1]:.{decimals}f}) -> " in pipeline["summaries"][command]
+        if command == "train-lm":  # a uniform guess has the vocabulary size as perplexity
+            assert curves["uniform"] == load_trained(pipeline["lm"], "lstm").vocab.size
+        else:  # and log(1 + negatives) as relevance loss
+            assert curves["uniform"] == math.log(1 + TrainConfig.negatives)
+            assert round(curves["uniform"], 4) == 1.6094
 
 
 class TestReconstruct:
@@ -153,6 +186,10 @@ class TestGenerate:
             assert validate_piece(p) == []
         audit = json.loads((out / "audit.json").read_text())
         assert audit and all("shortlist" in step for step in audit)
+        # each seed piece's records, in seed-corpus order, one per unit
+        assert [(r["piece"], r["step"]) for r in audit] == [
+            (p.id, step) for p in source.pieces for step in range(4)
+        ]
 
     def test_note_level(self, pipeline, tmp_path):
         out = tmp_path / "gen-notes"
@@ -307,6 +344,95 @@ class TestErrors:
         assert code == 1
         assert "error: invalid corpus" in err and f"{bad}:1:" in err
         assert "Traceback" not in err
+
+
+# Each command's input files by flag, in the order the runner loads them,
+# each named by its pipeline key ("corpus" is the fixture corpus).
+_COMMAND_INPUTS = {
+    "split": {"corpus": "corpus"},
+    "build-lib": {"corpus": "train"},
+    "train-ae": {"library": "lib"},
+    "train-dssm": {"corpus": "train"},
+    "train-lm": {"corpus": "train"},
+    "reconstruct": {"corpus": "test", "library": "lib", "model": "ae"},
+    "interpolate": {"corpus": "test", "library": "lib", "model": "ae"},
+    "generate": {"seed_piece": "test", "library": "lib", "dssm": "dssm", "lm": "lm"},
+    "generate-notes": {"seed_piece": "test", "lm": "lm"},
+    "eval-rank50": {"library": "lib", "model": "ae"},
+    "eval-nextunit": {"corpus": "test", "library": "lib", "dssm": "dssm", "lm": "lm"},
+}
+# The pipeline's output directory of each command it runs.
+_PIPELINE_OUT = {
+    "split": "split", "build-lib": "lib", "train-ae": "ae", "train-dssm": "dssm", "train-lm": "lm",
+}
+# Small runs of the other commands: the flags besides the inputs.
+_SMALL_RUNS = {
+    "reconstruct": [],
+    "interpolate": ["--piece-a={a}", "--piece-b={b}", "--alphas=0"],
+    "generate": ["--units=1"],
+    "generate-notes": ["--measures=1"],
+    "eval-rank50": ["--max-probes=5"],
+    "eval-nextunit": ["--max-probes=5", "--regimes=random"],
+}
+
+
+def _input_flags(inputs: dict) -> list[str]:
+    return [f"--{name.replace('_', '-')}={path}" for name, path in inputs.items()]
+
+
+class TestRunner:
+    """Every command's input files are loaded, embedded and hashed by one runner."""
+
+    @pytest.mark.parametrize("command", list(_COMMAND_INPUTS))
+    def test_manifest_hashes_exactly_the_input_flags(self, pipeline, tmp_path, command):
+        files = {"corpus": CORPUS, **pipeline}
+        inputs = {name: files[key] for name, key in _COMMAND_INPUTS[command].items()}
+        if command in _PIPELINE_OUT:
+            out = pipeline["root"] / _PIPELINE_OUT[command]
+        else:
+            a, b = (p.id for p in load_corpus(pipeline["test"]).pieces[:2])
+            flags = [flag.format(a=a, b=b) for flag in _SMALL_RUNS[command]]
+            out = tmp_path / "o"
+            assert main([command, *_input_flags(inputs), *flags, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["input_hashes"] == {
+            name: file_sha256(path) for name, path in inputs.items()
+        }
+
+    # the flags are given in reverse, so the order named is the runner's
+    @pytest.mark.parametrize(
+        "command,missing",
+        [(command, list(inputs)) for command, inputs in _COMMAND_INPUTS.items() if len(inputs) > 1]
+        + [("generate", ["library", "lm"])],
+    )
+    def test_the_first_unreadable_input_in_load_order_is_named(
+        self, pipeline, tmp_path, capsys, command, missing
+    ):
+        files = {"corpus": CORPUS, **pipeline}
+        inputs = {name: files[key] for name, key in _COMMAND_INPUTS[command].items()}
+        inputs.update({name: str(tmp_path / f"no-{name}") for name in missing})
+        pieces = ["--piece-a=a", "--piece-b=b"] if command == "interpolate" else []
+        out = tmp_path / "o"
+        code = main([command, *_input_flags(dict(reversed(inputs.items()))), *pieces,
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and f"{inputs[missing[0]]}: file not found" in err
+        assert not any(inputs[name] in err for name in missing[1:])
+        assert not (out / "manifest.json").exists()
+
+    def test_interpolating_an_unknown_piece_is_a_user_error(self, pipeline, tmp_path, capsys):
+        known = load_corpus(pipeline["test"]).pieces[0].id
+        out = tmp_path / "o"
+        code = main([
+            "interpolate", "--corpus", pipeline["test"], "--library", pipeline["lib"],
+            "--model", pipeline["ae"], "--piece-a", "no-such-piece", "--piece-b", known,
+            "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: piece 'no-such-piece' not in {pipeline['test']}\n"
+        assert not (out / "manifest.json").exists()
 
 
 # Each input flag and a command that reads it; the pipeline gives the other files.
@@ -679,7 +805,7 @@ class TestEveryFlagReachesItsCommand:
         )
         recorded, read = _recording(args)
         out.mkdir()
-        args.func(recorded, out)
+        run_command(recorded, out)
         # the subcommand's name and its function are set by the parser, not flags
         flags = set(vars(args)) - {"command", "func"}
         assert flags - read - _UNREAD_ALLOWED == set()
