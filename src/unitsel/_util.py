@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -78,9 +79,23 @@ def write_lines(path, lines: Iterable[str]) -> None:
         fh.writelines(part for line in lines for part in (line, "\n"))  # no copy of a line
 
 
+def _finite_or_null(obj):
+    """``obj`` with each non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def write_json(obj, path) -> None:
-    """Readable JSON file: two-space indent, sorted keys, final newline."""
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Readable JSON file: two-space indent, sorted keys, final newline.
+
+    JSON has no infinity or NaN, so a non-finite float is written as null."""
+    text = json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def sha256_hex(text: str) -> str:

@@ -4,7 +4,8 @@ Transforms: semitone transposition, interval add/multiply (pitches rebuilt
 from the first non-rest anchor and superimposed on the original rhythm),
 and double-time compression of measure pairs. A transform that pushes any
 pitch outside the admissible range returns None, meaning that variant is
-dropped, not that the call failed.
+dropped, not that the call failed. The admissible range is
+``music.LIBRARY_PITCH_RANGE``, [36, 92].
 
 ``transpose_only`` mode disables the interval and double-time transforms;
 it is the mode required when preparing material for the sequential models,
@@ -21,6 +22,7 @@ from .features import NoteTable
 from .music import (
     LIBRARY_PITCH_RANGE,
     REST,
+    UNIT_LENGTHS,
     DurationError,
     Measure,
     Piece,
@@ -38,12 +40,11 @@ class AugmentConfig:
     """Settings for library construction.
 
     ``transpose_shifts`` of None means every semitone shift that keeps the
-    unit inside ``pitch_range`` (full coverage); an explicit tuple limits
-    the shifts (0 must be listed if untransposed units are wanted).
+    unit inside ``LIBRARY_PITCH_RANGE`` (full coverage); an explicit tuple
+    limits the shifts (0 must be listed if untransposed units are wanted).
     """
 
     unit_length: int = 1
-    pitch_range: tuple[int, int] = LIBRARY_PITCH_RANGE
     transpose_shifts: tuple[int, ...] | None = None
     interval_add_constants: tuple[int, ...] = (-2, -1, 1, 2)
     interval_mul_constants: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(2))
@@ -51,13 +52,10 @@ class AugmentConfig:
     mode: str = FULL
 
     def __post_init__(self) -> None:
-        if self.unit_length not in (1, 2, 4):
+        if self.unit_length not in UNIT_LENGTHS:
             raise ValueError("unit_length must be 1, 2 or 4")
         if self.mode not in (FULL, TRANSPOSE_ONLY):
             raise ValueError(f"unknown mode {self.mode!r}")
-        lo, hi = self.pitch_range
-        if not (0 <= lo < hi <= 127):
-            raise ValueError(f"bad pitch range {self.pitch_range}")
 
 
 def _with_tag(prov: Provenance, tag: str) -> Provenance:
@@ -67,11 +65,9 @@ def _with_tag(prov: Provenance, tag: str) -> Provenance:
     return replace(prov, transform=joined)
 
 
-def _shift_measures(
-    measures: tuple[Measure, ...], semitones: int, pitch_range: tuple[int, int]
-) -> tuple[Measure, ...] | None:
+def _shift_measures(measures: tuple[Measure, ...], semitones: int) -> tuple[Measure, ...] | None:
     """Every non-rest pitch moved by ``semitones``; None when one leaves the range."""
-    lo, hi = pitch_range
+    lo, hi = LIBRARY_PITCH_RANGE
     new_measures = []
     for m in measures:
         notes = []
@@ -87,17 +83,15 @@ def _shift_measures(
     return tuple(new_measures)
 
 
-def transpose(
-    u: Unit, semitones: int, pitch_range: tuple[int, int] = LIBRARY_PITCH_RANGE
-) -> Unit | None:
+def transpose(u: Unit, semitones: int) -> Unit | None:
     """Shift every non-rest pitch; rhythm, rests and ties are untouched.
 
-    Returns None when any resulting pitch leaves ``pitch_range`` (the
-    transposition is dropped). Transposing by 0 returns the unit itself.
+    Returns None when any resulting pitch leaves ``LIBRARY_PITCH_RANGE``
+    (the transposition is dropped). Transposing by 0 returns the unit itself.
     """
     if semitones == 0:
         return u
-    measures = _shift_measures(u.measures, semitones, pitch_range)
+    measures = _shift_measures(u.measures, semitones)
     if measures is None:
         return None
     return Unit(measures=measures, provenance=_shift_provenance(u.provenance, semitones))
@@ -109,18 +103,13 @@ def _round_half_away(x: Fraction) -> int:
     return -int((2 * (-x) + 1) // 2)
 
 
-def interval_transform(
-    u: Unit,
-    op: str,
-    c: int | Fraction,
-    pitch_range: tuple[int, int] = LIBRARY_PITCH_RANGE,
-) -> Unit | None:
+def interval_transform(u: Unit, op: str, c: int | Fraction) -> Unit | None:
     """Rewrite the melodic intervals: i -> i + c ("add") or round(i * c) ("mul").
 
     The first non-rest pitch anchors the rebuilt contour; rests pass
     through untouched and contribute no intervals. Multiplication rounds
     to the nearest integer, ties away from zero. Returns None if any new
-    pitch leaves ``pitch_range``. A tie that would join two different
+    pitch leaves ``LIBRARY_PITCH_RANGE``. A tie that would join two different
     pitches after the rewrite is cleared.
     """
     if op not in ("add", "mul"):
@@ -129,7 +118,7 @@ def interval_transform(
     if not pitched:
         raise ValueError("interval transform needs at least one non-rest note")
     c = Fraction(c)
-    lo, hi = pitch_range
+    lo, hi = LIBRARY_PITCH_RANGE
     new_pitches = [pitched[0]]
     for prev, cur in zip(pitched, pitched[1:]):
         interval = Fraction(cur - prev)
@@ -183,26 +172,23 @@ def double_time_piece(p: Piece) -> Piece | None:
     return Piece(id=p.id, measures=tuple(measures))
 
 
-def transpose_piece(
-    p: Piece, semitones: int, pitch_range: tuple[int, int] = LIBRARY_PITCH_RANGE
-) -> Piece | None:
-    """Whole-piece transposition; None when any pitch would leave the range."""
+def transpose_piece(p: Piece, semitones: int) -> Piece | None:
+    """Whole-piece transposition; None when any pitch would leave
+    ``LIBRARY_PITCH_RANGE``."""
     if semitones == 0:
         return p
-    measures = _shift_measures(p.measures, semitones, pitch_range)
+    measures = _shift_measures(p.measures, semitones)
     if measures is None:
         return None
     return Piece(id=f"{p.id}@t{semitones:+d}", measures=measures)
 
 
-def _coverage_shifts(
-    low: int | None, high: int | None, pitch_range: tuple[int, int]
-) -> list[int]:
-    """Every shift that keeps pitches spanning [low, high] inside the range;
-    [0] when there is no pitch (low is None)."""
+def _coverage_shifts(low: int | None, high: int | None) -> list[int]:
+    """Every shift that keeps pitches spanning [low, high] inside
+    ``LIBRARY_PITCH_RANGE``; [0] when there is no pitch (low is None)."""
     if low is None:
         return [0]
-    lo, hi = pitch_range
+    lo, hi = LIBRARY_PITCH_RANGE
     if lo - low > hi - high:
         # span wider than the admissible range; no shift can fit it
         return []
@@ -221,11 +207,11 @@ def transpose_corpus(c, cfg: AugmentConfig):
         pitched = [n.pitch for n in p.notes if not n.is_rest]
         if cfg.transpose_shifts is None:
             low, high = (min(pitched), max(pitched)) if pitched else (None, None)
-            shifts = _coverage_shifts(low, high, cfg.pitch_range)
+            shifts = _coverage_shifts(low, high)
         else:
             shifts = sorted(set(cfg.transpose_shifts) | {0})
         for k in shifts:
-            moved = transpose_piece(p, k, cfg.pitch_range)
+            moved = transpose_piece(p, k)
             if moved is not None:
                 pieces.append(moved)
     return Corpus(pieces=tuple(pieces), meter=c.meter)
@@ -286,11 +272,11 @@ def _pitch_variants(u: Unit, cfg: AugmentConfig) -> list[Unit]:
     variants = [u]
     if cfg.mode == FULL and any(not n.is_rest for n in u.notes):
         for const in cfg.interval_add_constants:
-            v = interval_transform(u, "add", const, cfg.pitch_range)
+            v = interval_transform(u, "add", const)
             if v is not None:
                 variants.append(v)
         for const in cfg.interval_mul_constants:
-            v = interval_transform(u, "mul", const, cfg.pitch_range)
+            v = interval_transform(u, "mul", const)
             if v is not None:
                 variants.append(v)
     return variants
@@ -342,7 +328,7 @@ def build_library(c, cfg: AugmentConfig) -> UnitLibrary:
     """
     if not c.pieces:
         raise ValueError("cannot build a library from an empty corpus")
-    lo, hi = cfg.pitch_range
+    lo, hi = LIBRARY_PITCH_RANGE
     units: list[Unit] = []
     origins: list[list[Provenance]] = []
     shape_ids: dict[tuple, int] = {}
@@ -365,7 +351,7 @@ def build_library(c, cfg: AugmentConfig) -> UnitLibrary:
                     shape, low, high = _content_shape(variant)
                     shape_id = shape_ids.setdefault(shape, len(shape_ids))
                     if cfg.transpose_shifts is None:
-                        shifts = _coverage_shifts(low, high, cfg.pitch_range)
+                        shifts = _coverage_shifts(low, high)
                     else:
                         shifts = sorted(set(cfg.transpose_shifts))
                     for k in shifts:
@@ -375,7 +361,7 @@ def build_library(c, cfg: AugmentConfig) -> UnitLibrary:
                         idx = seen.get(key)
                         if idx is None:
                             seen[key] = len(units)
-                            moved = transpose(variant, k, cfg.pitch_range)
+                            moved = transpose(variant, k)
                             units.append(moved)
                             origins.append([moved.provenance])
                         else:

@@ -208,15 +208,14 @@ def library_similarities(
     return cosine_rows(query_emb, elib.embeddings, elib.norms)
 
 
-def select_nearest(
-    query_emb: np.ndarray, elib: EmbeddedLibrary, k: int
-) -> list[tuple[Unit, float]]:
-    """Top-k library units by cosine similarity, ties broken by library order."""
+def select_nearest(query_emb: np.ndarray, elib: EmbeddedLibrary) -> tuple[Unit, float]:
+    """The library unit nearest by cosine similarity and that similarity;
+    ties go to the first in library order."""
     if len(elib) == 0:
         raise ValueError("empty library")
     sims = library_similarities(query_emb, elib)
-    order = rank_order(-sims, top=k)
-    return [(elib.library.units[i], float(sims[i])) for i in order]
+    i = int(rank_order(-sims, top=1)[0])
+    return elib.library.units[i], float(sims[i])
 
 
 def reconstruct(
@@ -231,11 +230,11 @@ def reconstruct(
             f"piece {p.id} has {len(p.measures)} measures, "
             f"not divisible by unit length {length}"
         )
-    queries = slice_units(p, length, stride=length)
+    queries = slice_units(p, length)
     q_emb = model.encode_features(extract_matrix(queries, model.vocab))
     chosen = []
     for row in q_emb:
-        chosen.append(select_nearest(row, elib, 1)[0][0])
+        chosen.append(select_nearest(row, elib)[0])
     return concatenate_units(chosen, piece_id=f"{p.id}-recon")
 
 
@@ -253,7 +252,7 @@ def interpolate(
     blended = (1.0 - alpha) * model.encode_unit(a) + alpha * model.encode_unit(b)
     if np.linalg.norm(blended) == 0.0:
         raise ValueError("degenerate interpolation: blended embedding is zero")
-    return select_nearest(blended, elib, 1)[0][0]
+    return select_nearest(blended, elib)[0]
 
 
 def rank_at_50(

@@ -56,7 +56,7 @@ from .engine import (
 from .evaluation import REGIME_ORDER, next_unit_ranking, report
 from .features import build_vocab
 from .lm import LmModel, build_note_vocab, tokenize, train_lm
-from .music import Piece, slice_units
+from .music import UNIT_LENGTHS, Piece, slice_units
 from .nn import TrainConfig, stream_rng
 
 
@@ -155,10 +155,11 @@ _EMBEDDERS = ("model", "dssm")
 
 def _write_manifest(args, out: Path) -> None:
     config = {
-        k: (str(v) if isinstance(v, (Fraction, Path)) else v)
+        k: v
         for k, v in sorted(vars(args).items())
         if k not in ("func", "config") and not callable(v)
     }
+    # str() writes the Fractions of --mul-constants as "1/2"
     config = json.loads(json.dumps(config, default=str))
     manifest = {
         "command": args.command,
@@ -301,7 +302,7 @@ def cmd_interpolate(args, inputs: dict, out: Path) -> str:
 
     def head_unit(piece_id: str):
         piece = by_id[piece_id]
-        units = slice_units(piece, length, stride=length)
+        units = slice_units(piece, length)
         if not units:
             raise UserError(f"piece {piece_id!r} is shorter than one unit")
         return units[0]
@@ -451,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-lib", help="build a unit library from a corpus")
     _add_common(p, "corpus", seed=False)
-    p.add_argument("--unit-length", type=int, default=AugmentConfig.unit_length, choices=(1, 2, 4))
+    p.add_argument("--unit-length", type=int, default=AugmentConfig.unit_length, choices=UNIT_LENGTHS)
     _add_shifts(p)
     p.add_argument(
         "--add-constants", type=_int_list, default=AugmentConfig.interval_add_constants,
@@ -475,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-dssm", help="train the successor-relevance model")
     _add_common(p, "corpus")
-    p.add_argument("--unit-length", type=int, default=AugmentConfig.unit_length, choices=(1, 2, 4))
+    p.add_argument("--unit-length", type=int, default=AugmentConfig.unit_length, choices=UNIT_LENGTHS)
     _add_shifts(p)
     _add_train_flags(p)
     p.add_argument("--negatives", type=_COUNT, default=TrainConfig.negatives)

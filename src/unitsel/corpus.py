@@ -119,20 +119,19 @@ def _measures_from_list(raw, meter: Fraction, cache: dict) -> tuple[Measure, ...
     return tuple(measures)
 
 
-def piece_from_dict(obj: dict, note_cache: dict | None = None) -> Piece:
+def piece_from_dict(obj: dict, note_cache: dict) -> Piece:
     """Build a piece from its corpus-line object.
 
     A wrong shape or type is a CorpusFormatError; values that parse but
     break a model invariant (an empty measure, a pitch outside MIDI range)
     raise a plain ValueError, which ``load_corpus`` reports as a diagnostic.
-    Equal notes share one frozen ``Note`` through ``note_cache`` when given.
+    Equal notes share one frozen ``Note`` through ``note_cache``, a dict
+    the caller keeps for the whole file (empty at first).
     """
     if not isinstance(obj, dict) or "id" not in obj or "measures" not in obj:
         raise CorpusFormatError("piece object needs 'id' and 'measures'")
     meter = _fraction_from_pair(obj.get("meter", [1, 1]), "meter")
-    measures = _measures_from_list(
-        obj["measures"], meter, {} if note_cache is None else note_cache
-    )
+    measures = _measures_from_list(obj["measures"], meter, note_cache)
     return Piece(id=str(obj["id"]), measures=measures)
 
 
@@ -229,6 +228,7 @@ class ModelArchive:
     Weights are kept as named float64 arrays; the vocabulary snapshot is
     the exact featurizer state used at training time, hash-checked on load.
     ``verified_hash`` keeps the hash ``load_model`` checked for ``from_archive``.
+    Every archive is written at ``FORMAT_VERSION``, the one version read.
     """
 
     kind: str
@@ -236,7 +236,6 @@ class ModelArchive:
     layer_dims: list[int]
     weights: list[tuple[str, np.ndarray]]
     vocabulary: dict
-    format_version: int = FORMAT_VERSION
     verified_hash: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def vocab_hash(self) -> str:
@@ -260,7 +259,7 @@ class ArchivedModel:
     from the vocabulary and the hyperparameters, without building anything,
     each layer's class, input and output dimensions and other constructor
     arguments (a dense layer's activation). A fresh model's layers hold
-    ``initial_params`` drawn in that order from one generator; a loaded
+    ``initial_params`` drawn in that order from the caller's ``rng``; a loaded
     model's hold the archive's arrays, shape-checked first, and draw
     nothing. Both go through ``_assemble``. ``fixed_hyperparameters`` are
     checked on load.
@@ -268,11 +267,10 @@ class ArchivedModel:
 
     fixed_hyperparameters: dict = {}
 
-    def __init__(self, vocab, *, rng: np.random.Generator | None = None, **hyperparameters):
+    def __init__(self, vocab, *, rng: np.random.Generator, **hyperparameters):
         for h in hyperparameters.keys() - self.hyperparameters:
             raise TypeError(f"{type(self).__name__} has no hyperparameter {h!r}")
         hp = {**self.hyperparameters, **hyperparameters}
-        rng = np.random.default_rng(0) if rng is None else rng
         dims = self.layer_dims(vocab, **hp)
         self._assemble(vocab, hp, dims, [c.initial_params(rng, i, o) for c, i, o, *_ in dims])
 
@@ -384,7 +382,7 @@ def save_model(archive: ModelArchive, path) -> None:
         raise ArchiveError(f"unknown model kind {archive.kind!r}")
     head = canonical_json(
         {
-            "format_version": archive.format_version,
+            "format_version": FORMAT_VERSION,
             "kind": archive.kind,
             "hyperparameters": archive.hyperparameters,
             "layer_dims": list(archive.layer_dims),

@@ -57,7 +57,7 @@ def make_training_pairs(
     """
     pairs: list[tuple[Unit, Unit]] = []
     for p in c.pieces:
-        units = slice_units(p, unit_length, stride=unit_length)
+        units = slice_units(p, unit_length)
         if len(units) < 2:
             if strict:
                 raise ValueError(

@@ -215,13 +215,12 @@ def generate(
     dssm_model: DssmModel,
     lm_model: LmModel,
     cfg: GenerationConfig,
-    piece_id: str = "generated",
     audit: list | None = None,
 ) -> Piece:
     """Iteratively select and append ``n_units`` units after the seed.
 
     This is ``continue_piece`` on the one-unit piece of the seed, returned
-    under ``piece_id``.
+    under the id ``"generated"``.
     """
     if len(seed.measures) != elib.library.unit_length:
         raise ValueError(
@@ -229,9 +228,9 @@ def generate(
             f"{elib.library.unit_length}"
         )
     piece = continue_piece(
-        Piece(piece_id, seed.measures), n_units, elib, dssm_model, lm_model, cfg, audit=audit
+        Piece("generated", seed.measures), n_units, elib, dssm_model, lm_model, cfg, audit=audit
     )
-    return replace(piece, id=piece_id)
+    return replace(piece, id="generated")
 
 
 def continue_piece(
@@ -346,15 +345,14 @@ def generate_note_level(
     n_measures: int,
     lm_model: LmModel,
     cfg: GenerationConfig,
-    piece_id: str = "generated-notes",
 ) -> Piece:
     """Seed plus ``n_measures`` of note-by-note generation.
 
     This is ``continue_piece_notes`` on the one-unit piece of the seed,
-    returned under ``piece_id``.
+    returned under the id ``"generated-notes"``.
     """
-    piece = continue_piece_notes(Piece(piece_id, seed.measures), n_measures, lm_model, cfg)
-    return replace(piece, id=piece_id)
+    piece = continue_piece_notes(Piece("generated-notes", seed.measures), n_measures, lm_model, cfg)
+    return replace(piece, id="generated-notes")
 
 
 def temperature_weights(dist: np.ndarray, temperature: float) -> np.ndarray:
@@ -395,7 +393,7 @@ def continue_piece_notes(
     symbols: list[tuple[int, Fraction]] = []
     step = 0
     while acc < target:
-        dist = note_distribution(context_window(context, lm_model.context_len), lm_model)
+        dist = note_distribution(context_window(context), lm_model)
         dist = dist.copy()
         dist[PAD] = 0.0
         dist[OOV] = 0.0

@@ -33,8 +33,6 @@ REGIME_RANDOM = "random"
 
 REGIME_ORDER = (REGIME_LSTM, REGIME_DSSM, REGIME_COMBINED, REGIME_RANDOM)
 
-SHORTLIST_FRACTION = GenerationConfig.shortlist_fraction
-
 
 @dataclass(frozen=True)
 class RankingRow:
@@ -91,12 +89,7 @@ def next_unit_ranking(
             extract_matrix(truths, dssm_model.vocab)
         )
     if needs_lstm:
-        contexts = np.stack(
-            [
-                context_window(tokenize(p, lm_model.vocab), lm_model.context_len)
-                for p in prevs
-            ]
-        )
+        contexts = np.stack([context_window(tokenize(p, lm_model.vocab)) for p in prevs])
         dists = note_distributions(contexts, lm_model, threads)
         lib_first = elib.first_tokens(lm_model.vocab)
         truth_first = first_tokens(truths, lm_model.vocab)
@@ -123,7 +116,7 @@ def next_unit_ranking(
             order = rank_order(costs, jitter)
         elif regime == REGIME_COMBINED:
             ranking = combined_order(
-                sims, lambda idxs: costs[idxs], SHORTLIST_FRACTION, jitter
+                sims, lambda idxs: costs[idxs], GenerationConfig.shortlist_fraction, jitter
             )
             order = ranking.order
         else:

@@ -106,10 +106,10 @@ def detokenize(tokens: Sequence[int], vocab: NoteVocabulary) -> list[NoteSymbol]
     return [vocab.decode(t) for t in tokens]
 
 
-def context_window(history: Sequence[int], length: int = CONTEXT_LEN) -> np.ndarray:
-    """The last ``length`` tokens of a history, left-padded with PAD."""
-    tail = list(history)[-length:]
-    return np.array([PAD] * (length - len(tail)) + tail, dtype=np.int64)
+def context_window(history: Sequence[int]) -> np.ndarray:
+    """The last ``CONTEXT_LEN`` tokens of a history, left-padded with PAD."""
+    tail = list(history)[-CONTEXT_LEN:]
+    return np.array([PAD] * (CONTEXT_LEN - len(tail)) + tail, dtype=np.int64)
 
 
 class LmModel(ArchivedModel):
@@ -119,7 +119,7 @@ class LmModel(ArchivedModel):
     curve = "perplexity_curve"
     vocab_class = NoteVocabulary
     # not a weight shape, so nothing else bounds it; training writes only
-    # CONTEXT_LEN, and scoring allocates a window of this length
+    # CONTEXT_LEN, and scoring refuses a window of any other length
     fixed_hyperparameters = {"context_len": CONTEXT_LEN}
 
     @staticmethod
@@ -182,15 +182,14 @@ def leading_pad_steps(x_tokens: np.ndarray) -> int:
     return min(int(real[0]) if len(real) else t, t - 1)
 
 
-def make_windows(
-    streams: Sequence[Sequence[int]], context_len: int = CONTEXT_LEN
-) -> tuple[np.ndarray, np.ndarray]:
+def make_windows(streams: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Teacher-forcing windows: inputs and next-token targets, PAD-masked.
 
     Each stream is prefixed with PAD (so the first real token is predicted
-    from an empty context) and cut into non-overlapping windows; a short
-    final window is right-padded and the padded targets are ignored by the
-    loss (targets equal to PAD are unsupervised).
+    from an empty context) and cut into non-overlapping windows of
+    ``CONTEXT_LEN`` tokens; a short final window is right-padded and the
+    padded targets are ignored by the loss (targets equal to PAD are
+    unsupervised).
     """
     xs, ys = [], []
     for toks in streams:
@@ -199,10 +198,10 @@ def make_windows(
             continue
         s = [PAD] + toks
         inputs, targets = s[:-1], s[1:]
-        for start in range(0, len(inputs), context_len):
-            xw = inputs[start : start + context_len]
-            yw = targets[start : start + context_len]
-            pad = context_len - len(xw)
+        for start in range(0, len(inputs), CONTEXT_LEN):
+            xw = inputs[start : start + CONTEXT_LEN]
+            yw = targets[start : start + CONTEXT_LEN]
+            pad = CONTEXT_LEN - len(xw)
             xs.append(xw + [PAD] * pad)
             ys.append(yw + [PAD] * pad)
     if not xs:
@@ -352,7 +351,7 @@ def concat_cost(
     history = list(prev_context)
     total = 0.0
     for step in range(j):
-        dist = note_distribution(context_window(history, model.context_len), model)
+        dist = note_distribution(context_window(history), model)
         total -= float(np.log(dist[tokens[step]]))
         history.append(tokens[step])
     return total / j
@@ -374,5 +373,5 @@ def first_note_costs(
     array of the units' first-note token ids, as ``first_tokens`` returns.
     """
     ids = units if isinstance(units, np.ndarray) else first_tokens(units, model.vocab)
-    dist = note_distribution(context_window(prev_context, model.context_len), model)
+    dist = note_distribution(context_window(prev_context), model)
     return -np.log(dist[ids])

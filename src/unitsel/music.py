@@ -20,6 +20,9 @@ REST_CLASS = 12
 # Pitches a unit library will admit (five octaves).
 LIBRARY_PITCH_RANGE = (36, 92)
 
+# Measures per unit.
+UNIT_LENGTHS = (1, 2, 4)
+
 # Durations finer than 1/128 of a whole note are rejected as pathological.
 MAX_DURATION_DENOMINATOR = 128
 
@@ -126,7 +129,7 @@ class Unit:
     provenance: Provenance
 
     def __post_init__(self) -> None:
-        if len(self.measures) not in (1, 2, 4):
+        if len(self.measures) not in UNIT_LENGTHS:
             raise ValueError(f"unit length must be 1, 2 or 4, got {len(self.measures)}")
         meters = {m.meter for m in self.measures}
         if len(meters) != 1:
@@ -251,14 +254,13 @@ def _repair_ties(measures: Sequence[Measure], notes: list[Note]) -> tuple[Measur
     return tuple(out)
 
 
-def slice_units(p: Piece, unit_length: int, stride: int) -> list[Unit]:
-    """Cut a piece into units of ``unit_length`` measures at the given stride."""
-    if unit_length not in (1, 2, 4):
+def slice_units(p: Piece, unit_length: int) -> list[Unit]:
+    """Cut a piece into units of ``unit_length`` measures, back to back; a
+    shorter remainder at the end is dropped."""
+    if unit_length not in UNIT_LENGTHS:
         raise ValueError("unit_length must be 1, 2 or 4")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     units = []
-    for off in range(0, len(p.measures) - unit_length + 1, stride):
+    for off in range(0, len(p.measures) - unit_length + 1, unit_length):
         units.append(
             Unit(
                 measures=tuple(p.measures[off : off + unit_length]),

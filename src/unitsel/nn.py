@@ -249,14 +249,9 @@ class ZeroNormError(ValueError):
 
 
 def cosine_sim(x: np.ndarray, y: np.ndarray) -> float:
-    """Cosine similarity of two vectors; rejects zero-norm input."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
-    if nx == 0.0 or ny == 0.0:
-        raise ZeroNormError("cosine similarity undefined for zero-norm vector")
-    return float(np.dot(x, y) / (nx * ny))
+    """Cosine similarity of two vectors: :func:`cosine_rows` of ``x``
+    against the one row ``y``. Rejects zero-norm input."""
+    return float(cosine_rows(np.asarray(x, dtype=float), np.asarray(y, dtype=float)[None, :])[0])
 
 
 def row_norms(mat: np.ndarray) -> np.ndarray:
@@ -322,17 +317,19 @@ def draw_pool(rng: np.random.Generator, n: int, truth: int | None, size: int) ->
 def softmax_relevance(
     q: np.ndarray, candidates: list[np.ndarray] | np.ndarray, truth_index: int
 ) -> tuple[np.ndarray, float]:
-    """Softmax over cosine similarities of candidates to a query.
+    """Softmax over cosine similarities of candidates to a query: the
+    relevance loss that training minimises (:func:`_cosine_softmax`), for
+    one case.
 
     Returns (probabilities, loss) where loss = -log P(candidates[truth_index]).
     """
     cands = np.asarray(candidates, dtype=float)
     if not 0 <= truth_index < len(cands):
         raise ValueError("truth_index out of range")
-    sims = cosine_rows(np.asarray(q, dtype=float), cands)
-    probs = softmax(sims)
-    loss = -float(np.log(probs[truth_index]))
-    return probs, loss
+    losses, probs, *_ = _cosine_softmax(
+        np.asarray(q, dtype=float)[None, :], cands[None], np.array([truth_index])
+    )
+    return probs[0], float(losses[0])
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -605,30 +602,24 @@ def train_relevance(
 
 
 def grad_check(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    loss_fn,
-    eps: float = 1e-5,
-    rng: np.random.Generator | None = None,
-    max_checks_per_param: int = 24,
+    params: list[np.ndarray], grads: list[np.ndarray], loss_fn, rng: np.random.Generator
 ) -> float:
     """Max relative error between analytic grads and central differences.
 
     ``loss_fn`` re-evaluates the loss from the current parameter values
-    (which are perturbed in place and restored). A sampled subset of
-    coordinates is checked per array. Relative error uses
+    (which are perturbed in place and restored). Of each array, every
+    coordinate is checked when it has at most 24, otherwise 24 drawn from
+    ``rng`` without replacement. Relative error uses
     |num - ana| / max(|num|, |ana|, 1e-6): a gradient off by a factor of
     two reports ~0.5, while the 1e-6 floor keeps difference-quotient
     roundoff on effectively-zero coordinates from registering as error.
 
-    Each coordinate is measured at three step sizes (eps, eps/8, eps/64)
-    and the smallest error is kept: a rectifier kink that happens to sit
-    inside one step window corrupts that difference quotient but not the
-    smaller ones, whereas a genuinely wrong gradient disagrees at every
-    scale.
+    Each coordinate is measured at three step sizes (1e-5, 1e-5/8 and
+    1e-5/64) and the smallest error is kept: a rectifier kink that happens
+    to sit inside one step window corrupts that difference quotient but
+    not the smaller ones, whereas a genuinely wrong gradient disagrees at
+    every scale.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     def rel_error_at(flat_p, k, analytic, step) -> float:
         orig = flat_p[k]
@@ -646,13 +637,13 @@ def grad_check(
         flat_p = p.reshape(-1)
         flat_g = g.reshape(-1)
         n = flat_p.size
-        if n <= max_checks_per_param:
+        if n <= 24:
             coords = np.arange(n)
         else:
-            coords = rng.choice(n, size=max_checks_per_param, replace=False)
+            coords = rng.choice(n, size=24, replace=False)
         for k in coords:
             err = min(
-                rel_error_at(flat_p, k, flat_g[k], eps * scale)
+                rel_error_at(flat_p, k, flat_g[k], 1e-5 * scale)
                 for scale in (1.0, 0.125, 0.015625)
             )
             worst = max(worst, err)

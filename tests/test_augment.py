@@ -344,12 +344,12 @@ def reference_build_library(c, cfg: AugmentConfig) -> UnitLibrary:
     def coverage_shifts(pitches):
         if not pitches:
             return [0]
-        lo, hi = cfg.pitch_range
+        lo, hi = LIBRARY_PITCH_RANGE
         low, high = lo - min(pitches), hi - max(pitches)
         return [] if low > high else list(range(low, high + 1))
 
     def admissible(u):
-        lo, hi = cfg.pitch_range
+        lo, hi = LIBRARY_PITCH_RANGE
         return all(n.is_rest or lo <= n.pitch <= hi for n in u.notes)
 
     units, origins, seen = [], [], {}
@@ -374,7 +374,7 @@ def reference_build_library(c, cfg: AugmentConfig) -> UnitLibrary:
                     else:
                         shifts = sorted(set(cfg.transpose_shifts))
                     for k in shifts:
-                        moved = transpose(variant, k, cfg.pitch_range)
+                        moved = transpose(variant, k)
                         if moved is None or not admissible(moved):
                             continue
                         key = moved.content_key()
@@ -467,13 +467,9 @@ class TestBuildLibraryMatchesReference:
         mode=st.sampled_from([FULL, TRANSPOSE_ONLY]),
         unit_length=st.sampled_from([1, 2, 4]),
         shifts=_SHIFTS,
-        pitch_range=st.sampled_from([LIBRARY_PITCH_RANGE, (40, 62)]),
     )
-    def test_same_library(self, tmp_path_factory, c, mode, unit_length, shifts, pitch_range):
-        cfg = AugmentConfig(
-            unit_length=unit_length, mode=mode, transpose_shifts=shifts,
-            pitch_range=pitch_range,
-        )
+    def test_same_library(self, tmp_path_factory, c, mode, unit_length, shifts):
+        cfg = AugmentConfig(unit_length=unit_length, mode=mode, transpose_shifts=shifts)
         lib = build_library(c, cfg)
         ref = reference_build_library(c, cfg)
         assert lib.units == ref.units

@@ -123,7 +123,32 @@ _TRAINED = {
 }
 
 
+def _strict_json(path):
+    """A JSON file's value; Infinity, -Infinity and NaN, which are not JSON, raise."""
+
+    def refuse(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 class TestCurves:
+    def test_every_json_file_is_strict_json(self, pipeline):
+        files = sorted(pipeline["root"].rglob("*.json"))
+        assert len(files) >= 8  # five manifests and three curves
+        for path in files:
+            _strict_json(path)
+
+    def test_an_infinite_perplexity_is_written_as_null(self, tmp_path):
+        # a huge finite rate gives a finite model and an infinite perplexity
+        out = tmp_path / "o"
+        with _warnings_on_stderr():
+            code = main(["train-lm", "--corpus", CORPUS, "--out", str(out), "--shifts=0",
+                         "--epochs", "1", "--hidden", "8", "--learning-rate", "1e10",
+                         "--seed", "7"])
+        assert code == 0
+        assert _strict_json(out / "curves.json")["perplexity_curve"] == [None]
+
     @pytest.mark.parametrize("command", list(_TRAINED))
     def test_each_trainer_writes_its_curve_and_the_uniform_bound(self, pipeline, command):
         name, curve, epochs, decimals = _TRAINED[command]

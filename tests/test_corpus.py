@@ -20,6 +20,7 @@ from unitsel.corpus import (
     Corpus,
     CorpusFormatError,
     CorpusValidationError,
+    FORMAT_VERSION,
     load_corpus,
     load_library,
     load_model,
@@ -346,7 +347,7 @@ def _json_encoded_archive(archive) -> str:
     """An archive's text with every weight passed through the JSON encoder,
     as ``save_model`` wrote it before it spliced the hex strings in."""
     payload = {
-        "format_version": archive.format_version,
+        "format_version": FORMAT_VERSION,
         "kind": archive.kind,
         "hyperparameters": archive.hyperparameters,
         "layer_dims": list(archive.layer_dims),
@@ -416,7 +417,7 @@ class TestModelArchive:
     def test_unknown_hyperparameter_is_a_type_error_naming_it(self, tiny_models, kind):
         model_class, vocab = type(tiny_models[kind]), tiny_models[kind].vocab
         with pytest.raises(TypeError, match="no hyperparameter 'depth'"):
-            model_class(vocab, depth=3)
+            model_class(vocab, depth=3, rng=np.random.default_rng(0))
         # the generator is keyword-only, so no value is taken for it by position
         with pytest.raises(TypeError):
             model_class(vocab, 8)
@@ -424,7 +425,7 @@ class TestModelArchive:
     @pytest.mark.parametrize("kind", ["autoencoder", "dssm", "lstm"])
     def test_a_fresh_model_has_the_declared_defaults(self, tiny_models, kind):
         model_class, vocab = type(tiny_models[kind]), tiny_models[kind].vocab
-        fresh = model_class(vocab)
+        fresh = model_class(vocab, rng=np.random.default_rng(0))
         assert fresh.to_archive().hyperparameters == model_class.hyperparameters
         assert getattr(fresh, model_class.curve) == []
 
@@ -1126,8 +1127,8 @@ class TestHyperparameterSizes:
     def test_context_len_other_than_training_is_an_archive_error(
         self, tmp_path, tiny_models, value
     ):
-        # scoring allocates a window of context_len tokens, and training
-        # writes only CONTEXT_LEN
+        # scoring refuses a window of any length but context_len, and
+        # training writes only CONTEXT_LEN
         bad = _with_hyperparameters(tmp_path, tiny_models["lstm"], context_len=value)
         with pytest.raises(ArchiveError, match=f"context_len is {value}, expected 36"):
             load_trained(bad)

@@ -151,14 +151,14 @@ class TestRelevance:
 class TestModelShape:
     def test_default_embedding_length_128(self, toy_pairs):
         _, vocab = toy_pairs
-        model = DssmModel(vocab)
+        model = DssmModel(vocab, rng=np.random.default_rng(0))
         assert model.embedding == 128
         assert model.out.out_dim == 128
         assert model.h1.out_dim == 128 and model.h2.out_dim == 128
 
     def test_hidden_layers_rectified_output_linear(self, toy_pairs):
         _, vocab = toy_pairs
-        model = DssmModel(vocab)
+        model = DssmModel(vocab, rng=np.random.default_rng(0))
         assert model.h1.activation == "relu"
         assert model.h2.activation == "relu"
         assert model.out.activation == "linear"

@@ -45,7 +45,7 @@ class TestNextUnitRanking:
 
     def test_constant_scorer_breaks_ties_uniformly(self, small_setup, probes):
         s = small_setup
-        constant = DssmModel(s["vocab"], width=8, embedding=4)
+        constant = DssmModel(s["vocab"], width=8, embedding=4, rng=np.random.default_rng(0))
         for layer in constant.layers:
             layer.w[:] = 0.0
             layer.b[:] = 0.0
@@ -57,7 +57,7 @@ class TestNextUnitRanking:
 
     def test_zero_norm_probe_embedding_rejected(self, small_setup, probes):
         s = small_setup
-        model = DssmModel(s["vocab"], width=8, embedding=4)
+        model = DssmModel(s["vocab"], width=8, embedding=4, rng=np.random.default_rng(0))
         for layer in model.layers:
             layer.w[:] = 0.0
             layer.b[:] = 0.0
@@ -75,10 +75,7 @@ class TestNextUnitRanking:
         seed = 21
         row = next_unit_ranking(probes[:10], elib, None, lm, "lstm", seed=seed)
         contexts = np.stack(
-            [
-                context_window(tokenize_unit(p, lm.vocab), lm.context_len)
-                for p, _ in probes[:10]
-            ]
+            [context_window(tokenize_unit(p, lm.vocab)) for p, _ in probes[:10]]
         )
         dists = note_distributions(contexts, lm)
         lib_first = np.array(

@@ -93,11 +93,13 @@ class TestContextWindow:
 
 class TestMakeWindows:
     def test_shapes_and_masking(self):
-        x, y = make_windows([[2, 3, 4, 5]], context_len=3)
-        assert x.shape == y.shape
-        # stream [PAD,2,3,4,5]: inputs [PAD,2,3 | 4], targets [2,3,4 | 5]
-        assert x.tolist() == [[PAD, 2, 3], [4, PAD, PAD]]
-        assert y.tolist() == [[2, 3, 4], [5, PAD, PAD]]
+        stream = list(range(2, CONTEXT_LEN + 3))  # 37 tokens, 2..38
+        x, y = make_windows([stream])
+        assert x.shape == y.shape == (2, CONTEXT_LEN)
+        # stream [PAD,2..38]: inputs [PAD,2..36 | 37], targets [2..37 | 38]
+        pads = [PAD] * (CONTEXT_LEN - 1)
+        assert x.tolist() == [[PAD] + stream[:-2], [stream[-2]] + pads]
+        assert y.tolist() == [stream[:-1], [stream[-1]] + pads]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -170,7 +172,7 @@ def _parent_train_lm(streams, vocab, cfg, hidden):
     drawing two ``(batch, hidden)`` dropout masks per batch from ``lm-dropout``."""
     x, y = make_windows(streams)
     rng = stream_rng(cfg.seed, "lm-init")
-    model = LmModel(vocab, hidden=hidden)
+    model = LmModel(vocab, hidden=hidden, rng=np.random.default_rng(0))
     for name, in_dim in (("lstm1", vocab.size), ("lstm2", hidden)):
         w = glorot_uniform(rng, 4 * hidden, in_dim)
         u = glorot_uniform(rng, 4 * hidden, hidden)

@@ -195,13 +195,12 @@ class TestSliceUnits:
     def test_window_counts(self):
         m = simple_measure(60, 62, 64, 65)
         p = Piece("p", (m,) * 8)
-        assert len(slice_units(p, 4, stride=1)) == 5
-        assert len(slice_units(p, 4, stride=4)) == 2
-        assert len(slice_units(p, 2, stride=2)) == 4
+        assert len(slice_units(p, 4)) == 2
+        assert len(slice_units(p, 2)) == 4
 
     def test_provenance_offsets(self):
         m = simple_measure(60, 62, 64, 65)
         p = Piece("p", (m,) * 6)
-        units = slice_units(p, 2, stride=2)
+        units = slice_units(p, 2)
         assert [u.provenance.offset for u in units] == [0, 2, 4]
         assert all(u.provenance.source_id == "p" for u in units)

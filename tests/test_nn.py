@@ -223,6 +223,18 @@ def _tiny_feature_vocab(n_pitches=4):
 class TestGradCheck:
     """Analytic gradients vs central finite differences (the oracle)."""
 
+    def test_no_hidden_generator(self):
+        # weights and checked coordinates come only from the caller's generator
+        vocab = _tiny_feature_vocab()
+        for build in (
+            lambda: AutoencoderModel(vocab),
+            lambda: DssmModel(vocab),
+            lambda: LmModel(NoteVocabulary([(60, Fraction(1, 4))])),
+            lambda: grad_check([np.zeros(3)], [np.zeros(3)], lambda: 0.0),
+        ):
+            with pytest.raises(TypeError, match="rng"):
+                build()
+
     def test_autoencoder_cosine_softmax(self):
         vocab = _tiny_feature_vocab()
         worst = 0.0
