@@ -1,4 +1,4 @@
-"""Shared plumbing: JSON writers and readers, hashing, fixed-chunk parallel map."""
+"""Shared plumbing: file writers and readers, hashing, fixed-chunk parallel map."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -73,10 +74,30 @@ def json_lines(path, error: type[Exception], magic: str | None = None) -> Iterat
             yield lineno, decode_json(line, error, f"{path}:{lineno}"), line
 
 
+class WriteError(Exception):
+    """An artifact could not be written; the message names its path."""
+
+
+@contextmanager
+def _writing(path):
+    """Report an ``OSError`` raised inside (a directory in the way, a full
+    disk, no permission) as a :class:`WriteError` naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise WriteError(f"{path}: cannot write ({exc.strerror or exc})") from None
+
+
 def write_lines(path, lines: Iterable[str]) -> None:
     """A UTF-8 file of one line per item (a magic line is the first item)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path), open(path, "w", encoding="utf-8") as fh:
         fh.writelines(part for line in lines for part in (line, "\n"))  # no copy of a line
+
+
+def write_text(path, text: str) -> None:
+    """A UTF-8 text file."""
+    with _writing(path):
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _finite_or_null(obj):
@@ -95,7 +116,7 @@ def write_json(obj, path) -> None:
 
     JSON has no infinity or NaN, so a non-finite float is written as null."""
     text = json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_text(path, text + "\n")
 
 
 def sha256_hex(text: str) -> str:

@@ -14,7 +14,7 @@ which must see unaltered interval and rhythm structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -25,6 +25,7 @@ from .music import (
     UNIT_LENGTHS,
     DurationError,
     Measure,
+    Note,
     Piece,
     Provenance,
     Unit,
@@ -62,7 +63,7 @@ def _with_tag(prov: Provenance, tag: str) -> Provenance:
     if not tag:
         return prov
     joined = f"{prov.transform};{tag}" if prov.transform else tag
-    return replace(prov, transform=joined)
+    return Provenance(prov.source_id, prov.offset, joined)
 
 
 def _shift_measures(measures: tuple[Measure, ...], semitones: int) -> tuple[Measure, ...] | None:
@@ -78,7 +79,7 @@ def _shift_measures(measures: tuple[Measure, ...], semitones: int) -> tuple[Meas
             p = n.pitch + semitones
             if not lo <= p <= hi:
                 return None
-            notes.append(replace(n, pitch=p))
+            notes.append(Note(p, n.duration, n.tie_from_prev, n.tie_to_next))
         new_measures.append(Measure(notes=tuple(notes), meter=m.meter))
     return tuple(new_measures)
 
@@ -130,7 +131,10 @@ def interval_transform(u: Unit, op: str, c: int | Fraction) -> Unit | None:
     if any(not lo <= p <= hi for p in new_pitches):
         return None
     it = iter(new_pitches)
-    notes = [n if n.is_rest else replace(n, pitch=next(it)) for n in u.notes]
+    notes = [
+        n if n.is_rest else Note(next(it), n.duration, n.tie_from_prev, n.tie_to_next)
+        for n in u.notes
+    ]
     if op == "add":
         tag = f"add{int(c):+d}"
     else:
@@ -151,7 +155,7 @@ def double_time(m1: Measure, m2: Measure) -> Measure:
         raise ValueError("double_time needs measures of the same meter")
     notes = []
     for n in list(m1.notes) + list(m2.notes):
-        notes.append(replace(n, duration=n.duration / 2))
+        notes.append(Note(n.pitch, n.duration / 2, n.tie_from_prev, n.tie_to_next))
     return Measure(notes=tuple(notes), meter=m1.meter)
 
 

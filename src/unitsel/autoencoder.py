@@ -3,7 +3,13 @@
 The encoder compresses a unit's count vector to a 128-length embedding;
 the decoder mirrors it back. Training drives the reconstruction to be
 more cosine-similar to its own input than reconstructions of random other
-units are (softmax over the true candidate plus sampled negatives).
+units are (softmax over the true candidate plus k negatives). The
+negatives come from the batch, a slice of a fresh random permutation of
+the library: case i takes the batch's next k rows, wrapping around. So
+each case still sees k distinct random other units, but the negatives are
+no longer independent across cases, and the tower runs each batch row once
+however many cases use it. The ``ae-negatives`` stream is drawn only to
+pad a batch of k cases or fewer.
 Reconstruction of music then replaces each query unit with the library
 unit whose embedding is nearest by cosine similarity -- a target cost
 only, no join cost.
@@ -28,10 +34,10 @@ from .nn import (
     cosine_rows,
     dense_stack_output,
     draw_pool,
+    in_batch_negatives,
     rank_order,
     relevance_batch_loss,
     row_norms,
-    stack_rows,
     stream_rng,
     train_relevance,
 )
@@ -62,8 +68,8 @@ class AutoencoderModel(FeatureModel):
 
 
 def _cases(x: np.ndarray, batch_idx: np.ndarray, negatives: np.ndarray):
-    """Tower inputs (each example, then its negatives) as one ``(x, rows)``
-    part, and raw queries."""
+    """Tower inputs of the loss pass (each example, then its negatives) as
+    one ``(x, rows)`` part, and raw queries."""
     return [(x, np.concatenate([batch_idx, negatives.reshape(-1)]))], x[batch_idx]
 
 
@@ -78,10 +84,14 @@ def autoencoder_batch_loss(
 
     ``negatives`` is (batch, k) row indices into ``x``; candidate vectors
     are the model's reconstructions of the example itself (truth) and of
-    the negative rows. Gradient flows through every reconstruction.
+    the negative rows. Each distinct row of ``batch_idx`` and ``negatives``
+    runs through the tower once, in ascending order, so ``masks`` has one
+    row per distinct row. Gradient flows through every reconstruction, and
+    a row that is a candidate of several cases gets the sum of theirs.
     """
-    parts, query = _cases(x, batch_idx, negatives)
-    return relevance_batch_loss(model.layers, stack_rows(parts), len(batch_idx), query, masks)
+    rows, slots = np.unique(np.column_stack([batch_idx, negatives]), return_inverse=True)
+    cand_rows = slots.reshape(len(batch_idx), -1)
+    return relevance_batch_loss(model.layers, x[rows], cand_rows, x[batch_idx], masks)
 
 
 def train_autoencoder(
@@ -92,12 +102,15 @@ def train_autoencoder(
     embedding: int = AutoencoderModel.hyperparameters["embedding"],
 ) -> AutoencoderModel:
     """SGD training of the relevance-reconstruction objective (see
-    :func:`unitsel.nn.train_relevance` for the epoch loop and loss curve)."""
+    :func:`unitsel.nn.train_relevance` for the epoch loop and loss curve).
+
+    Each case's negatives are other rows of its own batch
+    (:func:`unitsel.nn.in_batch_negatives`), so the tower runs each batch
+    row once, not once per case that uses it."""
     n = len(lib.units)
-    if n < cfg.negatives + 1:
-        raise ValueError(
-            f"library of {n} units too small for {cfg.negatives} negatives"
-        )
+    k = cfg.negatives
+    if n < k + 1:
+        raise ValueError(f"library of {n} units too small for {k} negatives")
     x = extract_matrix(lib.note_table, vocab)
     model = AutoencoderModel(
         vocab, hidden=hidden, embedding=embedding, rng=stream_rng(cfg.seed, "ae-init")
@@ -105,7 +118,8 @@ def train_autoencoder(
     train_relevance(
         model, n, cfg, "ae", partial(_cases, x),
         partial(autoencoder_batch_loss, model, x), model.reconstruct_features,
-        query_in_tower=False,
+        # a batch of more than k rows runs each once; a shorter one is padded to k + 1
+        lambda rng, idx: (in_batch_negatives(rng, idx, n, k), max(len(idx), k + 1)),
     )
     return model
 

@@ -22,7 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, load_trained
-from ._util import canonical_json, decode_json, file_sha256, read_text, sha256_hex, write_json
+from ._util import (
+    WriteError,
+    canonical_json,
+    decode_json,
+    file_sha256,
+    read_text,
+    sha256_hex,
+    write_json,
+    write_text,
+)
 from .augment import FULL, TRANSPOSE_ONLY, AugmentConfig, build_library, transpose_corpus
 from .autoencoder import (
     AutoencoderModel,
@@ -363,7 +372,7 @@ def cmd_eval_rank50(args, inputs: dict, out: Path) -> str:
         f"collisions per 100k {collisions:.1f}\n"
         f"probes              {len(probes)}\n"
     )
-    (out / "rank50.txt").write_text(text, encoding="utf-8")
+    write_text(out / "rank50.txt", text)
     write_json(result, out / "rank50.json")
     return text
 
@@ -614,7 +623,7 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits on bad flags (its code 2) and on --help/--version
         # (code 0); bad flags are a user error in our convention
         return 0 if exc.code in (0, None) else 1
-    except UserError as exc:
+    except (UserError, WriteError) as exc:  # WriteError: an artifact that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -20,9 +20,11 @@ from .music import Unit, slice_units
 from .nn import (
     DenseLayer,
     TrainConfig,
+    candidate_rows,
     cosine_sim,
     dense_stack_output,
     relevance_batch_loss,
+    sample_negatives,
     stack_rows,
     stream_rng,
     train_relevance,
@@ -90,7 +92,9 @@ def dssm_batch_loss(
     gradient too, through the shared tower).
     """
     parts, _ = _cases(prev_x, next_x, batch_idx, negatives)
-    return relevance_batch_loss(model.layers, stack_rows(parts), len(batch_idx), None, masks)
+    stack = stack_rows(parts)
+    cand_rows = candidate_rows(len(stack), len(batch_idx), query_in_tower=True)
+    return relevance_batch_loss(model.layers, stack, cand_rows, None, masks)
 
 
 def train_dssm(
@@ -111,10 +115,12 @@ def train_dssm(
     model = DssmModel(
         vocab, width=width, embedding=embedding, rng=stream_rng(cfg.seed, "dssm-init")
     )
+    k = cfg.negatives
     train_relevance(
         model, n, cfg, "dssm", partial(_cases, prev_x, next_x),
         partial(dssm_batch_loss, model, prev_x, next_x), model.encode_features,
-        query_in_tower=True,
+        # independent negatives; every query and candidate is its own tower row
+        lambda rng, idx: (sample_negatives(rng, idx, n, k), len(idx) * (k + 2)),
     )
     return model
 

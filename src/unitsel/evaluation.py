@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import decode_json, read_text, write_json
+from ._util import decode_json, read_text, write_json, write_text
 from .autoencoder import POOL_SIZE, EmbeddedLibrary, require_index
 from .dssm import DssmModel
 from .engine import GenerationConfig, combined_order
@@ -163,7 +163,7 @@ def report(rows: Sequence[RankingRow], path) -> str:
                 f"{regime:<12}{length:<10}{acc:<10}{mr:<14}{probes:<8}{seed:<6}"
             )
     text = "\n".join(lines) + "\n"
-    path.write_text(text, encoding="utf-8")
+    write_text(path, text)
     write_json([asdict(r) for r in rows], str(path) + ".json")
     return text
 

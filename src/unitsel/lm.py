@@ -298,7 +298,8 @@ def train_lm(
     sgd_epochs(
         model, len(x), cfg, "lm",
         lambda idx, _, masks: lm_batch_loss(model, x[idx], y[idx], masks),
-        0, 1, lambda: model.perplexity_curve.append(_eval_perplexity(model, x, y)),
+        lambda _, idx: (None, len(idx)),
+        lambda: model.perplexity_curve.append(_eval_perplexity(model, x, y)),
     )
     return model
 

@@ -385,13 +385,21 @@ def cosine_softmax_grads(
 
 
 def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> None:
-    """Plain gradient descent: p <- p - lr * g, in place."""
+    """Plain gradient descent, p <- p - lr * g, in place; the same bits as
+    ``p -= lr * g``.
+
+    The gradients are consumed: each is scaled by ``lr`` in place, so no
+    temporary of a weight's size is made. Every shape is checked before
+    anything is written, so a refused call changes no array.
+    """
     if len(params) != len(grads):
         raise ValueError("params/grads length mismatch")
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
-        p -= lr * g
+    for p, g in zip(params, grads):
+        np.multiply(g, lr, out=g)
+        p -= g
 
 
 def dense_stack_forward(
@@ -441,6 +449,24 @@ def sample_negatives(
     return negs
 
 
+def in_batch_negatives(
+    rng: np.random.Generator, idx: np.ndarray, n_total: int, k: int
+) -> np.ndarray:
+    """k negatives per case from the batch itself: case i of a ring of
+    ``r`` rows takes the ring's rows i+1 ... i+k (mod r).
+
+    The ring is the batch, whose rows are distinct. A batch of ``k`` cases
+    or fewer is too small to give each case ``k`` others, so its ring is
+    first padded with ``k + 1 - len(idx)`` distinct rows of [0, n_total)
+    outside the batch, drawn from ``rng``; a larger batch draws nothing.
+    """
+    ring = idx
+    if len(idx) <= k:
+        outside = np.delete(np.arange(n_total), idx)
+        ring = np.concatenate([idx, rng.choice(outside, size=k + 1 - len(idx), replace=False)])
+    return ring[(np.arange(len(idx))[:, None] + np.arange(1, k + 1)) % len(ring)]
+
+
 def stack_rows(parts) -> np.ndarray:
     """The tower inputs ``x[rows]`` of every ``(x, rows)`` part, in order."""
     if len(parts) == 1:
@@ -449,14 +475,14 @@ def stack_rows(parts) -> np.ndarray:
     return np.concatenate([x[rows] for x, rows in parts])
 
 
-def _case_layout(n_rows: int, b: int, query_in_tower: bool):
-    """Row indices, in a tower stack laid out as [queries], truths, negatives,
-    of the b queries (None when they are raw) and of each case's candidates,
-    truth first: a (b, 1 + k) array."""
+def candidate_rows(n_rows: int, b: int, query_in_tower: bool) -> np.ndarray:
+    """Each case's candidate rows, truth first, as a (b, 1 + k) array, in a
+    tower stack of ``n_rows`` laid out as [b queries], b truths, then k
+    negatives per case, case-major."""
     first = b if query_in_tower else 0
     truths = np.arange(first, first + b)
     negs = np.arange(first + b, n_rows).reshape(b, -1)
-    return (np.arange(b) if query_in_tower else None), np.column_stack([truths, negs])
+    return np.column_stack([truths, negs])
 
 
 def _dropout_zeroed(layer: DenseLayer, cache: tuple, dropped: np.ndarray) -> np.ndarray:
@@ -470,21 +496,23 @@ def _dropout_zeroed(layer: DenseLayer, cache: tuple, dropped: np.ndarray) -> np.
 def relevance_batch_loss(
     layers: list[DenseLayer],
     stack: np.ndarray,
-    b: int,
+    cand_rows: np.ndarray,
     raw_query: np.ndarray | None = None,
     masks=None,
 ) -> tuple[float, list[np.ndarray]]:
     """Mean cosine-softmax relevance loss of ``b`` cases with the gradient of
     every layer parameter.
 
-    ``stack`` holds the tower inputs: the b queries (left out when
-    ``raw_query`` gives them as fixed vectors, which get no gradient), the b
-    true candidates, then k negatives per case, case-major. Gradient flows
-    through every tower output.
+    ``stack`` holds the tower inputs, and ``cand_rows`` (b, 1 + k) the rows
+    of the tower output that are each case's candidates, truth first. The
+    queries are the first b tower rows, unless ``raw_query`` gives them as
+    fixed vectors, which get no gradient. Gradient flows through every
+    tower output; a row that is a candidate of several cases gets the sum
+    of their gradients, added in case order.
     """
     out, caches = dense_stack_forward(layers, stack, masks)
-    q_rows, cand_rows = _case_layout(len(out), b, raw_query is None)
-    q = out[q_rows] if raw_query is None else raw_query
+    b = len(cand_rows)
+    q = out[:b] if raw_query is None else raw_query
     try:
         losses, _, dq, dcands = cosine_softmax_grads(
             q, out[cand_rows], np.zeros(b, dtype=int), grad_query=raw_query is None
@@ -500,10 +528,12 @@ def relevance_batch_loss(
                 "a wider tower or a higher dropout_keep avoids it"
             ) from exc
         raise
-    dout = np.empty_like(out)
-    dout[cand_rows] = dcands
+    # sum each tower element's gradient over the candidate slots that read it
+    width = out.shape[1]
+    slots = (cand_rows[:, :, None] * width + np.arange(width)).ravel()
+    dout = np.bincount(slots, weights=dcands.ravel(), minlength=out.size).reshape(out.shape)
     if dq is not None:
-        dout[q_rows] = dq
+        dout[:b] += dq
     dout /= b
     return float(losses.mean()), dense_stack_backward(layers, dout, caches, masks)
 
@@ -523,23 +553,22 @@ def _distinct_row_losses(
     out = encode(inputs[0] if len(inputs) == 1 else np.concatenate(inputs))
     del inputs  # free the inputs before the loss allocates its temporaries
     inverse = np.concatenate(inverse)
-    q_rows, cand_rows = _case_layout(len(inverse), b, raw_query is None)
-    q = out[inverse[q_rows]] if raw_query is None else raw_query
+    cand_rows = candidate_rows(len(inverse), b, raw_query is None)
+    q = out[inverse[:b]] if raw_query is None else raw_query
     return _cosine_softmax(q, out[inverse[cand_rows]], np.zeros(b, dtype=int))[0]
 
 
-def sgd_epochs(
-    model, n: int, cfg: TrainConfig, label: str, batch_loss, negatives: int, rows: int, end_epoch
-) -> None:
+def sgd_epochs(model, n: int, cfg: TrainConfig, label: str, batch_loss, sample, end_epoch) -> None:
     """The one training loop: ``cfg.epochs`` epochs of minibatch SGD over
     ``n`` cases, shuffled each epoch by the ``{label}-shuffle`` stream.
 
-    Each batch draws ``negatives`` per case from ``{label}-negatives``
-    (``negs`` is None when 0), then from ``{label}-dropout`` one mask of
-    ``rows`` rows per case for each hidden layer (``model.layers[:-1]``);
-    :func:`sgd_step` applies the gradients of ``batch_loss(idx, negs,
-    masks)``, and ``end_epoch()`` runs after each epoch. A zero-norm output
-    is a :class:`ZeroNormError` naming the epoch and batch (from 1) or loss pass.
+    Each batch's negatives and tower row count come from ``sample(rng,
+    idx)`` with the ``{label}-negatives`` stream (``negs`` is None for a
+    model without them); then from ``{label}-dropout`` one mask of that many
+    rows for each hidden layer (``model.layers[:-1]``). :func:`sgd_step`
+    applies the gradients of ``batch_loss(idx, negs, masks)``, and
+    ``end_epoch()`` runs after each epoch. A zero-norm output is a
+    :class:`ZeroNormError` naming the epoch and batch (from 1) or loss pass.
     """
     for epoch in range(cfg.epochs):
         order = stream_rng(cfg.seed, f"{label}-shuffle", epoch).permutation(n)
@@ -547,9 +576,9 @@ def sgd_epochs(
         drop_rng = stream_rng(cfg.seed, f"{label}-dropout", epoch)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            negs = sample_negatives(neg_rng, idx, n, negatives) if negatives else None
+            negs, rows = sample(neg_rng, idx)
             masks = [
-                dropout_mask(drop_rng, (len(idx) * rows, layer.out_dim), cfg.dropout_keep)
+                dropout_mask(drop_rng, (rows, layer.out_dim), cfg.dropout_keep)
                 for layer in model.layers[:-1]
             ]
             try:
@@ -572,22 +601,22 @@ def train_relevance(
     cases,
     batch_loss,
     encode,
-    query_in_tower: bool,
+    sample,
 ) -> None:
     """:func:`sgd_epochs` of a relevance model over ``n`` cases, with
-    ``cfg.negatives`` negatives per case re-sampled each epoch.
+    ``cfg.negatives`` negatives per case drawn afresh each epoch by
+    ``sample(rng, idx)``, which also gives the batch's tower row count.
 
     ``cases(idx, negs)`` gives the tower inputs as ``(x, rows)`` parts
-    (see :func:`stack_rows`) and the raw queries (None when
-    ``query_in_tower``), and ``batch_loss(idx, negs, masks)`` one batch's
+    (see :func:`stack_rows`) and the raw queries (None when they run
+    through the tower), and ``batch_loss(idx, negs, masks)`` one batch's
     loss and gradients. The loss appended to ``model.loss_curve`` after
-    each epoch comes from ``encode`` with dropout off and one fixed
-    negative set, so the curve is comparable across epochs; it is taken
-    over 512 cases at a time, encoding each distinct input row once.
+    each epoch comes from ``encode`` with dropout off and one fixed set of
+    independent negatives, so the curve is comparable across epochs; it is
+    taken over 512 cases at a time, encoding each distinct input row once.
     """
-    k = cfg.negatives
     eval_negs = sample_negatives(
-        stream_rng(cfg.seed, f"{label}-eval-negatives"), np.arange(n), n, k
+        stream_rng(cfg.seed, f"{label}-eval-negatives"), np.arange(n), n, cfg.negatives
     )
 
     def loss_pass() -> None:
@@ -598,7 +627,7 @@ def train_relevance(
             total += float(_distinct_row_losses(encode, parts, len(idx), raw_query).sum())
         model.loss_curve.append(total / n)
 
-    sgd_epochs(model, n, cfg, label, batch_loss, k, k + (2 if query_in_tower else 1), loss_pass)
+    sgd_epochs(model, n, cfg, label, batch_loss, sample, loss_pass)
 
 
 def grad_check(

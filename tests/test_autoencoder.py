@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from toygen import make_toy_corpus
+from unitsel import autoencoder
 from unitsel._util import chunked_map
 from unitsel.augment import AugmentConfig, UnitLibrary, build_library
 from unitsel.autoencoder import (
     AutoencoderModel,
     EmbeddedLibrary,
+    autoencoder_batch_loss,
     collision_rate,
     embed_library,
     interpolate,
@@ -17,11 +19,12 @@ from unitsel.autoencoder import (
     select_nearest,
     train_autoencoder,
 )
+from unitsel.corpus import save_model
 from unitsel.engine import GenerationConfig, rank_candidates
 from unitsel.evaluation import next_unit_ranking
 from unitsel.features import FeatureVocabulary, build_vocab, extract_matrix
 from unitsel.music import Measure, Note, Provenance, Unit, validate_piece
-from unitsel.nn import TrainConfig, stream_rng
+from unitsel.nn import TrainConfig, in_batch_negatives, stream_rng
 
 Q = Fraction(1, 4)
 
@@ -61,6 +64,40 @@ class TestTraining:
         m2 = train_autoencoder(lib, vocab, cfg, hidden=32, embedding=16)
         for p1, p2 in zip(m1.params, m2.params):
             np.testing.assert_array_equal(p1, p2)
+
+    @pytest.mark.parametrize("batch_size", [16, 4], ids=["ring", "padded"])
+    def test_same_seed_identical_archive_bytes(self, toy_lib, tmp_path, batch_size):
+        _, lib, vocab = toy_lib
+        cfg = TrainConfig(epochs=2, seed=4, batch_size=batch_size)
+        paths = [tmp_path / "a.model", tmp_path / "b.model"]
+        for path in paths:
+            save_model(train_autoencoder(lib, vocab, cfg, hidden=32, embedding=16).to_archive(), path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_negatives_come_from_the_batch(self, toy_lib, monkeypatch):
+        # 35 units at batch size 32: one full batch, then 3 cases padded to 5
+        _, lib, vocab = toy_lib
+        small = UnitLibrary(
+            units=lib.units[:35], origins=lib.origins[:35],
+            unit_length=lib.unit_length, meter=lib.meter,
+        )
+        seen = []
+
+        def recording(model, x, idx, negs, masks):
+            seen.append((idx, negs, len(masks[0])))
+            return autoencoder_batch_loss(model, x, idx, negs, masks)
+
+        monkeypatch.setattr(autoencoder, "autoencoder_batch_loss", recording)
+        cfg = TrainConfig(epochs=1, seed=3, batch_size=32)
+        train_autoencoder(small, vocab, cfg, hidden=48, embedding=24)
+        (full, full_negs, full_rows), (last, last_negs, last_rows) = seen
+        ring = (np.arange(32)[:, None] + np.arange(1, 5)) % 32
+        np.testing.assert_array_equal(full_negs, full[ring])
+        assert full_rows == 32 and len(last) == 3 and last_rows == 5
+        # the pad rows are the first draw of the epoch's ae-negatives stream
+        expected = in_batch_negatives(stream_rng(3, "ae-negatives", 0), last, 35, 4)
+        np.testing.assert_array_equal(last_negs, expected)
+        assert len(set(last_negs.ravel().tolist()) - set(last.tolist())) == 2
 
     def test_library_too_small(self, toy_lib):
         _, lib, vocab = toy_lib

@@ -459,6 +459,15 @@ class TestRunner:
         assert err == f"error: piece 'no-such-piece' not in {pipeline['test']}\n"
         assert not (out / "manifest.json").exists()
 
+    def test_an_artifact_that_cannot_be_written_is_a_user_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "train.cor").mkdir(parents=True)  # a directory where split writes a file
+        code = main(["split", "--corpus", CORPUS, "--out", str(out), "--seed", "7"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {out / 'train.cor'}: cannot write (Is a directory)\n"
+        assert not (out / "manifest.json").exists()
+
 
 # Each input flag and a command that reads it; the pipeline gives the other files.
 _INPUT_COMMANDS = {

@@ -14,13 +14,16 @@ from unitsel.nn import (
     LstmLayer,
     TrainConfig,
     _sigmoid,
+    candidate_rows,
     cosine_sim,
     derive_seed,
     draw_pool,
     dropout_mask,
     glorot_uniform,
     grad_check,
+    in_batch_negatives,
     rank_order,
+    relevance_batch_loss,
     sgd_step,
     softmax_relevance,
     stream_rng,
@@ -184,6 +187,53 @@ class TestSgdStep:
         with pytest.raises(ValueError):
             sgd_step([np.ones(2)], [np.ones(3)], lr=0.1)
 
+    def test_refused_call_changes_nothing(self):
+        # the second pair is refused; the first must not have been updated
+        params = [np.array([1.0, 1.0]), np.ones(2)]
+        grads = [np.array([1.0, 1.0]), np.ones(3)]
+        before = [a.copy() for a in params + grads]
+        with pytest.raises(ValueError, match="shape mismatch"):
+            sgd_step(params, grads, lr=0.5)
+        for a, b in zip(params + grads, before):
+            np.testing.assert_array_equal(a, b)
+
+    def test_same_bits_as_the_out_of_place_update(self):
+        rng = stream_rng(5, "sgd-bits")
+        p = rng.standard_normal((64, 33))
+        g = rng.standard_normal((64, 33)) * 10.0 ** rng.integers(-300, 300, size=(64, 33))
+        g[::7] = 0.0
+        g[1, :3] = [-0.0, 1e300, -1e300]
+        for lr in (0.005, 0.2, 1.0, 3e-7):
+            expected = p - lr * g
+            got = p.copy()
+            sgd_step([got], [g.copy()], lr)
+            assert got.tobytes() == expected.tobytes(), lr
+
+
+class TestInBatchNegatives:
+    @pytest.mark.parametrize("k", [1, 4, 31])
+    def test_each_case_takes_k_distinct_other_rows_of_its_batch(self, k):
+        idx = stream_rng(1, "ring-batch").permutation(100)[:32]
+        negs = in_batch_negatives(stream_rng(2, "ring"), idx, 100, k)
+        assert negs.shape == (32, k)
+        for case, row in zip(idx, negs):
+            assert len(set(row)) == k and case not in row and set(row) <= set(idx)
+
+    def test_a_batch_larger_than_k_draws_nothing(self):
+        rng = stream_rng(3, "ring")
+        in_batch_negatives(rng, np.arange(5), 50, 4)
+        assert rng.random() == stream_rng(3, "ring").random()
+
+    @pytest.mark.parametrize("b", [1, 3, 4])
+    def test_a_short_batch_pads_its_ring_with_distinct_rows_from_outside(self, b):
+        # 35 units at batch size 32 leave a last batch of 3 cases
+        idx = stream_rng(4, "ring-batch").permutation(35)[:b]
+        negs = in_batch_negatives(stream_rng(5, "ring"), idx, 35, 4)
+        pad = set(negs.ravel().tolist()) - set(idx.tolist())
+        assert len(pad) == 4 + 1 - b
+        for case, row in zip(idx, negs):
+            assert len(set(row)) == 4 and case not in row
+
 
 class TestStreams:
     def test_deterministic(self):
@@ -251,6 +301,40 @@ class TestGradCheck:
             loss_fn = lambda: autoencoder_batch_loss(model, x, idx, negs)[0]
             worst = max(worst, grad_check(model.params, grads, loss_fn, rng=rng))
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("b", [5, 2], ids=["ring", "padded"])
+    def test_autoencoder_in_batch_negatives(self, b):
+        # negatives repeat batch rows, so one tower row serves several cases
+        vocab = _tiny_feature_vocab()
+        worst = 0.0
+        for seed in (1, 2, 3):
+            rng = stream_rng(seed, "gc-ae-ring")
+            model = AutoencoderModel(vocab, hidden=6, embedding=4, rng=rng)
+            model.dec2.b += 0.3
+            x = rng.random((8, vocab.dimension)) + 0.05
+            idx = rng.permutation(8)[:b]
+            negs = in_batch_negatives(rng, idx, 8, 2)
+            _, grads = autoencoder_batch_loss(model, x, idx, negs)
+            loss_fn = lambda: autoencoder_batch_loss(model, x, idx, negs)[0]
+            worst = max(worst, grad_check(model.params, grads, loss_fn, rng=rng))
+        assert worst < 1e-4
+
+    def test_autoencoder_shared_rows_match_expanded_rows(self):
+        # the same cases with every candidate its own tower row
+        vocab = _tiny_feature_vocab()
+        rng = stream_rng(4, "ae-shared-rows")
+        model = AutoencoderModel(vocab, hidden=6, embedding=4, rng=rng)
+        model.dec2.b += 0.3
+        x = rng.random((12, vocab.dimension)) + 0.05
+        idx = rng.permutation(12)[:6]
+        negs = in_batch_negatives(rng, idx, 12, 3)
+        loss, grads = autoencoder_batch_loss(model, x, idx, negs)
+        rows = np.concatenate([idx, negs.ravel()])
+        expanded = candidate_rows(len(rows), len(idx), query_in_tower=False)
+        ref_loss, ref_grads = relevance_batch_loss(model.layers, x[rows], expanded, x[idx])
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for g, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(g, ref, rtol=1e-12)
 
     def test_dssm_successor_loss(self):
         vocab = _tiny_feature_vocab()
