@@ -76,7 +76,7 @@ from .engine import (
     generate_note_level,
     rank_candidates,
 )
-from .evaluation import RankingRow, load_report, next_unit_ranking, report
+from .evaluation import RankingRow, next_unit_ranking, report
 
 __version__ = "0.1.0"
 

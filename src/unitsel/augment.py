@@ -264,12 +264,13 @@ class UnitLibrary:
         return len(self.units)
 
     def index_of(self, u: Unit) -> int | None:
-        """Library index of a unit with identical content, if any."""
+        """Library index of a unit with identical content (equal
+        ``content_key``), if any. The index is keyed by each unit's content
+        as integers (:func:`_content_ints`), which hash much faster than its
+        ``Fraction``-valued notes and measures."""
         if self._index is None:
-            self._index = {
-                unit.content_key(): i for i, unit in enumerate(self.units)
-            }
-        return self._index.get(u.content_key())
+            self._index = {_content_ints(unit): i for i, unit in enumerate(self.units)}
+        return self._index.get(_content_ints(u))
 
 
 def _pitch_variants(u: Unit, cfg: AugmentConfig) -> list[Unit]:
@@ -286,34 +287,42 @@ def _pitch_variants(u: Unit, cfg: AugmentConfig) -> list[Unit]:
     return variants
 
 
-def _content_shape(u: Unit) -> tuple[tuple, int | None, int | None]:
-    """A unit's content as integers, with its lowest and highest pitch
-    (None for both when every note is a rest).
-
-    The shape flattens, per measure, the meter, the note count and each
-    note's pitch above the lowest one (REST for a rest), duration and tie
-    flags. Transposing by k keeps the shape and moves the lowest pitch by
-    k, so two transposed candidates have equal measures exactly when they
-    have equal shapes and equal shifted lowest pitches.
-    """
-    pitched = [n.pitch for n in u.notes if not n.is_rest]
-    if not pitched:
-        low = high = None
-    else:
-        low, high = min(pitched), max(pitched)
-    shape: list = []
+def _content_ints(u: Unit, low: int = 0) -> tuple:
+    """A unit's exact content as one flat tuple of integers: per measure the
+    meter's numerator and denominator and the note count, then per note its
+    pitch less ``low`` (REST for a rest), its duration's numerator and
+    denominator and its tie flags. The note counts delimit the measures, so
+    two units of equal ``low`` have equal tuples exactly when they have equal
+    ``content_key``."""
+    flat: list = []
     for m in u.measures:
-        shape += (m.meter.numerator, m.meter.denominator, len(m.notes))
+        flat += (m.meter.numerator, m.meter.denominator, len(m.notes))
         for n in m.notes:
             d = n.duration
-            shape += (
+            flat += (
                 REST if n.is_rest else n.pitch - low,
                 d.numerator,
                 d.denominator,
                 n.tie_from_prev,
                 n.tie_to_next,
             )
-    return tuple(shape), low, high
+    return tuple(flat)
+
+
+def _content_shape(u: Unit) -> tuple[tuple, int | None, int | None]:
+    """A unit's content as integers, with its lowest and highest pitch
+    (None for both when every note is a rest).
+
+    The shape is :func:`_content_ints` with pitches taken above the lowest
+    one. Transposing by k keeps the shape and moves the lowest pitch by k,
+    so two transposed candidates have equal measures exactly when they have
+    equal shapes and equal shifted lowest pitches.
+    """
+    pitched = [n.pitch for n in u.notes if not n.is_rest]
+    if not pitched:
+        return _content_ints(u), None, None
+    low, high = min(pitched), max(pitched)
+    return _content_ints(u, low), low, high
 
 
 def _shift_provenance(prov: Provenance, semitones: int) -> Provenance:

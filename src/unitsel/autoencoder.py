@@ -33,13 +33,15 @@ from .nn import (
     TrainConfig,
     cosine_rows,
     dense_stack_output,
-    draw_pool,
     in_batch_negatives,
+    pool_cosines,
+    probe_pools,
     rank_order,
     relevance_batch_loss,
     row_norms,
     stream_rng,
     train_relevance,
+    truth_ranks,
 )
 
 POOL_SIZE = 50  # the paper's ranking pool: the truth plus 49 distractors
@@ -286,16 +288,12 @@ def rank_at_50(
     if not probes:
         raise ValueError("no probes given")
     q_emb = model.encode_features(extract_matrix(probes, model.vocab))
-    ranks = np.empty(len(probes))
-    for i, probe in enumerate(probes):
-        truth_idx = elib.library.index_of(probe)
-        if truth_idx is None:
-            raise ValueError(f"probe {i} is not in the library")
-        rng = stream_rng(seed, "rank50", i)
-        pool = np.concatenate([[truth_idx], draw_pool(rng, n, truth_idx, POOL_SIZE - 1)])
-        sims = cosine_rows(q_emb[i], elib.embeddings[pool])
-        order = rank_order(-sims, rng.random(POOL_SIZE))
-        ranks[i] = int(np.where(order == 0)[0][0]) + 1
+    truth_idx = [elib.library.index_of(probe) for probe in probes]
+    if None in truth_idx:
+        raise ValueError(f"probe {truth_idx.index(None)} is not in the library")
+    draws, jitter, _ = probe_pools(seed, "rank50", truth_idx, n, POOL_SIZE)
+    sims = pool_cosines(q_emb, elib.embeddings[truth_idx], elib.embeddings, draws)
+    ranks = truth_ranks(-sims, jitter)
     return float(ranks.mean()), float(np.mean(ranks == 1))
 
 

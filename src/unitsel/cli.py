@@ -287,6 +287,14 @@ def cmd_train_lm(args, inputs: dict, out: Path) -> str:
     streams = [tokenize(p, vocab) for p in tcorp.pieces]
     with _user_error("cannot train the note model: "):
         model = train_lm(streams, vocab, _train_config(args), hidden=args.hidden)
+    # a uniform guess scores V; short honest runs end near it
+    final, bound = model.perplexity_curve[-1], 10 * vocab.size
+    if not final <= bound:  # also refuses NaN
+        raise UserError(
+            f"the note model's final perplexity {final:.4g} is above the bound {bound} "
+            f"(10 x the vocabulary size {vocab.size}), so it was not saved; "
+            "lower --learning-rate"
+        )
     path = _save_trained(model, out, vocab.size)
     return (
         f"trained note model (vocab {vocab.size}, final perplexity "

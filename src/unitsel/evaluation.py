@@ -17,14 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import decode_json, read_text, write_json, write_text
+from ._util import write_json, write_text
 from .autoencoder import POOL_SIZE, EmbeddedLibrary, require_index
 from .dssm import DssmModel
-from .engine import GenerationConfig, combined_order
+from .engine import GenerationConfig, combined_order, shortlist_size
 from .features import extract_matrix
 from .lm import LmModel, context_window, first_tokens, note_distributions, tokenize
 from .music import Unit
-from .nn import cosine_rows, draw_pool, rank_order, stream_rng
+from .nn import pool_cosines, probe_pools, truth_ranks
 
 REGIME_LSTM = "lstm"
 REGIME_DSSM = "dssm"
@@ -56,8 +56,10 @@ def next_unit_ranking(
     """Rank each probe's true successor among seeded random distractors.
 
     Distractor draws exclude the truth unit and are reproducible by seed;
-    re-running with the same inputs gives identical numbers. A zero-norm
-    context or truth embedding is a ValueError, as in ``nn.cosine_rows``.
+    re-running with the same inputs gives identical numbers. Each truth's
+    rank is counted in ``nn.rank_order``'s order (``nn.truth_ranks``), not
+    sorted. A zero-norm context or truth embedding is a ValueError, as in
+    ``nn.cosine_rows``.
     """
     if regime not in REGIME_ORDER:
         raise ValueError(f"unknown regime {regime!r}")
@@ -95,33 +97,24 @@ def next_unit_ranking(
         truth_first = first_tokens(truths, lm_model.vocab)
 
     unit_len = elib.library.unit_length
-    ranks = np.empty(n)
-    for i in range(n):
-        rng = stream_rng(seed, "nextunit", i)
-        draw = draw_pool(rng, n_lib, elib.library.index_of(truths[i]), POOL_SIZE - 1)
-        jitter = rng.random(POOL_SIZE)
+    truth_idx = [elib.library.index_of(t) for t in truths]
+    draws, jitter, extras = probe_pools(
+        seed, "nextunit", truth_idx, n_lib, POOL_SIZE, extra=regime == REGIME_RANDOM
+    )
+    if needs_dssm:
+        sims = pool_cosines(prev_emb, truth_emb, elib.embeddings, draws)
+    if needs_lstm:
+        firsts = np.concatenate([truth_first[:, None], lib_first[draws]], axis=1)
+        costs = -np.log(np.take_along_axis(dists, firsts, axis=1))
 
-        if needs_dssm:
-            cand_emb = np.concatenate(
-                [truth_emb[i][None, :], elib.embeddings[draw]], axis=0
-            )
-            sims = cosine_rows(prev_emb[i], cand_emb)
-        if needs_lstm:
-            firsts = np.concatenate([[truth_first[i]], lib_first[draw]])
-            costs = -np.log(dists[i][firsts])
-
-        if regime == REGIME_DSSM:
-            order = rank_order(-sims, jitter)
-        elif regime == REGIME_LSTM:
-            order = rank_order(costs, jitter)
-        elif regime == REGIME_COMBINED:
-            ranking = combined_order(
-                sims, lambda idxs: costs[idxs], GenerationConfig.shortlist_fraction, jitter
-            )
-            order = ranking.order
-        else:
-            order = rank_order(-rng.random(POOL_SIZE))
-        ranks[i] = int(np.where(order == 0)[0][0]) + 1
+    if regime == REGIME_DSSM:
+        ranks = truth_ranks(-sims, jitter)
+    elif regime == REGIME_LSTM:
+        ranks = truth_ranks(costs, jitter)
+    elif regime == REGIME_COMBINED:
+        ranks = _combined_ranks(sims, costs, jitter)
+    else:
+        ranks = truth_ranks(-extras)
 
     return RankingRow(
         regime=regime,
@@ -131,6 +124,18 @@ def next_unit_ranking(
         probe_count=n,
         seed=seed,
     )
+
+
+def _combined_ranks(sims: np.ndarray, costs: np.ndarray, jitter: np.ndarray) -> np.ndarray:
+    """The truth's rank in each probe's ``combined_order``. Past the
+    shortlist that order is the semantic one, so only a probe whose truth
+    is shortlisted needs the join stage."""
+    fraction = GenerationConfig.shortlist_fraction
+    ranks = truth_ranks(-sims, jitter)
+    for i in np.flatnonzero(ranks <= shortlist_size(sims.shape[1], fraction)):
+        order = combined_order(sims[i], costs[i].take, fraction, jitter[i]).order
+        ranks[i] = np.flatnonzero(order == 0)[0] + 1
+    return ranks
 
 
 def _fmt_cell(row: RankingRow | None) -> tuple[str, str, str, str]:
@@ -167,8 +172,3 @@ def report(rows: Sequence[RankingRow], path) -> str:
     write_json([asdict(r) for r in rows], str(path) + ".json")
     return text
 
-
-def load_report(json_path) -> list[RankingRow]:
-    """Read back the machine-readable report with identical values."""
-    data = decode_json(read_text(json_path, ValueError), ValueError, str(json_path))
-    return [RankingRow(**entry) for entry in data]

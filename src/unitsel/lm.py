@@ -15,14 +15,14 @@ the first J notes of the incoming unit given the running 36-token context
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._util import chunked_map
 from .corpus import ArchivedModel
 from .features import Vocabulary, _symbol_from_json, _symbol_json
-from .music import Piece, Unit
+from .music import Note, Piece, Unit
 from .nn import (
     DenseLayer,
     LstmLayer,
@@ -54,6 +54,7 @@ class NoteVocabulary(Vocabulary):
         self._map = {s: i + 2 for i, s in enumerate(self.symbols)}
         if len(self._map) != len(self.symbols):
             raise ValueError("duplicate note symbols")
+        self._by_ints: dict[tuple[int, int, int], int] | None = None
 
     @property
     def size(self) -> int:
@@ -61,6 +62,20 @@ class NoteVocabulary(Vocabulary):
 
     def encode(self, symbol: NoteSymbol) -> int:
         return self._map.get(symbol, OOV)
+
+    def encode_notes(self, notes: Iterable[Note]) -> list[int]:
+        """``encode((n.pitch, n.duration))`` of each note, looked up by
+        (pitch, numerator, denominator) in a map built on first use:
+        integers hash much faster than a ``Fraction``."""
+        if self._by_ints is None:
+            self._by_ints = {
+                (pitch, d.numerator, d.denominator): token
+                for (pitch, d), token in self._map.items()
+            }
+        get = self._by_ints.get
+        return [
+            get((n.pitch, n.duration.numerator, n.duration.denominator), OOV) for n in notes
+        ]
 
     def decode(self, token: int) -> NoteSymbol:
         if token < 2 or token >= self.size:
@@ -94,7 +109,7 @@ def build_note_vocab(pieces: Sequence[Piece]) -> NoteVocabulary:
 def tokenize(p: Piece | Unit, vocab: NoteVocabulary) -> list[int]:
     """One token per notated note of a piece or unit, in order; unseen
     symbols become OOV."""
-    return [vocab.encode((n.pitch, n.duration)) for n in p.notes]
+    return vocab.encode_notes(p.notes)
 
 
 # Kept only because perfbench calls it; test_benchmark_calls_still_bind checks that call.
@@ -361,7 +376,7 @@ def concat_cost(
 def first_tokens(units: Sequence[Unit], vocab: NoteVocabulary) -> np.ndarray:
     """Token id of each unit's first note (OOV when outside the vocabulary)."""
     firsts = (u.measures[0].notes[0] for u in units)
-    return np.array([vocab.encode((n.pitch, n.duration)) for n in firsts], dtype=np.int64)
+    return np.array(vocab.encode_notes(firsts), dtype=np.int64)
 
 
 def first_note_costs(

@@ -4,8 +4,10 @@ Dense layers (linear / rectified / leaky-rectified) and dense stacks, an
 LSTM cell (each layer built around its weight arrays; ``initial_params``
 draws fresh ones), the cosine-softmax relevance loss, the one SGD epoch
 loop of the autoencoder, relevance model and note-LSTM trainers, inverted
-dropout, plain SGD and a central finite-difference gradient checker. Everything is
-float64 numpy; forward passes on frozen parameters are pure and thread-safe.
+dropout, plain SGD and a central finite-difference gradient checker, and
+the pool draws, pool cosines and counted truth ranks of the two ranking
+evaluations. Everything is float64 numpy; forward passes on frozen
+parameters are pure and thread-safe.
 
 Randomness is reproducible: every stochastic choice draws from a stream
 generator derived from one master seed via splitmix64 (see
@@ -17,6 +19,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -41,9 +45,16 @@ def derive_seed(master: int, *stream: int | str) -> int:
     z = _splitmix64(master & _M64)
     for part in stream:
         if isinstance(part, str):
-            part = int.from_bytes(hashlib.sha256(part.encode()).digest()[:8], "little")
+            part = _label_digest(part)
         z = _splitmix64(z ^ (int(part) & _M64))
     return z
+
+
+@lru_cache(maxsize=256)
+def _label_digest(label: str) -> int:
+    """The first 8 bytes of a label's sha256, little-endian; the code uses
+    a few dozen labels, so each is digested once."""
+    return int.from_bytes(hashlib.sha256(label.encode()).digest()[:8], "little")
 
 
 def stream_rng(master: int, *stream: int | str) -> np.random.Generator:
@@ -312,6 +323,74 @@ def draw_pool(rng: np.random.Generator, n: int, truth: int | None, size: int) ->
     draw = rng.choice(n - 1, size=size, replace=False)
     draw[draw >= truth] += 1
     return draw
+
+
+def probe_pools(
+    master: int, label: str, truths: Sequence[int | None], n: int, size: int, extra: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The random draws of a ranking evaluation, one stream per probe.
+
+    Probe ``i`` draws from ``stream_rng(master, label, i)``, in this order:
+    ``size - 1`` distractors from range(n) by :func:`draw_pool` (never
+    ``truths[i]``), ``size`` tie-break jitter values and, with ``extra``,
+    ``size`` more uniform values. Returns ``(draws, jitter, extras)``, one
+    row per probe; ``extras`` is None without ``extra``.
+    """
+    draws = np.empty((len(truths), size - 1), dtype=np.int64)
+    jitter = np.empty((len(truths), size))
+    extras = np.empty((len(truths), size)) if extra else None
+    for i, truth in enumerate(truths):
+        rng = stream_rng(master, label, i)
+        draws[i] = draw_pool(rng, n, truth, size - 1)
+        jitter[i] = rng.random(size)
+        if extra:
+            extras[i] = rng.random(size)
+    return draws, jitter, extras
+
+
+def pool_cosines(
+    queries: np.ndarray, truth_rows: np.ndarray, library: np.ndarray, draws: np.ndarray
+) -> np.ndarray:
+    """Cosine of each query against its pool, the truth's row first and
+    then the library rows ``draws[i]``: one row per probe.
+
+    Each probe is one :func:`cosine_rows` call on its own pool; one product
+    over all pools at once moves the last bits of some similarities.
+    """
+    sims = np.empty((len(draws), draws.shape[1] + 1))
+    pool = np.empty((draws.shape[1] + 1, library.shape[1]))
+    for i, draw in enumerate(draws):
+        pool[0] = truth_rows[i]
+        np.take(library, draw, axis=0, out=pool[1:])
+        sims[i] = cosine_rows(queries[i], pool)
+    return sims
+
+
+def _sorts_before(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a < b`` in ``np.lexsort``'s order, which puts NaN after every number."""
+    return (a < b) | (np.isnan(b) & ~np.isnan(a))
+
+
+def _sorts_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a == b`` in ``np.lexsort``'s order, in which NaNs tie."""
+    return (a == b) | (np.isnan(a) & np.isnan(b))
+
+
+def truth_ranks(key: np.ndarray, jitter: np.ndarray | None = None) -> np.ndarray:
+    """Each row's 1-based rank of its column 0 under :func:`rank_order`:
+    ascending key, ties by jitter, then by index.
+
+    The rank is counted, not sorted: one plus the entries that sort before
+    column 0, which are those with a smaller key and those with an equal key
+    and smaller jitter (no entry precedes index 0 on index). NaN keys and
+    jitter sort last and tie with each other, as in ``np.lexsort``.
+    """
+    key = np.asarray(key)
+    ahead = _sorts_before(key, key[:, :1])
+    if jitter is not None:
+        jitter = np.asarray(jitter)
+        ahead |= _sorts_equal(key, key[:, :1]) & _sorts_before(jitter, jitter[:, :1])
+    return 1 + np.count_nonzero(ahead, axis=1)
 
 
 def softmax_relevance(

@@ -495,3 +495,45 @@ class TestBuildLibraryMatchesReference:
         assert len(lib) == 1
         assert [o.transform for o in lib.origins[0]] == ["t-1", "t+2", "t-1", "t+2"]
         assert lib.origins == reference_build_library(c, cfg).origins
+
+
+# Equal values written differently (2/8 and 1/4, the int 1 and Fraction(1)),
+# and few of them, so drawn units are often equal without being identical.
+_KEY_DURATIONS = [Q, Fraction(2, 8), H, 1, Fraction(1)]
+_KEY_METERS = [1, Fraction(1), Fraction(4, 4), Fraction(3, 4)]
+
+
+@st.composite
+def _key_units(draw):
+    meter = draw(st.sampled_from(_KEY_METERS))
+    measures = []
+    for _ in range(draw(st.sampled_from([1, 2]))):
+        notes = [
+            _note(
+                draw(st.sampled_from([REST, 60, 61])),
+                draw(st.sampled_from(_KEY_DURATIONS)),
+                draw(st.tuples(st.booleans(), st.booleans())),
+            )
+            for _ in range(draw(st.integers(1, 2)))
+        ]
+        measures.append(Measure(tuple(notes), meter))
+    return Unit(tuple(measures), Provenance("k", 0))
+
+
+class TestIndexOf:
+    @settings(deadline=None)
+    @given(st.lists(_key_units(), min_size=2, max_size=12))
+    def test_integer_key_equality_is_content_key_equality(self, units):
+        for a in units:
+            for b in units:
+                same_ints = augment._content_ints(a) == augment._content_ints(b)
+                assert same_ints == (a.content_key() == b.content_key())
+
+    @settings(deadline=None)
+    @given(st.lists(_key_units(), min_size=1, max_size=12), st.lists(_key_units(), max_size=6))
+    def test_index_of_agrees_with_a_content_key_dict(self, units, strangers):
+        distinct = list({u.content_key(): u for u in units}.values())
+        lib = UnitLibrary(tuple(distinct), tuple((u.provenance,) for u in distinct), 1, 1)
+        by_key = {u.content_key(): i for i, u in enumerate(distinct)}
+        for probe in units + strangers:
+            assert lib.index_of(probe) == by_key.get(probe.content_key())

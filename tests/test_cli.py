@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from unitsel import load_trained
-from unitsel._util import file_sha256
+from unitsel import cli, load_trained
+from unitsel._util import file_sha256, write_json
 from unitsel.augment import AugmentConfig
 from unitsel.autoencoder import AutoencoderModel, embed_library
 from unitsel.cli import build_parser, main, run_command
@@ -21,7 +21,7 @@ from unitsel.corpus import (
     LIBRARY_MAGIC, Corpus, load_corpus, load_library, save_corpus, save_model,
 )
 from unitsel.engine import SAMPLED, GenerationConfig
-from unitsel.lm import LmModel
+from unitsel.lm import LmModel, train_lm
 from unitsel.music import Measure, Note, Piece, validate_piece
 from unitsel.nn import TrainConfig
 
@@ -139,15 +139,25 @@ class TestCurves:
         for path in files:
             _strict_json(path)
 
-    def test_an_infinite_perplexity_is_written_as_null(self, tmp_path):
-        # a huge finite rate gives a finite model and an infinite perplexity
+    def test_non_finite_floats_are_written_as_null(self, tmp_path):
+        path = tmp_path / "curves.json"
+        write_json({"curve": [math.inf, -math.inf, math.nan, 1.5]}, path)
+        assert _strict_json(path) == {"curve": [None, None, None, 1.5]}
+
+    @pytest.mark.parametrize("rate", ["1e3", "1e10"])
+    def test_a_perplexity_far_above_uniform_is_refused(self, tmp_path, capsys, rate):
+        # a huge finite rate saturates the gates: the weights stay finite, but
+        # the perplexity is 1e37 or infinite against a vocabulary of 19
         out = tmp_path / "o"
-        with _warnings_on_stderr():
-            code = main(["train-lm", "--corpus", CORPUS, "--out", str(out), "--shifts=0",
-                         "--epochs", "1", "--hidden", "8", "--learning-rate", "1e10",
-                         "--seed", "7"])
-        assert code == 0
-        assert _strict_json(out / "curves.json")["perplexity_curve"] == [None]
+        code = main(["train-lm", "--corpus", CORPUS, "--out", str(out), "--shifts=0",
+                     "--epochs", "1", "--hidden", "8", "--learning-rate", rate,
+                     "--seed", "7"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert "error: the note model's final perplexity " in err
+        assert "above the bound 190 (10 x the vocabulary size 19)" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", list(_TRAINED))
     def test_each_trainer_writes_its_curve_and_the_uniform_bound(self, pipeline, command):
@@ -1032,17 +1042,23 @@ class TestWarnings:
             "error: training diverged to non-finite weights; lower --learning-rate"
         ]
 
-    def test_a_successful_run_still_prints_its_warnings(self, tmp_path, capsys):
-        # a huge finite rate gives an infinite perplexity, but a finite model
+    def test_a_successful_run_still_prints_its_warnings(self, tmp_path, capsys, monkeypatch):
+        # train-lm refuses the huge rates whose infinite perplexity warned,
+        # so the trainer is wrapped to warn on a run that succeeds
+        def warning_train_lm(*args, **kwargs):
+            warnings.warn("divide by zero encountered in log", RuntimeWarning)
+            return train_lm(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train_lm", warning_train_lm)
         out = tmp_path / "o"
         with _warnings_on_stderr():
             code = main(["train-lm", "--corpus", CORPUS, "--out", str(out), "--shifts=0",
-                         "--epochs", "1", "--hidden", "8", "--learning-rate", "1e10",
-                         "--seed", "7"])
+                         "--epochs", "1", "--hidden", "8", "--seed", "7"])
         captured = capsys.readouterr()
         assert code == 0
         assert "RuntimeWarning: divide by zero encountered in log" in captured.err
-        assert captured.out == f"trained note model (vocab 19, final perplexity inf) -> {out / 'lstm.model'}\n"
+        assert captured.out.startswith("trained note model (vocab 19, final perplexity ")
+        assert captured.out.endswith(f") -> {out / 'lstm.model'}\n")
         assert (out / "manifest.json").exists()
 
 

@@ -1,16 +1,23 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ranking_reference import reference_next_unit_ranking, reference_rank_at_50
 from toygen import make_toy_corpus
-from unitsel.autoencoder import embed_library
+from unitsel import evaluation
+from unitsel.autoencoder import embed_library, rank_at_50
 from unitsel.dssm import DssmModel, make_training_pairs
+from unitsel.engine import GenerationConfig, combined_order
 from unitsel.evaluation import (
     RankingRow,
-    load_report,
+    _combined_ranks,
     next_unit_ranking,
     report,
 )
 from unitsel.lm import context_window, note_distributions, tokenize_unit
+from unitsel.music import Measure, Note, Provenance, Unit
 from unitsel.nn import stream_rng
 
 
@@ -136,6 +143,98 @@ class TestNextUnitRanking:
             next_unit_ranking([], s["dssm_elib"], s["dssm"], s["lm"], "dssm", 1)
 
 
+class TestMatchesPerProbeReference:
+    """The array evaluations return what the per-probe loops they replaced
+    return (``ranking_reference``)."""
+
+    @pytest.fixture(scope="class")
+    def mixed_probes(self, small_setup, probes):
+        # held-out probes, and truths that are not in the library, whose
+        # pools then exclude nothing
+        lib = small_setup["lib"]
+        outside = [
+            Unit((Measure((Note(pitch, lib.meter),), lib.meter),), Provenance("x", 0))
+            for pitch in (30, 91, 100)
+        ]
+        mixed = probes[:60] + [(probes[i][0], truth) for i, truth in enumerate(outside)]
+        inside = [lib.index_of(truth) is not None for _, truth in mixed]
+        assert any(inside) and not all(inside)
+        return mixed
+
+    @pytest.mark.parametrize("seed", [5, 2026])
+    @pytest.mark.parametrize("regime", ["lstm", "dssm", "dssm+lstm", "random"])
+    def test_next_unit_ranking(self, small_setup, mixed_probes, regime, seed):
+        s = small_setup
+        args = (mixed_probes, s["dssm_elib"], s["dssm"], s["lm"], regime, seed)
+        assert next_unit_ranking(*args) == reference_next_unit_ranking(*args)
+
+    def test_only_shortlisted_truths_reach_the_join_stage(
+        self, small_setup, mixed_probes, monkeypatch
+    ):
+        # the reference comparison above covers the join stage only if some
+        # truths reach it
+        s = small_setup
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return combined_order(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "combined_order", counted)
+        args = (mixed_probes, s["dssm_elib"], s["dssm"], s["lm"], "dssm+lstm", 5)
+        assert evaluation.next_unit_ranking(*args) == reference_next_unit_ranking(*args)
+        assert 0 < len(calls) < len(mixed_probes)
+
+    @pytest.mark.parametrize("seed", [5, 2026])
+    def test_rank_at_50(self, small_setup, seed):
+        s = small_setup
+        units = s["lib"].units
+        probes = [units[(7 * i) % len(units)] for i in range(90)]
+        args = (s["ae"], s["ae_elib"], probes, seed)
+        assert rank_at_50(*args) == reference_rank_at_50(*args)
+
+
+# Few distinct values, so most draws tie in the similarity, the cost and the jitter.
+TIE_HEAVY = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 3.0, np.inf, np.nan])
+
+
+class TestCombinedRanks:
+    @settings(deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 70), st.data())
+    def test_counting_equals_combined_order(self, probes, width, data):
+        # pools of 21 or more have a shortlist longer than one
+        size = probes * width
+        sims, costs = (
+            np.array(data.draw(st.lists(TIE_HEAVY, min_size=size, max_size=size)))
+            .reshape(probes, width)
+            for _ in range(2)
+        )
+        jitter = data.draw(
+            st.lists(st.sampled_from([0.0, 0.25, 0.75, np.nan]), min_size=size, max_size=size)
+        )
+        jitter = np.array(jitter).reshape(probes, width)
+        expected = [
+            np.where(
+                combined_order(s, c.take, GenerationConfig.shortlist_fraction, j).order == 0
+            )[0][0]
+            + 1
+            for s, c, j in zip(sims, costs, jitter)
+        ]
+        np.testing.assert_array_equal(_combined_ranks(sims, costs, jitter), expected)
+
+    def test_last_shortlisted_truth_can_move_up(self):
+        # a pool of 50 shortlists 3; the truth is third by relevance but
+        # first by join cost, so its rank sum 3 + 1 beats the second's 2 + 3
+        sims = np.full((1, 50), -1.0)
+        sims[0, :3] = [0.8, 0.9, 0.85]
+        costs = np.full((1, 50), 5.0)
+        costs[0, :3] = [0.1, 0.5, 0.9]
+        jitter = np.zeros((1, 50))
+        order = combined_order(sims[0], costs[0].take, GenerationConfig.shortlist_fraction).order
+        assert order[:3].tolist() == [1, 0, 2]
+        assert _combined_ranks(sims, costs, jitter).tolist() == [2]
+
+
 class TestReport:
     def rows(self):
         out = []
@@ -169,8 +268,8 @@ class TestReport:
         rows = self.rows()
         path = tmp_path / "report.txt"
         report(rows, path)
-        again = load_report(str(path) + ".json")
-        assert again == rows
+        data = json.loads((tmp_path / "report.txt.json").read_text())
+        assert [RankingRow(**entry) for entry in data] == rows
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -43,6 +43,7 @@ from unitsel.nn import (
 )
 
 Q = Fraction(1, 4)
+_DURATIONS = [Q, Fraction(2, 8), Fraction(1, 2), 1, Fraction(1), Fraction(3, 8)]
 
 
 class TestTokenize:
@@ -67,6 +68,24 @@ class TestTokenize:
         p = fixture_corpus.pieces[0]
         symbols = detokenize(tokenize(p, vocab), vocab)
         assert symbols == [(n.pitch, n.duration) for n in p.notes]
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from([REST, 60, 61, 62]), st.sampled_from(_DURATIONS))),
+        st.lists(
+            st.tuples(st.sampled_from([REST, 60, 61, 62, 127]), st.sampled_from(_DURATIONS)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_integer_lookup_equals_symbol_lookup(self, symbols, notes):
+        # equal durations written differently (2/8 and 1/4, 1 and
+        # Fraction(1)) must meet, and every other note is OOV
+        vocab = NoteVocabulary(list({(p, Fraction(d)): None for p, d in symbols}))
+        piece = Piece("p", (Measure(tuple(Note(p, d) for p, d in notes)),))
+        expected = [vocab.encode((n.pitch, n.duration)) for n in piece.notes]
+        assert tokenize(piece, vocab) == expected
+        assert (OOV in expected) == any((p, d) not in vocab.symbols for p, d in notes)
 
     def test_unseen_symbol_becomes_oov(self):
         vocab = NoteVocabulary([(60, Q)])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -13,7 +14,10 @@ from unitsel.nn import (
     DenseLayer,
     LstmLayer,
     TrainConfig,
+    _M64,
+    _label_digest,
     _sigmoid,
+    _splitmix64,
     candidate_rows,
     cosine_sim,
     derive_seed,
@@ -27,6 +31,7 @@ from unitsel.nn import (
     sgd_step,
     softmax_relevance,
     stream_rng,
+    truth_ranks,
 )
 
 
@@ -112,6 +117,36 @@ class TestRankOrderTop:
         np.testing.assert_array_equal(rank_order(key, top=3), [1, 2, 4])
         jitter = np.array([0.0, 0.5, np.nan, 0.0, 0.5, 0.1, 0.0, 0.2])
         np.testing.assert_array_equal(rank_order(key, jitter, top=3), [5, 7, 1])
+
+
+def _ranks_by_sorting(key, jitter):
+    """Each row's rank of its column 0, read off ``rank_order``."""
+    jitter = [None] * len(key) if jitter is None else jitter
+    return np.array([np.where(rank_order(k, j) == 0)[0][0] + 1 for k, j in zip(key, jitter)])
+
+
+class TestTruthRanks:
+    @settings(deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 60), st.data())
+    def test_counting_equals_sorting(self, probes, width, data):
+        # TIE_HEAVY holds NaN, both infinities and both zeros; four jitter
+        # values, NaN among them, force ties in the jitter as well
+        size = probes * width
+        key = data.draw(st.lists(TIE_HEAVY, min_size=size, max_size=size))
+        jitter = data.draw(
+            st.lists(st.sampled_from([0.0, 0.25, 0.75, np.nan]), min_size=size, max_size=size)
+        )
+        key = np.array(key).reshape(probes, width)
+        jitter = np.array(jitter).reshape(probes, width)
+        for j in (jitter, None):
+            np.testing.assert_array_equal(truth_ranks(key, j), _ranks_by_sorting(key, j))
+
+    def test_nan_truth_ranks_after_every_number(self):
+        key = np.array([[np.nan, 1.0, np.nan, -np.inf, np.nan]])
+        assert truth_ranks(key).tolist() == [3]
+        jitter = np.array([[0.5, 0.0, 0.1, 0.9, 0.5]])
+        assert truth_ranks(key, jitter).tolist() == [4]
+        assert truth_ranks(-np.zeros((1, 4)), np.zeros((1, 4))).tolist() == [1]
 
 
 class TestSoftmaxRelevance:
@@ -246,6 +281,21 @@ class TestStreams:
         b = stream_rng(7, "y").random(5)
         assert not np.array_equal(a, b)
         assert derive_seed(7, "x") != derive_seed(7, "y")
+
+    def test_cached_label_digest_matches_uncached(self):
+        def uncached(master, *stream):
+            z = _splitmix64(master & _M64)
+            for part in stream:
+                if isinstance(part, str):
+                    part = int.from_bytes(hashlib.sha256(part.encode()).digest()[:8], "little")
+                z = _splitmix64(z ^ (int(part) & _M64))
+            return z
+
+        _label_digest.cache_clear()
+        for _ in range(2):  # a cold and a warm cache
+            for stream in (("nextunit", 0), ("rank50", 599), ("x", "nextunit", 3), (2**70,)):
+                assert derive_seed(2025, *stream) == uncached(2025, *stream)
+        assert _label_digest.cache_info().hits > 0
 
     def test_dropout_mask_values(self):
         rng = stream_rng(3, "drop")
