@@ -21,7 +21,6 @@ from .music import (
     pitch_class,
     slice_units,
     validate_piece,
-    whole_rest_measure,
 )
 from .corpus import (
     ArchiveError,
@@ -47,7 +46,7 @@ from .augment import (
     transpose_corpus,
 )
 from .features import FeatureVocabulary, build_vocab, extract
-from .nn import TrainConfig, cosine_sim, grad_check, softmax_relevance, stream_rng
+from .nn import TrainConfig, grad_check, stream_rng
 from .autoencoder import (
     AutoencoderModel,
     EmbeddedLibrary,
@@ -59,12 +58,11 @@ from .autoencoder import (
     select_nearest,
     train_autoencoder,
 )
-from .dssm import DssmModel, make_training_pairs, relevance, train_dssm
+from .dssm import DssmModel, make_training_pairs, train_dssm
 from .lm import (
     LmModel,
     NoteVocabulary,
     build_note_vocab,
-    concat_cost,
     note_distribution,
     tokenize,
     train_lm,

@@ -264,8 +264,8 @@ class UnitLibrary:
         return len(self.units)
 
     def index_of(self, u: Unit) -> int | None:
-        """Library index of a unit with identical content (equal
-        ``content_key``), if any. The index is keyed by each unit's content
+        """Library index of a unit with identical content (equal measures,
+        ties included), if any. The index is keyed by each unit's content
         as integers (:func:`_content_ints`), which hash much faster than its
         ``Fraction``-valued notes and measures."""
         if self._index is None:
@@ -293,7 +293,7 @@ def _content_ints(u: Unit, low: int = 0) -> tuple:
     pitch less ``low`` (REST for a rest), its duration's numerator and
     denominator and its tie flags. The note counts delimit the measures, so
     two units of equal ``low`` have equal tuples exactly when they have equal
-    ``content_key``."""
+    measures."""
     flat: list = []
     for m in u.measures:
         flat += (m.meter.numerator, m.meter.denominator, len(m.notes))

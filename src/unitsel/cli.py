@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__, load_trained
 from ._util import (
     WriteError,
+    _writing,
     canonical_json,
     decode_json,
     file_sha256,
@@ -606,10 +607,11 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command: make --out, then ``run_command``, whose ``cmd_*``
-    writes the artifacts and returns a summary, then write the manifest and
-    print the summary. Warnings are printed only on success: a user error
-    prints its ``error:`` line alone."""
+    """Run one command: make --out and remove any manifest an earlier run
+    left there, then ``run_command``, whose ``cmd_*`` writes the artifacts and
+    returns a summary, then write the manifest and print the summary. A
+    failed run thus leaves no manifest beside what it rewrote. Warnings are
+    printed only on success: a user error prints its ``error:`` line alone."""
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
@@ -620,6 +622,8 @@ def main(argv: list[str] | None = None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # a file in the way, or no permission
             raise UserError(f"cannot make the output directory: {exc}") from exc
+        with _writing(out / "manifest.json"):
+            (out / "manifest.json").unlink(missing_ok=True)
         with warnings.catch_warnings(record=True) as caught:
             summary = run_command(args, out)
         _write_manifest(args, out)

@@ -261,11 +261,9 @@ class ArchivedModel:
     arguments (a dense layer's activation). A fresh model's layers hold
     ``initial_params`` drawn in that order from the caller's ``rng``; a loaded
     model's hold the archive's arrays, shape-checked first, and draw
-    nothing. Both go through ``_assemble``. ``fixed_hyperparameters`` are
-    checked on load.
+    nothing. Both go through ``_assemble``. ``layer_dims`` also refuses a
+    hyperparameter value the model cannot use, on construction and on load.
     """
-
-    fixed_hyperparameters: dict = {}
 
     def __init__(self, vocab, *, rng: np.random.Generator, **hyperparameters):
         for h in hyperparameters.keys() - self.hyperparameters:
@@ -326,9 +324,6 @@ class ArchivedModel:
                     raise ValueError(
                         f"hyperparameter {h!r} is {value!r}, expected a positive integer"
                     )
-            for h, fixed in cls.fixed_hyperparameters.items():
-                if hp[h] != fixed:
-                    raise ValueError(f"{h} is {hp[h]}, expected {fixed}")
             dims = cls.layer_dims(vocab, **hp)
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ArchiveError(

@@ -21,7 +21,6 @@ from .nn import (
     DenseLayer,
     TrainConfig,
     candidate_rows,
-    cosine_sim,
     dense_stack_output,
     relevance_batch_loss,
     sample_negatives,
@@ -123,8 +122,3 @@ def train_dssm(
         lambda rng, idx: (sample_negatives(rng, idx, n, k), len(idx) * (k + 2)),
     )
     return model
-
-
-def relevance(a: Unit, b: Unit, model: DssmModel) -> float:
-    """Cosine similarity of the two units' embeddings (symmetric)."""
-    return cosine_sim(model.encode_unit(a), model.encode_unit(b))

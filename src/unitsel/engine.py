@@ -46,7 +46,7 @@ SAMPLED = "sampled"
 @dataclass(frozen=True)
 class GenerationConfig:
     """Selection settings. No code reads ``unit_length`` or ``n_units``; they
-    stay because the benchmark sets them."""
+    stay because the benchmark and acceptance criteria 7 and 8 set them."""
 
     unit_length: int = 1
     n_units: int = 4
@@ -215,7 +215,6 @@ def generate(
     dssm_model: DssmModel,
     lm_model: LmModel,
     cfg: GenerationConfig,
-    audit: list | None = None,
 ) -> Piece:
     """Iteratively select and append ``n_units`` units after the seed.
 
@@ -228,7 +227,7 @@ def generate(
             f"{elib.library.unit_length}"
         )
     piece = continue_piece(
-        Piece("generated", seed.measures), n_units, elib, dssm_model, lm_model, cfg, audit=audit
+        Piece("generated", seed.measures), n_units, elib, dssm_model, lm_model, cfg
     )
     return replace(piece, id="generated")
 

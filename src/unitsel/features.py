@@ -119,9 +119,6 @@ class FeatureVocabulary(Vocabulary):
             offset += len(syms) + 1  # +1 for the family OOV slot
         self.dimension = offset + N_TIE_FLAGS
 
-    def family_size(self, family: str) -> int:
-        return len(self.family_symbols[family])
-
     def index(self, family: str, symbol) -> int:
         """Global index of a symbol; unseen symbols map to the family OOV slot."""
         return self._columns[family].get(

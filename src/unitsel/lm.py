@@ -1,4 +1,4 @@
-"""Note-level LSTM language model and the concatenation cost.
+"""Note-level LSTM language model and the join cost.
 
 Tokens are (pitch, duration) symbols; barlines are invisible to the token
 stream. The model is two stacked LSTM layers over one-hot inputs (fed to
@@ -7,9 +7,8 @@ trained teacher-forced on windows of 36 tokens (each window's targets are
 its inputs shifted by one). Scoring contexts shorter than 36 tokens are
 left-padded with the PAD token, which is excluded from the training loss.
 
-The join cost between two units is the mean negative log-probability of
-the first J notes of the incoming unit given the running 36-token context
-(J=1 by default, so only the joining note is scored).
+The join cost between two units is the negative log-probability of the
+incoming unit's first note given the running 36-token context.
 """
 
 from __future__ import annotations
@@ -112,13 +111,9 @@ def tokenize(p: Piece | Unit, vocab: NoteVocabulary) -> list[int]:
     return vocab.encode_notes(p.notes)
 
 
-# Kept only because perfbench calls it; test_benchmark_calls_still_bind checks that call.
+# Kept because perfbench and acceptance criterion 7 call it;
+# test_benchmark_calls_still_bind checks the benchmark's call.
 tokenize_unit = tokenize
-
-
-def detokenize(tokens: Sequence[int], vocab: NoteVocabulary) -> list[NoteSymbol]:
-    """Vocabulary inverse; rejects PAD/OOV, which carry no note."""
-    return [vocab.decode(t) for t in tokens]
 
 
 def context_window(history: Sequence[int]) -> np.ndarray:
@@ -133,12 +128,13 @@ class LmModel(ArchivedModel):
     layer_names = ("lstm1", "lstm2", "out")
     curve = "perplexity_curve"
     vocab_class = NoteVocabulary
-    # not a weight shape, so nothing else bounds it; training writes only
-    # CONTEXT_LEN, and scoring refuses a window of any other length
-    fixed_hyperparameters = {"context_len": CONTEXT_LEN}
 
     @staticmethod
     def layer_dims(vocab, hidden, context_len):
+        # not a weight shape, so nothing else bounds it; training writes only
+        # CONTEXT_LEN, and scoring refuses a window of any other length
+        if context_len != CONTEXT_LEN:
+            raise ValueError(f"context_len is {context_len}, expected {CONTEXT_LEN}")
         return [
             (LstmLayer, vocab.size, hidden),
             (LstmLayer, hidden, hidden),
@@ -352,27 +348,6 @@ def note_distributions(
     return np.vstack(chunked_map(chunk, len(distinct), threads))[slot[inverse.reshape(-1)]]
 
 
-def concat_cost(
-    prev_context: Sequence[int], u: Unit, j: int, model: LmModel
-) -> float:
-    """Join cost: mean -log probability of the first ``j`` notes of ``u``
-    given the running context (which mixes in the incoming unit's own
-    notes as scoring advances past the first one).
-    """
-    tokens = tokenize(u, model.vocab)
-    if not tokens:
-        raise ValueError("unit has no notes")
-    if j < 1 or j > len(tokens):
-        raise ValueError(f"J must be in [1, {len(tokens)}], got {j}")
-    history = list(prev_context)
-    total = 0.0
-    for step in range(j):
-        dist = note_distribution(context_window(history), model)
-        total -= float(np.log(dist[tokens[step]]))
-        history.append(tokens[step])
-    return total / j
-
-
 def first_tokens(units: Sequence[Unit], vocab: NoteVocabulary) -> np.ndarray:
     """Token id of each unit's first note (OOV when outside the vocabulary)."""
     firsts = (u.measures[0].notes[0] for u in units)
@@ -382,11 +357,12 @@ def first_tokens(units: Sequence[Unit], vocab: NoteVocabulary) -> np.ndarray:
 def first_note_costs(
     prev_context: Sequence[int], units: Sequence[Unit] | np.ndarray, model: LmModel
 ) -> np.ndarray:
-    """J=1 concatenation costs of many candidate units for one context.
+    """Join costs of many candidate units for one context.
 
-    Equal to concat_cost(prev_context, u, 1, model) per unit, but computes
-    the shared context distribution once. ``units`` may also be an integer
-    array of the units' first-note token ids, as ``first_tokens`` returns.
+    A unit's cost is ``-log`` of its first note's probability under
+    ``note_distribution(context_window(prev_context), model)``, which is
+    computed once for all of them. ``units`` may also be an integer array
+    of the units' first-note token ids, as ``first_tokens`` returns.
     """
     ids = units if isinstance(units, np.ndarray) else first_tokens(units, model.vocab)
     dist = note_distribution(context_window(prev_context), model)

@@ -103,11 +103,6 @@ def measure_sum(m: Measure) -> Fraction:
     return total
 
 
-def whole_rest_measure(meter: Fraction = WHOLE) -> Measure:
-    """The canonical empty measure: a single rest spanning the meter."""
-    return Measure(notes=(Note(REST, meter),), meter=meter)
-
-
 @dataclass(frozen=True)
 class Provenance:
     """Where a unit came from: source piece, measure offset, transform tag.
@@ -143,10 +138,6 @@ class Unit:
     @property
     def notes(self) -> tuple[Note, ...]:
         return tuple(n for m in self.measures for n in m.notes)
-
-    def content_key(self) -> tuple[Measure, ...]:
-        """Identity used for library dedup: the exact measures, ties included."""
-        return self.measures
 
 
 @dataclass(frozen=True)

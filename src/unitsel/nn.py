@@ -259,12 +259,6 @@ class ZeroNormError(ValueError):
     """A vector has zero norm, so its cosine similarity is undefined."""
 
 
-def cosine_sim(x: np.ndarray, y: np.ndarray) -> float:
-    """Cosine similarity of two vectors: :func:`cosine_rows` of ``x``
-    against the one row ``y``. Rejects zero-norm input."""
-    return float(cosine_rows(np.asarray(x, dtype=float), np.asarray(y, dtype=float)[None, :])[0])
-
-
 def row_norms(mat: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(mat, axis=1)``, taken CHUNK rows at a time so that
     no temporary of the whole matrix is made."""
@@ -391,24 +385,6 @@ def truth_ranks(key: np.ndarray, jitter: np.ndarray | None = None) -> np.ndarray
         jitter = np.asarray(jitter)
         ahead |= _sorts_equal(key, key[:, :1]) & _sorts_before(jitter, jitter[:, :1])
     return 1 + np.count_nonzero(ahead, axis=1)
-
-
-def softmax_relevance(
-    q: np.ndarray, candidates: list[np.ndarray] | np.ndarray, truth_index: int
-) -> tuple[np.ndarray, float]:
-    """Softmax over cosine similarities of candidates to a query: the
-    relevance loss that training minimises (:func:`_cosine_softmax`), for
-    one case.
-
-    Returns (probabilities, loss) where loss = -log P(candidates[truth_index]).
-    """
-    cands = np.asarray(candidates, dtype=float)
-    if not 0 <= truth_index < len(cands):
-        raise ValueError("truth_index out of range")
-    losses, probs, *_ = _cosine_softmax(
-        np.asarray(q, dtype=float)[None, :], cands[None], np.array([truth_index])
-    )
-    return probs[0], float(losses[0])
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:

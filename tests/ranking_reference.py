@@ -20,9 +20,9 @@ from unitsel.nn import cosine_rows, draw_pool, rank_order, stream_rng
 
 
 def _content_index(lib):
-    """``UnitLibrary.index_of`` as a dict over ``content_key``."""
-    index = {u.content_key(): i for i, u in enumerate(lib.units)}
-    return lambda u: index.get(u.content_key())
+    """``UnitLibrary.index_of`` as a dict over each unit's measures."""
+    index = {u.measures: i for i, u in enumerate(lib.units)}
+    return lambda u: index.get(u.measures)
 
 
 def _tokens(notes, vocab):

@@ -123,7 +123,7 @@ class TestCriterion1GradientFidelity:
             )
 
             nvocab = NoteVocabulary([(60 + i, Fraction(1, 4)) for i in range(5)])
-            lmm = LmModel(nvocab, hidden=5, context_len=4, rng=rng)
+            lmm = LmModel(nvocab, hidden=5, rng=rng)
             xt = rng.integers(2, nvocab.size, size=(3, 4))
             yt = rng.integers(2, nvocab.size, size=(3, 4))
             _, lgrads = lm_batch_loss(lmm, xt, yt)

@@ -167,7 +167,7 @@ class TestBuildLibrary:
                 for k in sorted(shifts):
                     moved = transpose(window, k)
                     if moved is not None:
-                        seen.add(moved.content_key())
+                        seen.add(moved.measures)
         return seen
 
     def test_windows_times_shifts_bound(self, fixture_corpus):
@@ -181,7 +181,7 @@ class TestBuildLibrary:
         lib = build_library(sub, cfg)
         assert len(lib) <= 15  # 5 windows x 3 shifts, minus dups/range drops
         oracle = self.brute_force_transpose_only(sub, 4, (-1, 0, 1))
-        assert {u.content_key() for u in lib.units} == oracle
+        assert {u.measures for u in lib.units} == oracle
 
     def test_distinct_measures_no_transforms(self):
         measures = tuple(
@@ -222,7 +222,7 @@ class TestBuildLibrary:
             )
             expected = transpose(span, shift)
             assert expected is not None
-            assert expected.content_key() == unit.content_key()
+            assert expected.measures == unit.measures
 
     def test_full_mode_grows_library(self, fixture_corpus):
         t_only = build_library(
@@ -292,7 +292,7 @@ class TestRandomizedProperties:
                 continue
             back = transpose(up, -k)
             assert back is not None
-            assert back.content_key() == u.content_key()
+            assert back.measures == u.measures
 
     def test_identity_transforms(self):
         rng = stream_rng(77, "identities")
@@ -300,8 +300,8 @@ class TestRandomizedProperties:
             u = self.random_unit(rng)
             if all(n.is_rest for n in u.notes):
                 continue
-            assert interval_transform(u, "add", 0).content_key() == u.content_key()
-            assert interval_transform(u, "mul", 1).content_key() == u.content_key()
+            assert interval_transform(u, "add", 0).measures == u.measures
+            assert interval_transform(u, "mul", 1).measures == u.measures
 
     def test_double_time_halves_every_duration(self):
         rng = stream_rng(77, "double-time")
@@ -377,7 +377,7 @@ def reference_build_library(c, cfg: AugmentConfig) -> UnitLibrary:
                         moved = transpose(variant, k)
                         if moved is None or not admissible(moved):
                             continue
-                        key = moved.content_key()
+                        key = moved.measures
                         if key not in seen:
                             seen[key] = len(units)
                             units.append(moved)
@@ -523,17 +523,17 @@ def _key_units(draw):
 class TestIndexOf:
     @settings(deadline=None)
     @given(st.lists(_key_units(), min_size=2, max_size=12))
-    def test_integer_key_equality_is_content_key_equality(self, units):
+    def test_integer_key_equality_is_equality_of_measures(self, units):
         for a in units:
             for b in units:
                 same_ints = augment._content_ints(a) == augment._content_ints(b)
-                assert same_ints == (a.content_key() == b.content_key())
+                assert same_ints == (a.measures == b.measures)
 
     @settings(deadline=None)
     @given(st.lists(_key_units(), min_size=1, max_size=12), st.lists(_key_units(), max_size=6))
-    def test_index_of_agrees_with_a_content_key_dict(self, units, strangers):
-        distinct = list({u.content_key(): u for u in units}.values())
+    def test_index_of_agrees_with_a_dict_over_measures(self, units, strangers):
+        distinct = list({u.measures: u for u in units}.values())
         lib = UnitLibrary(tuple(distinct), tuple((u.provenance,) for u in distinct), 1, 1)
-        by_key = {u.content_key(): i for i, u in enumerate(distinct)}
+        by_key = {u.measures: i for i, u in enumerate(distinct)}
         for probe in units + strangers:
-            assert lib.index_of(probe) == by_key.get(probe.content_key())
+            assert lib.index_of(probe) == by_key.get(probe.measures)

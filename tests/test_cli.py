@@ -478,6 +478,41 @@ class TestRunner:
         assert err == f"error: {out / 'train.cor'}: cannot write (Is a directory)\n"
         assert not (out / "manifest.json").exists()
 
+    def test_a_failed_split_rerun_leaves_no_earlier_manifest(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["split", "--corpus", CORPUS, "--out", str(out), "--seed", "7"]) == 0
+        (out / "train.cor").unlink()
+        (out / "train.cor").mkdir()
+        code = main(["split", "--corpus", CORPUS, "--out", str(out), "--seed", "8"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {out / 'train.cor'}: cannot write (Is a directory)\n"
+        assert not (out / "manifest.json").exists()
+
+    def test_a_failed_generate_rerun_leaves_no_earlier_manifest(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["generate", "--seed-piece", pipeline["test"], "--library", pipeline["lib"],
+                "--dssm", pipeline["dssm"], "--lm", pipeline["lm"], "--units=1", "--sample",
+                "--out", str(out)]
+        assert main([*argv, "--seed", "7"]) == 0
+        (out / "audit.json").unlink()
+        (out / "audit.json").mkdir()
+        code = main([*argv, "--seed", "8"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.endswith(f"error: {out / 'audit.json'}: cannot write (Is a directory)\n")
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+
+    def test_a_manifest_that_cannot_be_removed_is_a_user_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "manifest.json").mkdir(parents=True)
+        code = main(["split", "--corpus", CORPUS, "--out", str(out), "--seed", "7"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {out / 'manifest.json'}: cannot write (Is a directory)\n"
+        assert not (out / "train.cor").exists()
+
 
 # Each input flag and a command that reads it; the pipeline gives the other files.
 _INPUT_COMMANDS = {

@@ -32,7 +32,7 @@ from unitsel.corpus import (
 from unitsel.dssm import make_training_pairs, train_dssm
 from unitsel.engine import GenerationConfig, continue_piece
 from unitsel.features import build_vocab
-from unitsel.lm import build_note_vocab, tokenize, train_lm
+from unitsel.lm import LmModel, build_note_vocab, tokenize, train_lm
 from unitsel.music import Provenance
 from unitsel.nn import TrainConfig
 
@@ -1143,6 +1143,15 @@ class TestHyperparameterSizes:
         assert code == 1
         assert "error:" in err and f"context_len is {value}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [4, 37])
+    def test_context_len_other_than_training_is_refused_on_construction(
+        self, tiny_models, value
+    ):
+        # such a model could never score a window or load its own archive
+        with pytest.raises(ValueError, match=f"context_len is {value}, expected 36"):
+            LmModel(tiny_models["lstm"].vocab, hidden=8, context_len=value,
+                    rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("kind", ["autoencoder", "dssm", "lstm"])
     def test_layer_dims_other_than_the_weights_imply_is_an_archive_error(

@@ -6,10 +6,10 @@ import pytest
 from toygen import make_toy_corpus
 from unitsel.augment import TRANSPOSE_ONLY, AugmentConfig, build_library, transpose_corpus
 from unitsel.corpus import Corpus
-from unitsel.dssm import DssmModel, make_training_pairs, relevance, train_dssm
+from unitsel.dssm import DssmModel, make_training_pairs, train_dssm
 from unitsel.features import build_vocab
 from unitsel.music import Measure, Note, Piece
-from unitsel.nn import TrainConfig, ZeroNormError, stream_rng
+from unitsel.nn import TrainConfig, ZeroNormError, cosine_rows, stream_rng
 
 Q = Fraction(1, 4)
 
@@ -113,24 +113,25 @@ class TestNarrowTower:
 
 
 class TestRelevance:
+    """Relevance is the cosine of two units' embeddings, as selection takes it."""
+
     def test_self_relevance_is_one(self, trained, toy_pairs):
         pairs, _ = toy_pairs
-        u = pairs[0][0]
-        assert relevance(u, u, trained) == pytest.approx(1.0, abs=1e-12)
+        q = trained.encode_unit(pairs[0][0])
+        assert cosine_rows(q, q[None])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric(self, trained, toy_pairs):
         pairs, _ = toy_pairs
-        a, b = pairs[0][0], pairs[3][1]
-        assert relevance(a, b, trained) == pytest.approx(
-            relevance(b, a, trained), abs=1e-12
-        )
+        a, b = trained.encode_unit(pairs[0][0]), trained.encode_unit(pairs[3][1])
+        assert cosine_rows(a, b[None])[0] == pytest.approx(cosine_rows(b, a[None])[0], abs=1e-12)
 
     def test_bounded(self, trained, toy_pairs):
         pairs, _ = toy_pairs
         rng = stream_rng(5, "rel")
         for _ in range(30):
             i, j = rng.integers(len(pairs), size=2)
-            r = relevance(pairs[i][0], pairs[j][1], trained)
+            q, c = trained.encode_unit(pairs[i][0]), trained.encode_unit(pairs[j][1])
+            r = cosine_rows(q, c[None])[0]
             assert -1.0 - 1e-12 <= r <= 1.0 + 1e-12
 
     def test_true_successors_beat_random_units(self, trained):
@@ -141,10 +142,12 @@ class TestRelevance:
         pool = [u for pair in pairs for u in pair]
         true_scores, rand_scores = [], []
         for prev, nxt in pairs:
-            true_scores.append(relevance(prev, nxt, trained))
-            rand_scores.append(
-                relevance(prev, pool[int(rng.integers(len(pool)))], trained)
+            rand = pool[int(rng.integers(len(pool)))]
+            true, other = cosine_rows(
+                trained.encode_unit(prev), np.stack([trained.encode_unit(u) for u in (nxt, rand)])
             )
+            true_scores.append(true)
+            rand_scores.append(other)
         assert np.mean(true_scores) > np.mean(rand_scores)
 
 

@@ -22,10 +22,13 @@ from unitsel.engine import (
 )
 from unitsel.lm import NoteVocabulary, first_note_costs, first_tokens, tokenize_unit, train_lm
 from unitsel.music import (
+    REST,
+    Measure,
+    Note,
+    Piece,
     Provenance,
     Unit,
     validate_piece,
-    whole_rest_measure,
 )
 from unitsel.nn import TrainConfig
 
@@ -189,12 +192,16 @@ class TestGenerate:
     def test_output_valid_and_selection_from_shortlist(self, small_setup):
         s = small_setup
         cfg = GenerationConfig(unit_length=1, n_units=4)
-        audit: list = []
-        piece = generate(
-            s["lib"].units[2], 4, s["dssm_elib"], s["dssm"], s["lm"], cfg, audit=audit
-        )
+        seed = s["lib"].units[2]
+        piece = generate(seed, 4, s["dssm_elib"], s["dssm"], s["lm"], cfg)
         assert validate_piece(piece) == []
         assert len(piece.measures) == 5
+        # generate is continue_piece on the seed's piece, whose audit shows each pick
+        audit: list = []
+        seed_piece = Piece("generated", seed.measures)
+        again = continue_piece(seed_piece, 4, s["dssm_elib"], s["dssm"], s["lm"], cfg, audit=audit)
+        assert again.measures == piece.measures
+        assert len(audit) == 4
         for step in audit:
             assert step["selected"] in {c["index"] for c in step["shortlist"]}
 
@@ -268,7 +275,8 @@ def degenerate_lm(symbol, n=80, epochs=30):
 class TestGenerateNoteLevel:
     def test_degenerate_model_fills_measures(self):
         model = degenerate_lm((60, Q))
-        seed = Unit(measures=(whole_rest_measure(),), provenance=Provenance("s", 0))
+        seed = Unit(measures=(Measure((Note(REST, Fraction(1)),), Fraction(1)),),
+                    provenance=Provenance("s", 0))
         cfg = GenerationConfig()
         piece = generate_note_level(seed, 2, model, cfg)
         assert validate_piece(piece) == []
@@ -278,7 +286,8 @@ class TestGenerateNoteLevel:
 
     def test_barline_crossing_notes_are_split_and_tied(self):
         model = degenerate_lm((60, Fraction(3, 8)))
-        seed = Unit(measures=(whole_rest_measure(),), provenance=Provenance("s", 0))
+        seed = Unit(measures=(Measure((Note(REST, Fraction(1)),), Fraction(1)),),
+                    provenance=Provenance("s", 0))
         piece = generate_note_level(seed, 2, model, GenerationConfig())
         assert validate_piece(piece) == []
         assert len(piece.measures) == 3

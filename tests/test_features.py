@@ -22,7 +22,6 @@ from unitsel.music import (
     Provenance,
     Unit,
     pitch_class,
-    whole_rest_measure,
 )
 
 Q = Fraction(1, 4)
@@ -51,7 +50,7 @@ def unit_of(events, length=1):
 
 @pytest.fixture
 def rest_unit():
-    return Unit(measures=(whole_rest_measure(),), provenance=Provenance("t", 0))
+    return Unit(measures=(Measure((Note(REST, WHOLE),), WHOLE),), provenance=Provenance("t", 0))
 
 
 @pytest.fixture
@@ -110,7 +109,7 @@ class TestBuildVocab:
             "class_bigram": len(c_bi),
         }
         for fam in FAMILIES:
-            assert vocab.family_size(fam) == expected[fam], fam
+            assert len(vocab.family_symbols[fam]) == expected[fam], fam
 
     def test_dimension_formula(self, fixture_corpus):
         lib = build_library(
@@ -118,7 +117,7 @@ class TestBuildVocab:
         )
         vocab = build_vocab(lib)
         assert vocab.dimension == sum(
-            vocab.family_size(f) + 1 for f in FAMILIES
+            len(vocab.family_symbols[f]) + 1 for f in FAMILIES
         ) + 2
 
 
@@ -149,7 +148,7 @@ class TestExtract:
         for u in lib.units[:20]:
             vec = extract(u, vocab)
             lo = vocab._offsets["dur"]
-            hi = lo + vocab.family_size("dur") + 1
+            hi = lo + len(vocab.family_symbols["dur"]) + 1
             assert vec[lo:hi].sum() == len(u.notes)
 
     def test_bigram_count_is_notes_minus_one(self, fixture_corpus):
@@ -160,7 +159,7 @@ class TestExtract:
         for u in lib.units[:20]:
             vec = extract(u, vocab)
             lo = vocab._offsets["pitch_bigram"]
-            hi = lo + vocab.family_size("pitch_bigram") + 1
+            hi = lo + len(vocab.family_symbols["pitch_bigram"]) + 1
             assert vec[lo:hi].sum() == len(u.notes) - 1
 
     def test_octave_shift_preserves_class_features(self):
@@ -170,10 +169,10 @@ class TestExtract:
         v1, v2 = extract(base, vocab), extract(up, vocab)
         for fam in ("class", "class_dur", "class_bigram", "dur", "dur_bigram"):
             lo = vocab._offsets[fam]
-            hi = lo + vocab.family_size(fam) + 1
+            hi = lo + len(vocab.family_symbols[fam]) + 1
             np.testing.assert_array_equal(v1[lo:hi], v2[lo:hi])
         lo = vocab._offsets["pitch"]
-        hi = lo + vocab.family_size("pitch") + 1
+        hi = lo + len(vocab.family_symbols["pitch"]) + 1
         assert not np.array_equal(v1[lo:hi], v2[lo:hi])
 
     def test_extract_is_pure(self, c4_run):

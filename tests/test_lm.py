@@ -17,9 +17,7 @@ from unitsel.lm import (
     NoteVocabulary,
     _eval_perplexity,
     build_note_vocab,
-    concat_cost,
     context_window,
-    detokenize,
     first_note_costs,
     leading_pad_steps,
     lm_batch_loss,
@@ -30,7 +28,7 @@ from unitsel.lm import (
     tokenize_unit,
     train_lm,
 )
-from unitsel.music import Measure, Note, Piece, Provenance, Unit, whole_rest_measure, REST
+from unitsel.music import Measure, Note, Piece, Provenance, Unit, REST
 from unitsel.nn import (
     DenseLayer,
     LstmLayer,
@@ -55,7 +53,7 @@ class TestTokenize:
 
     def test_whole_rest_single_token(self):
         vocab = NoteVocabulary([(REST, Fraction(1))])
-        p = Piece("p", (whole_rest_measure(),))
+        p = Piece("p", (Measure((Note(REST, Fraction(1)),), Fraction(1)),))
         assert len(tokenize(p, vocab)) == 1
 
     def test_fixture_token_count_equals_note_count(self, fixture_corpus):
@@ -66,7 +64,7 @@ class TestTokenize:
     def test_round_trip(self, fixture_corpus):
         vocab = build_note_vocab(fixture_corpus)
         p = fixture_corpus.pieces[0]
-        symbols = detokenize(tokenize(p, vocab), vocab)
+        symbols = [vocab.decode(t) for t in tokenize(p, vocab)]
         assert symbols == [(n.pitch, n.duration) for n in p.notes]
 
     @settings(deadline=None)
@@ -516,40 +514,23 @@ def unit_from_measures(piece, start, count):
     )
 
 
-class TestConcatCost:
-    def test_j1_matches_distribution_lookup(self, toy_lm):
+class TestFirstNoteCosts:
+    def test_matches_distribution_lookup(self, toy_lm):
         corpus, vocab, model = toy_lm
         prev = tokenize(corpus.pieces[0], vocab)
         unit = unit_from_measures(corpus.pieces[1], 0, 1)
-        cost = concat_cost(prev, unit, 1, model)
+        cost = first_note_costs(prev, [unit], model)[0]
         dist = note_distribution(context_window(prev), model)
         first = tokenize_unit(unit, vocab)[0]
         assert cost == pytest.approx(-math.log(dist[first]), abs=1e-12)
 
-    def test_j3_equals_per_step_oracle(self, toy_lm):
-        corpus, vocab, model = toy_lm
-        prev = tokenize(corpus.pieces[2], vocab)
-        unit = unit_from_measures(corpus.pieces[3], 0, 1)
-        toks = tokenize_unit(unit, vocab)
-        assert len(toks) >= 3
-        # recompute each term independently from note_distribution
-        history = list(prev)
-        expected = 0.0
-        for j in range(3):
-            dist = note_distribution(context_window(history), model)
-            expected -= math.log(dist[toks[j]])
-            history.append(toks[j])
-        expected /= 3.0
-        assert concat_cost(prev, unit, 3, model) == pytest.approx(expected, abs=1e-12)
-
     def test_cost_nonnegative(self, toy_lm):
         corpus, vocab, model = toy_lm
         prev = tokenize(corpus.pieces[4], vocab)
-        for k in range(5):
-            unit = unit_from_measures(corpus.pieces[k], 0, 1)
-            assert concat_cost(prev, unit, 1, model) >= 0.0
+        units = [unit_from_measures(corpus.pieces[k], 0, 1) for k in range(5)]
+        assert np.all(first_note_costs(prev, units, model) >= 0.0)
 
-    def test_j1_ignores_later_notes(self, toy_lm):
+    def test_ignores_later_notes(self, toy_lm):
         corpus, vocab, model = toy_lm
         prev = tokenize(corpus.pieces[5], vocab)
         base = corpus.pieces[6].measures[0]
@@ -558,16 +539,8 @@ class TestConcatCost:
         ))
         u1 = Unit(measures=(base,), provenance=Provenance("a", 0))
         u2 = Unit(measures=(changed,), provenance=Provenance("b", 0))
-        assert concat_cost(prev, u1, 1, model) == concat_cost(prev, u2, 1, model)
-
-    def test_j_bounds_checked(self, toy_lm):
-        corpus, vocab, model = toy_lm
-        unit = unit_from_measures(corpus.pieces[0], 0, 1)
-        n = len(tokenize_unit(unit, vocab))
-        with pytest.raises(ValueError):
-            concat_cost([], unit, 0, model)
-        with pytest.raises(ValueError):
-            concat_cost([], unit, n + 1, model)
+        cost1, cost2 = first_note_costs(prev, [u1, u2], model)
+        assert cost1 == cost2
 
     def test_oov_first_note_scored_not_error(self, toy_lm):
         corpus, vocab, model = toy_lm
@@ -576,7 +549,7 @@ class TestConcatCost:
             provenance=Provenance("x", 0),
         )
         prev = tokenize(corpus.pieces[0], vocab)
-        cost = concat_cost(prev, alien, 1, model)
+        cost = first_note_costs(prev, [alien], model)[0]
         dist = note_distribution(context_window(prev), model)
         assert cost == pytest.approx(-math.log(dist[OOV]), abs=1e-12)
 
@@ -585,8 +558,10 @@ class TestConcatCost:
         prev = tokenize(corpus.pieces[7], vocab)
         units = [unit_from_measures(corpus.pieces[k], 2, 1) for k in range(6)]
         batch = first_note_costs(prev, units, model)
+        dist = note_distribution(context_window(prev), model)
         for k, u in enumerate(units):
-            assert batch[k] == pytest.approx(concat_cost(prev, u, 1, model), abs=1e-12)
+            expected = -math.log(dist[tokenize(u, vocab)[0]])
+            assert batch[k] == pytest.approx(expected, abs=1e-12)
 
 
 class TestVocabularySnapshot:

@@ -17,7 +17,6 @@ from unitsel.music import (
     pitch_class,
     slice_units,
     validate_piece,
-    whole_rest_measure,
 )
 
 Q = Fraction(1, 4)
@@ -64,10 +63,6 @@ class TestMeasureSum:
         # rational arithmetic: no floating point drift
         m = Measure(tuple(Note(60, Fraction(1, 3)) for _ in range(3)))
         assert measure_sum(m) == Fraction(1, 1)
-
-    def test_whole_rest_measure_fills_meter(self):
-        m = whole_rest_measure(Fraction(3, 4))
-        assert measure_sum(m) == Fraction(3, 4)
 
 
 class TestNoteInvariants:

@@ -19,7 +19,8 @@ from unitsel.nn import (
     _sigmoid,
     _splitmix64,
     candidate_rows,
-    cosine_sim,
+    cosine_rows,
+    cosine_softmax_grads,
     derive_seed,
     draw_pool,
     dropout_mask,
@@ -29,7 +30,6 @@ from unitsel.nn import (
     rank_order,
     relevance_batch_loss,
     sgd_step,
-    softmax_relevance,
     stream_rng,
     truth_ranks,
 )
@@ -37,27 +37,30 @@ from unitsel.nn import (
 
 class TestCosine:
     def test_parallel(self):
-        assert cosine_sim([1.0, 0.0], [1.0, 0.0]) == 1.0
+        assert cosine_rows(np.array([1.0, 0.0]), np.array([[1.0, 0.0]]))[0] == 1.0
 
     def test_orthogonal(self):
-        assert cosine_sim([1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert cosine_rows(np.array([1.0, 0.0]), np.array([[0.0, 1.0]]))[0] == 0.0
 
     def test_arithmetic_oracle(self):
         # 32 / (sqrt(14) * sqrt(77)), computed independently
         expected = 32.0 / (math.sqrt(14.0) * math.sqrt(77.0))
-        assert cosine_sim([1, 2, 3], [4, 5, 6]) == pytest.approx(expected, abs=1e-12)
+        got = cosine_rows(np.array([1.0, 2.0, 3.0]), np.array([[4.0, 5.0, 6.0]]))[0]
+        assert got == pytest.approx(expected, abs=1e-12)
 
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError):
-            cosine_sim([0.0, 0.0], [1.0, 0.0])
+            cosine_rows(np.array([0.0, 0.0]), np.array([[1.0, 0.0]]))
+        with pytest.raises(ValueError):
+            cosine_rows(np.array([1.0, 0.0]), np.array([[0.0, 0.0]]))
 
     def test_scale_invariance_and_antipode(self):
         rng = stream_rng(1, "cosine")
         for _ in range(200):
             x = rng.normal(size=8)
             c = float(rng.uniform(0.1, 10.0))
-            assert cosine_sim(x, c * x) == pytest.approx(1.0, abs=1e-12)
-            assert cosine_sim(x, -x) == pytest.approx(-1.0, abs=1e-12)
+            np.testing.assert_allclose(cosine_rows(x, np.stack([c * x, -x])), [1.0, -1.0],
+                                       rtol=0, atol=1e-12)
 
 
 # Few distinct values, so most draws hold ties in the key and in the jitter.
@@ -149,34 +152,34 @@ class TestTruthRanks:
         assert truth_ranks(-np.zeros((1, 4)), np.zeros((1, 4))).tolist() == [1]
 
 
-class TestSoftmaxRelevance:
+class TestCosineSoftmax:
+    """The relevance loss of one case: a batch of one query, its candidates
+    and the index of the truth among them."""
+
     def test_identical_candidates_split_evenly(self):
         q = np.array([1.0, 1.0, 0.0])
-        cands = [q.copy() for _ in range(5)]  # truth + 4 negatives, all equal
-        probs, loss = softmax_relevance(q, cands, truth_index=0)
-        np.testing.assert_allclose(probs, 0.2)
-        assert loss == pytest.approx(math.log(5.0), abs=1e-12)
+        cands = np.stack([q] * 5)  # truth + 4 negatives, all equal
+        losses, probs, _, _ = cosine_softmax_grads(q[None], cands[None], np.array([0]), False)
+        np.testing.assert_allclose(probs[0], 0.2)
+        assert losses[0] == pytest.approx(math.log(5.0), abs=1e-12)
 
     def test_closed_form_two_candidates(self):
         q = np.array([1.0, 0.0])
         truth = np.array([2.0, 0.0])       # colinear: sim 1
         negative = np.array([0.0, 3.0])    # orthogonal: sim 0
-        probs, loss = softmax_relevance(q, [truth, negative], truth_index=0)
-        assert probs[0] == pytest.approx(math.e / (math.e + 1.0), abs=1e-12)
-        assert loss == pytest.approx(-math.log(math.e / (math.e + 1.0)), abs=1e-12)
+        cands = np.stack([truth, negative])
+        losses, probs, _, _ = cosine_softmax_grads(q[None], cands[None], np.array([0]), False)
+        assert probs[0, 0] == pytest.approx(math.e / (math.e + 1.0), abs=1e-12)
+        assert losses[0] == pytest.approx(-math.log(math.e / (math.e + 1.0)), abs=1e-12)
 
     def test_probabilities_sum_to_one(self):
         rng = stream_rng(2, "softmax")
         for _ in range(200):
             q = rng.normal(size=6)
             cands = rng.normal(size=(5, 6))
-            probs, _ = softmax_relevance(q, cands, truth_index=2)
-            assert abs(probs.sum() - 1.0) < 1e-9
+            _, probs, _, _ = cosine_softmax_grads(q[None], cands[None], np.array([2]), False)
+            assert abs(probs[0].sum() - 1.0) < 1e-9
             assert np.all(probs > 0)
-
-    def test_bad_truth_index(self):
-        with pytest.raises(ValueError):
-            softmax_relevance(np.ones(3), np.ones((4, 3)), truth_index=4)
 
 
 class TestDenseLayer:
@@ -410,7 +413,7 @@ class TestGradCheck:
         worst = 0.0
         for seed in (1, 2, 3):
             rng = stream_rng(seed, "gc-lm")
-            model = LmModel(vocab, hidden=5, context_len=4, rng=rng)
+            model = LmModel(vocab, hidden=5, rng=rng)
             for t in (1, 4):  # single step, then through-time
                 x = rng.integers(2, vocab.size, size=(3, t))
                 y = rng.integers(2, vocab.size, size=(3, t))
