@@ -7,8 +7,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from pathlib import Path
+from contextlib import contextmanager, suppress
 from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
@@ -79,7 +78,7 @@ class WriteError(Exception):
 
 
 @contextmanager
-def _writing(path):
+def _write_errors(path):
     """Report an ``OSError`` raised inside (a directory in the way, a full
     disk, no permission) as a :class:`WriteError` naming ``path``."""
     try:
@@ -88,16 +87,38 @@ def _writing(path):
         raise WriteError(f"{path}: cannot write ({exc.strerror or exc})") from None
 
 
+@contextmanager
+def _writing(path, mode: str = "w"):
+    """The one artifact writer: a file opened on ``path.tmp`` in the same
+    directory, in ``mode`` (``"w"`` for UTF-8 text, ``"wb"`` for bytes),
+    which ``os.replace`` moves onto ``path`` once the block has written it.
+
+    So no reader ever sees half an artifact: any exception inside, an
+    interrupt included, removes the ``.tmp`` and leaves ``path`` as it
+    was. An ``OSError`` is reported as a :class:`WriteError` naming ``path``.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with _write_errors(path):
+            with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+                yield fh
+            os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_lines(path, lines: Iterable[str]) -> None:
     """A UTF-8 file of one line per item (a magic line is the first item)."""
-    with _writing(path), open(path, "w", encoding="utf-8") as fh:
+    with _writing(path) as fh:
         fh.writelines(part for line in lines for part in (line, "\n"))  # no copy of a line
 
 
 def write_text(path, text: str) -> None:
     """A UTF-8 text file."""
-    with _writing(path):
-        Path(path).write_text(text, encoding="utf-8")
+    with _writing(path) as fh:
+        fh.write(text)
 
 
 def _finite_or_null(obj):

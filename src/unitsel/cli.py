@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, load_trained
 from ._util import (
     WriteError,
-    _writing,
+    _write_errors,
     canonical_json,
     decode_json,
     file_sha256,
@@ -606,12 +606,26 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     return argv[:1] + injected + argv[1:] if injected else argv
 
 
+# The flags that size a model, in the order they are named.
+_SIZE_FLAGS = ("hidden", "embedding")
+
+
+def _out_of_memory(args, exc: MemoryError) -> str:
+    """The message of a run the machine cannot hold, naming the size flags
+    the command read and their values."""
+    sizes = ", ".join(f"--{h} {getattr(args, h)}" for h in _SIZE_FLAGS if hasattr(args, h))
+    at = f" at {sizes}; smaller sizes need less memory" if sizes else ""
+    return f"out of memory ({exc}){at}"
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command: make --out and remove any manifest an earlier run
     left there, then ``run_command``, whose ``cmd_*`` writes the artifacts and
     returns a summary, then write the manifest and print the summary. A
-    failed run thus leaves no manifest beside what it rewrote. Warnings are
-    printed only on success: a user error prints its ``error:`` line alone."""
+    failed run thus leaves no manifest beside what it rewrote, and each
+    artifact is written whole or not at all. A ``MemoryError`` (a size the
+    machine cannot hold) is a user error. Warnings are printed only on
+    success: a user error prints its ``error:`` line alone."""
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
@@ -622,10 +636,13 @@ def main(argv: list[str] | None = None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # a file in the way, or no permission
             raise UserError(f"cannot make the output directory: {exc}") from exc
-        with _writing(out / "manifest.json"):
+        with _write_errors(out / "manifest.json"):
             (out / "manifest.json").unlink(missing_ok=True)
         with warnings.catch_warnings(record=True) as caught:
-            summary = run_command(args, out)
+            try:
+                summary = run_command(args, out)
+            except MemoryError as exc:  # numpy refuses an impossible size at once
+                raise UserError(_out_of_memory(args, exc)) from exc
         _write_manifest(args, out)
         for w in caught:
             warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)

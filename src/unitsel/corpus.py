@@ -5,18 +5,28 @@ and durations are [numerator, denominator] pairs. Model archives carry a
 ``UNITSEL-MODEL`` magic header and hex-encoded float64 weights so that
 save -> load -> save is byte-identical. Unit libraries persist the same
 way under a ``UNITSEL-LIB`` header. ``_util.json_lines`` reads every file
-and ``_util.write_lines`` writes it; the loaders check their records.
+and ``_util._writing`` writes it, through ``write_lines`` or, for a model
+archive, streamed; the loaders check their records.
 """
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
-from ._util import canonical_json, decode_json, exact_ints, json_lines, sha256_hex, write_lines
+from ._util import (
+    _writing,
+    canonical_json,
+    decode_json,
+    exact_ints,
+    json_lines,
+    sha256_hex,
+    write_lines,
+)
 from .features import FeatureVocabulary, extract
 from .music import (
     Measure,
@@ -33,6 +43,9 @@ ARCHIVE_MAGIC = f"UNITSEL-MODEL {FORMAT_VERSION}"
 LIBRARY_MAGIC = f"UNITSEL-LIB {FORMAT_VERSION}"
 
 MODEL_KINDS = ("autoencoder", "dssm", "lstm")
+
+# save_model hexlifies each weight this many bytes at a time: 64 KB of hex.
+WEIGHT_BLOCK = 1 << 15
 
 
 class CorpusFormatError(ValueError):
@@ -368,10 +381,12 @@ class FeatureModel(ArchivedModel):
 def save_model(archive: ModelArchive, path) -> None:
     """Write the archive as its header line and canonical JSON payload.
 
-    Each weight's hex string is spliced into the text, not passed through
-    the JSON encoder: hex is plain ASCII that JSON writes as is, ``"data"``
-    sorts first in a weight entry and ``"weights"`` last in the payload, so
-    the bytes are those of ``canonical_json`` over the whole payload.
+    The text is streamed, never held whole: the payload head, then each
+    weight's hex, hexlified ``WEIGHT_BLOCK`` bytes at a time from a view of
+    its little-endian bytes, so the writer's memory does not grow with the
+    model. The hex is plain ASCII that JSON writes as is, ``"data"`` sorts
+    first in a weight entry and ``"weights"`` last in the payload, so the
+    bytes are those of ``canonical_json`` over the whole payload.
     """
     if archive.kind not in MODEL_KINDS:
         raise ArchiveError(f"unknown model kind {archive.kind!r}")
@@ -385,14 +400,16 @@ def save_model(archive: ModelArchive, path) -> None:
             "vocab_hash": archive.vocab_hash(),
         }
     )
-    weights = ",".join(
-        '{"data":"'
-        + arr.astype("<f8").tobytes().hex()
-        + '",'
-        + canonical_json({"name": name, "shape": list(arr.shape)})[1:]
-        for name, arr in archive.weights
-    )
-    write_lines(path, [ARCHIVE_MAGIC, f"{head[:-1]},\"weights\":[{weights}]}}"])
+    with _writing(path, "wb") as fh:
+        fh.write(f"{ARCHIVE_MAGIC}\n{head[:-1]},\"weights\":[".encode("ascii"))
+        for i, (name, arr) in enumerate(archive.weights):
+            fh.write(b'{"data":"' if i == 0 else b',{"data":"')
+            raw = memoryview(np.ascontiguousarray(arr, dtype="<f8").reshape(-1).view(np.uint8))
+            for start in range(0, len(raw), WEIGHT_BLOCK):
+                fh.write(binascii.hexlify(raw[start : start + WEIGHT_BLOCK]))
+            tail = canonical_json({"name": name, "shape": list(arr.shape)})[1:]
+            fh.write(f'",{tail}'.encode("ascii"))
+        fh.write(b"]}\n")
 
 
 def load_model(path) -> ModelArchive:
@@ -408,14 +425,16 @@ def load_model(path) -> ModelArchive:
         weights: list[tuple[str, np.ndarray]] = []
         for entry in payload["weights"]:
             shape = tuple(exact_ints(entry["shape"], f"shape of weight {entry['name']!r}"))
-            raw = bytes.fromhex(entry["data"])
+            # the hex string leaves the payload as its weight is decoded, and
+            # the weight is a writable view over its own decoded bytes
+            raw = bytearray.fromhex(entry.pop("data"))
             expected = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
             if len(raw) != expected:
                 raise ArchiveError(
                     f"{path}: weight {entry['name']!r} has {len(raw)} bytes, "
                     f"shape {shape} needs {expected}"
                 )
-            arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
             if not np.isfinite(arr).all():
                 raise ArchiveError(f"{path}: weight {entry['name']!r} holds non-finite values")
             weights.append((str(entry["name"]), arr))

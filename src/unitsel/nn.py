@@ -122,13 +122,18 @@ class DenseLayer:
         """x: (batch, in_dim) -> (y, cache)."""
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"expected (batch, {self.in_dim}), got {x.shape}")
-        z = x @ self.w.T + self.b
+        z = x @ self.w.T
+        z += self.b  # in place: one (batch, out_dim) temporary, not two
         if self.activation == "linear":
             y = z
         elif self.activation == "relu":
             y = np.maximum(z, 0.0)
         else:
-            y = np.where(z > 0.0, z, LEAKY_ALPHA * z)
+            # with 0 < LEAKY_ALPHA < 1, max(z, alpha z) is z above zero and
+            # alpha z below: the bits of np.where(z > 0.0, z, LEAKY_ALPHA * z),
+            # NaN and -0.0 included, in one temporary and no mask
+            y = np.multiply(z, LEAKY_ALPHA)
+            np.maximum(z, y, out=y)
         return y, (x, z)
 
     def backward(
@@ -593,12 +598,22 @@ def relevance_batch_loss(
     return float(losses.mean()), dense_stack_backward(layers, dout, caches, masks)
 
 
+# _distinct_row_losses scores this many cases at a time.
+LOSS_BLOCK = 64
+
+
 def _distinct_row_losses(
     encode, parts, b: int, raw_query: np.ndarray | None
 ) -> np.ndarray:
     """Per-case losses with dropout off. Each distinct row of each
     ``(x, rows)`` part is encoded once and the outputs are gathered into
-    the [queries], truths, negatives layout of :func:`stack_rows`."""
+    the [queries], truths, negatives layout of :func:`stack_rows`.
+
+    The candidates are gathered and scored ``LOSS_BLOCK`` cases at a time,
+    so no (b, 1 + k, width) block is made; each case's loss depends on its
+    own row only, so the bits are those of one :func:`_cosine_softmax`
+    over all ``b`` cases. The rows are still encoded as one matrix:
+    regrouping the rows of a product can move their bits."""
     inputs, inverse, offset = [], [], 0
     for x, rows in parts:
         distinct, inv = np.unique(rows, return_inverse=True)
@@ -608,9 +623,14 @@ def _distinct_row_losses(
     out = encode(inputs[0] if len(inputs) == 1 else np.concatenate(inputs))
     del inputs  # free the inputs before the loss allocates its temporaries
     inverse = np.concatenate(inverse)
-    cand_rows = candidate_rows(len(inverse), b, raw_query is None)
+    cand_rows = inverse[candidate_rows(len(inverse), b, raw_query is None)]
     q = out[inverse[:b]] if raw_query is None else raw_query
-    return _cosine_softmax(q, out[inverse[cand_rows]], np.zeros(b, dtype=int))[0]
+    losses = np.empty(b)
+    for start in range(0, b, LOSS_BLOCK):
+        stop = min(start + LOSS_BLOCK, b)
+        truth = np.zeros(stop - start, dtype=int)
+        losses[start:stop] = _cosine_softmax(q[start:stop], out[cand_rows[start:stop]], truth)[0]
+    return losses
 
 
 def sgd_epochs(model, n: int, cfg: TrainConfig, label: str, batch_loss, sample, end_epoch) -> None:

@@ -415,6 +415,16 @@ def _input_flags(inputs: dict) -> list[str]:
     return [f"--{name.replace('_', '-')}={path}" for name, path in inputs.items()]
 
 
+def _refuses_impossible_sizes() -> bool:
+    """Whether an allocation far beyond the machine's memory fails at once:
+    Linux does so unless it is set to overcommit always (mode 1), where
+    the allocation would be granted and then filled."""
+    try:
+        return Path("/proc/sys/vm/overcommit_memory").read_text().strip() != "1"
+    except OSError:
+        return False
+
+
 class TestRunner:
     """Every command's input files are loaded, embedded and hashed by one runner."""
 
@@ -512,6 +522,26 @@ class TestRunner:
         assert code == 1
         assert err == f"error: {out / 'manifest.json'}: cannot write (Is a directory)\n"
         assert not (out / "train.cor").exists()
+
+    @pytest.mark.skipif(
+        not _refuses_impossible_sizes(), reason="the kernel would grant the allocation"
+    )
+    @pytest.mark.parametrize("command", ["train-ae", "train-lm"])
+    def test_a_size_the_machine_cannot_hold_is_a_user_error(
+        self, pipeline, tmp_path, capsys, command
+    ):
+        # hundreds of GiB of weights: refused at once, nothing is allocated
+        inputs = ["--library", pipeline["lib"]] if command == "train-ae" else ["--corpus", CORPUS]
+        out = tmp_path / "o"
+        code = main([command, *inputs, "--out", str(out), "--epochs", "1",
+                     "--hidden", "1000000000"])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        sizes = "--hidden 1000000000" + (", --embedding 128" if command == "train-ae" else "")
+        assert err.startswith("error: out of memory (")
+        assert err.endswith(f") at {sizes}; smaller sizes need less memory\n")
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
 
 # Each input flag and a command that reads it; the pipeline gives the other files.

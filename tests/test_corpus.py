@@ -1,3 +1,4 @@
+import binascii
 import json
 import math
 import re
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import unitsel.corpus as corpus_module
 import unitsel.nn as nn_module
 from unitsel import load_trained
-from unitsel._util import canonical_json, sha256_hex
+from unitsel._util import canonical_json, sha256_hex, write_lines
 from unitsel.augment import AugmentConfig, UnitLibrary, build_library
 from unitsel.autoencoder import embed_library, train_autoencoder
 from unitsel.cli import main as cli_main
@@ -21,6 +22,8 @@ from unitsel.corpus import (
     CorpusFormatError,
     CorpusValidationError,
     FORMAT_VERSION,
+    WEIGHT_BLOCK,
+    ModelArchive,
     load_corpus,
     load_library,
     load_model,
@@ -34,7 +37,7 @@ from unitsel.engine import GenerationConfig, continue_piece
 from unitsel.features import build_vocab
 from unitsel.lm import LmModel, build_note_vocab, tokenize, train_lm
 from unitsel.music import Provenance
-from unitsel.nn import TrainConfig
+from unitsel.nn import TrainConfig, sgd_step
 
 from conftest import FIXTURE_CORPUS
 
@@ -505,6 +508,101 @@ class TestModelArchive:
         path.write_text(header + "\n" + json.dumps(payload))
         with pytest.raises(ArchiveError, match="hash"):
             load_model(path)
+
+
+def _archive_of(*weights) -> ModelArchive:
+    return ModelArchive(
+        kind="autoencoder",
+        hyperparameters={"hidden": 2, "embedding": 1},
+        layer_dims=[3, 2],
+        weights=[(f"w{i}", arr) for i, arr in enumerate(weights)],
+        vocabulary={"families": {}},
+    )
+
+
+class TestStreamedArchive:
+    """save_model streams each weight's hex through the one artifact
+    writer; load_model makes each weight a writable view of its bytes."""
+
+    def test_any_layout_gives_the_json_encoders_bytes(self, tmp_path):
+        rng = np.random.default_rng(0)
+        wide = rng.standard_normal((7, WEIGHT_BLOCK // 8 + 3))  # two blocks, the last partial
+        archive = _archive_of(
+            wide,
+            wide.T,  # not C-contiguous
+            wide[:, ::2],  # strided
+            rng.standard_normal(WEIGHT_BLOCK // 8).astype(">f8"),  # big-endian, exactly one block
+            np.array([-0.0, 5e-324, 1e308]),
+            np.array(2.5),  # 0-d
+            np.zeros((0, 3)),
+        )
+        path = tmp_path / "a.model"
+        save_model(archive, path)
+        assert path.read_bytes() == _json_encoded_archive(archive).encode("utf-8")
+
+    def test_saving_8_mb_of_weights_peaks_under_1_mb(self, tmp_path):
+        archive = _archive_of(np.random.default_rng(1).standard_normal((1024, 1030)))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            save_model(archive, tmp_path / "big.model")
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "big.model").stat().st_size > 16 * 2**20
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("error", [RuntimeError("injected"), KeyboardInterrupt()])
+    @pytest.mark.parametrize("earlier", [False, True])
+    def test_a_save_that_fails_midway_leaves_no_file(
+        self, tmp_path, monkeypatch, error, earlier
+    ):
+        path = tmp_path / "a.model"
+        if earlier:
+            path.write_bytes(b"an earlier archive\n")
+        real, calls = binascii.hexlify, []
+
+        def failing(data):  # the second block, after the head and one block are written
+            calls.append(len(data))
+            if len(calls) == 2:
+                raise error
+            return real(data)
+
+        monkeypatch.setattr(binascii, "hexlify", failing)
+        with pytest.raises(type(error)):
+            save_model(_archive_of(np.ones((2, WEIGHT_BLOCK // 4))), path)
+        assert len(calls) == 2
+        assert [p.name for p in tmp_path.iterdir()] == (["a.model"] if earlier else [])
+        if earlier:
+            assert path.read_bytes() == b"an earlier archive\n"
+
+    def test_lines_that_fail_midway_leave_no_file(self, tmp_path):
+        def lines():
+            yield "UNITSEL-LIB 1"
+            raise RuntimeError("injected")
+
+        with pytest.raises(RuntimeError, match="injected"):
+            write_lines(tmp_path / "a.lib", lines())
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["autoencoder", "dssm", "lstm"])
+    def test_a_loaded_model_takes_an_sgd_step(self, tmp_path, tiny_models, kind):
+        path = tmp_path / f"{kind}.model"
+        save_model(tiny_models[kind].to_archive(), path)
+        loaded = load_trained(path)
+        before = [p.copy() for p in loaded.params]
+        sgd_step(loaded.params, [np.ones_like(p) for p in before], 0.5)
+        for p, old in zip(loaded.params, before):
+            assert p.tobytes() == (old - 0.5).tobytes()
+
+    def test_loaded_weights_are_views_of_their_own_bytes(self, tmp_path, tiny_ae):
+        path = tmp_path / "ae.model"
+        save_model(tiny_ae[0].to_archive(), path)
+        arrays = [arr for _, arr in load_model(path).weights]
+        assert all(arr.flags.writeable and not arr.flags.owndata for arr in arrays)
+        assert not any(
+            np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1 :]
+        )
 
 
 def _edit_unit(edit):

@@ -1,26 +1,32 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unitsel.autoencoder import AutoencoderModel, autoencoder_batch_loss
 from unitsel.dssm import DssmModel, dssm_batch_loss
 from unitsel.features import FeatureVocabulary
 from unitsel.lm import LmModel, NoteVocabulary, lm_batch_loss
 from unitsel.nn import (
+    LEAKY_ALPHA,
+    LOSS_BLOCK,
     DenseLayer,
     LstmLayer,
     TrainConfig,
     _M64,
+    _cosine_softmax,
+    _distinct_row_losses,
     _label_digest,
     _sigmoid,
     _splitmix64,
     candidate_rows,
     cosine_rows,
     cosine_softmax_grads,
+    dense_stack_output,
     derive_seed,
     draw_pool,
     dropout_mask,
@@ -29,7 +35,9 @@ from unitsel.nn import (
     in_batch_negatives,
     rank_order,
     relevance_batch_loss,
+    sample_negatives,
     sgd_step,
+    stack_rows,
     stream_rng,
     truth_ranks,
 )
@@ -208,6 +216,110 @@ class TestDenseLayer:
     def test_unknown_activation_is_refused(self):
         with pytest.raises(ValueError, match="unknown activation 'tanh'"):
             DenseLayer(np.eye(2), np.zeros(2), "tanh")
+
+
+# values that take each branch of the activations' edge cases
+_DENSE_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-200, -1e-200, 1e308, -1e308, 5e-324]
+
+
+def _dense_reference(x, w, b, activation):
+    """``DenseLayer.forward``'s (y, z) as two whole temporaries: the
+    bias added out of place and leaky-ReLU by ``np.where``."""
+    z = x @ w.T + b
+    if activation == "linear":
+        return z, z
+    if activation == "relu":
+        return np.maximum(z, 0.0), z
+    return np.where(z > 0, z, LEAKY_ALPHA * z), z
+
+
+class TestDenseForwardBits:
+    """The in-place bias and the one-temporary leaky-ReLU give the bits of
+    the two-temporary form, NaN, infinities and -0.0 included."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5), st.data())
+    @example(1, 1, 1, None)
+    def test_same_bits_as_the_two_temporary_form(self, batch, in_dim, out_dim, data):
+        if data is None:  # a product that underflows to -0.0, then a -0.0 bias
+            x, w, b = np.array([[-1e-200]]), np.array([[1e-200]]), np.array([-0.0])
+        else:
+            values = st.floats() | st.sampled_from(_DENSE_EDGES)
+
+            def matrix(*shape):
+                size = int(np.prod(shape))
+                drawn = data.draw(st.lists(values, min_size=size, max_size=size))
+                return np.array(drawn, dtype=float).reshape(shape)
+
+            x, w, b = matrix(batch, in_dim), matrix(out_dim, in_dim), matrix(out_dim)
+        for activation in ("linear", "relu", "leaky_relu"):
+            with np.errstate(all="ignore"):
+                y, (cached_x, z) = DenseLayer(w, b, activation).forward(x)
+                y_ref, z_ref = _dense_reference(x, w, b, activation)
+            assert cached_x is x
+            assert z.tobytes() == z_ref.tobytes(), activation
+            assert y.tobytes() == y_ref.tobytes(), activation
+
+
+class TestBlockedLossPass:
+    """``_distinct_row_losses`` scores LOSS_BLOCK cases at a time; its
+    losses are the bits of one ``_cosine_softmax`` over the whole chunk."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(1, 600),
+        st.booleans(),
+        st.sampled_from([3, 16, 128]),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(1, False, 1062, 4, 0)
+    @example(LOSS_BLOCK + 1, True, 128, 4, 1)  # a last block of one case
+    @example(9 * LOSS_BLOCK + 1, False, 1062, 4, 2)
+    @example(600, True, 1062, 4, 3)
+    def test_same_bits_as_one_softmax_over_the_chunk(self, b, query_in_tower, width, k, seed):
+        rng = np.random.default_rng(seed)
+        n = 700
+        prev_x, next_x = rng.standard_normal((n, width)), rng.standard_normal((n, width))
+        idx = rng.choice(n, size=b, replace=False)
+        succ = np.concatenate([idx, rng.integers(0, n, size=(b, k)).reshape(-1)])
+        if query_in_tower:  # the relevance model's layout
+            parts, raw_query = [(prev_x, idx), (next_x, succ)], None
+        else:  # the autoencoder's
+            parts, raw_query = [(next_x, succ)], rng.standard_normal((b, width))
+        # row-wise and elementwise: encoding the distinct rows or every row
+        # gives the same bits, so only the loss blocks can differ
+        encode = np.tanh
+        got = _distinct_row_losses(encode, parts, b, raw_query)
+        out = encode(stack_rows(parts))
+        q = out[:b] if query_in_tower else raw_query
+        cands = out[candidate_rows(len(out), b, query_in_tower)]
+        assert got.tobytes() == _cosine_softmax(q, cands, np.zeros(b, dtype=int))[0].tobytes()
+
+    def test_a_512_case_autoencoder_chunk_peaks_under_30_mb(self):
+        # the train benchmark's shape: 640 library rows of about 1,000
+        # feature columns, hidden 512, embedding 128 and 4 negatives
+        d, n, b = 1000, 640, 512
+        rng = stream_rng(11, "loss-pass-memory")
+        dims = [(d, 512), (512, 128), (128, 512), (512, d)]
+        layers = [DenseLayer(*DenseLayer.initial_params(rng, i, o), "leaky_relu") for i, o in dims]
+        x = (rng.random((n, d)) < 0.02) + np.eye(n, d)  # sparse counts, no zero row
+        idx = np.arange(b)
+        negs = sample_negatives(rng, idx, n, 4)
+        parts = [(x, np.concatenate([idx, negs.reshape(-1)]))]
+        raw_query = x[idx]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            losses = _distinct_row_losses(
+                lambda rows: dense_stack_output(layers, rows), parts, b, raw_query
+            )
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert losses.shape == (b,) and np.isfinite(losses).all()
+        # one (512, 5, 1000) candidate block alone is 20.5 MB
+        assert peak < 30 * 2**20
 
 
 class TestSgdStep:
