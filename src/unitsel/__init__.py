@@ -69,7 +69,6 @@ from .lm import (
 )
 from .engine import (
     GenerationConfig,
-    RankedCandidate,
     generate,
     generate_note_level,
     rank_candidates,

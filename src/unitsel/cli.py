@@ -343,7 +343,9 @@ def cmd_generate(args, inputs: dict, out: Path) -> str:
     def extend(p: Piece) -> Piece:
         records: list = []
         piece = continue_piece(p, args.units, elib, inputs["dssm"], inputs["lm"], cfg, audit=records)
-        audit.extend({**record, "piece": p.id} for record in records)
+        for record in records:
+            record["piece"] = p.id
+        audit.extend(records)
         return piece
 
     pieces = _each_piece(seed_corpus, extend, "extend")

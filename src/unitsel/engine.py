@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import zip_longest
 
 import numpy as np
 
@@ -60,8 +59,8 @@ class GenerationConfig:
             raise ValueError("shortlist_fraction must be in (0, 1]")
         if self.mode not in (DETERMINISTIC, SAMPLED):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError("temperature must be positive and finite")
 
 
 def shortlist_size(n: int, fraction: float) -> int:
@@ -134,14 +133,22 @@ def combined_order(
 
 
 @dataclass
-class RankedCandidate:
-    index: int
-    unit: Unit
-    relevance: float
-    semantic_rank: int
-    concat_rank: int | None = None
-    combined_key: int | None = None
-    concat_cost: float | None = None
+class Shortlist:
+    """One selection step's shortlist, best first by combined key, as
+    parallel arrays with one entry per shortlisted unit."""
+
+    index: np.ndarray
+    semantic_rank: np.ndarray
+    concat_rank: np.ndarray
+    combined: np.ndarray
+    relevance: np.ndarray
+    concat_cost: np.ndarray
+
+    def entries(self) -> list[dict]:
+        """One dict per entry, keyed by field name, with builtin int and
+        float values (the audit's shortlist)."""
+        columns = {name: column.tolist() for name, column in vars(self).items()}
+        return [dict(zip(columns, row)) for row in zip(*columns.values())]
 
 
 def rank_candidates(
@@ -151,61 +158,45 @@ def rank_candidates(
     dssm_model: DssmModel,
     lm_model: LmModel,
     cfg: GenerationConfig,
-    *,
-    top: int | None = None,
-) -> list[RankedCandidate]:
-    """Library ranking for one selection step, best candidate first.
+) -> Shortlist:
+    """The shortlist of one selection step, sorted by combined key.
 
     All tie-breaks are deterministic: semantic ties by library order, join
-    ties by semantic rank then library order. ``top`` keeps only the first
-    ``top`` entries of the ordering; with ``top`` equal to the shortlist
-    size that is exactly the shortlist, sorted by combined key. None
-    returns the full ranking.
+    ties by semantic rank then library order. The entries are the head of
+    ``combined_order``'s full ranking of the library.
     """
     if len(elib) == 0:
         raise ValueError("empty library")
-    if top is not None and top < 1:
-        raise ValueError(f"top must be at least 1, got {top}")
     require_index(elib, dssm_model, DssmModel.kind)
     q = dssm_model.encode_unit(seed_unit)
     sims = library_similarities(q, elib)
-    units = elib.library.units
     first_ids = elib.first_tokens(lm_model.vocab)
 
     def shortlist_costs(indices: np.ndarray) -> np.ndarray:
         return first_note_costs(prev_tokens, first_ids[indices], lm_model)
 
-    ranking = combined_order(sims, shortlist_costs, cfg.shortlist_fraction, top=top)
-    order = ranking.order[:top]
-    # the ordering starts with the whole shortlist, so only its head has join fields
-    head = order[: len(ranking.shortlist)]
-    joins = zip(
-        ranking.concat_rank[head].tolist(),
-        ranking.combined[head].tolist(),
-        ranking.costs[head].tolist(),
+    k = shortlist_size(len(sims), cfg.shortlist_fraction)
+    ranking = combined_order(sims, shortlist_costs, cfg.shortlist_fraction, top=k)
+    head = ranking.order  # a head-only ranking orders the shortlist alone
+    return Shortlist(
+        index=head,
+        semantic_rank=ranking.semantic_rank[head],
+        concat_rank=ranking.concat_rank[head],
+        combined=ranking.combined[head],
+        relevance=sims[head],
+        concat_cost=ranking.costs[head],
     )
-    return [
-        RankedCandidate(i, units[i], relevance, sem_rank, *join)
-        for i, relevance, sem_rank, join in zip_longest(
-            order.tolist(),
-            sims[order].tolist(),
-            ranking.semantic_rank[order].tolist(),
-            joins,
-            fillvalue=(None, None, None),
-        )
-    ]
 
 
-def _pick(
-    shortlist: list[RankedCandidate], cfg: GenerationConfig, step: int
-) -> RankedCandidate:
+def _pick(shortlist: Shortlist, cfg: GenerationConfig, step: int) -> int:
+    """Position in the shortlist of the step's pick."""
     if cfg.mode == DETERMINISTIC:
-        return shortlist[0]
-    keys = np.array([rc.combined_key for rc in shortlist], dtype=float)
+        return 0
+    keys = shortlist.combined.astype(float)
     weights = np.exp(-(keys - keys.min()) / cfg.temperature)
     weights /= weights.sum()
     rng = stream_rng(cfg.seed, "generate-pick", step)
-    return shortlist[int(rng.choice(len(shortlist), p=weights))]
+    return int(rng.choice(len(keys), p=weights))
 
 
 def generate(
@@ -247,8 +238,12 @@ def continue_piece(
     The piece's last unit seeds the selection; the note context handed to
     the join cost is the last 36 tokens of everything emitted so far,
     crossing unit boundaries. Pass ``audit`` to collect one record per
-    step with the shortlist and both ranks. ``threads`` is accepted because
-    the benchmark passes it; it has no effect.
+    step: ``step``, ``selected`` (the library index picked) and
+    ``shortlist``, the step's ``rank_candidates`` entries best first, each
+    a dict of ``index``, ``semantic_rank``, ``concat_rank``, ``combined``,
+    ``relevance`` and ``concat_cost`` with builtin int and float values.
+    ``threads`` is accepted because the benchmark passes it; it has no
+    effect.
     """
     length = elib.library.unit_length
     if len(piece.measures) < length:
@@ -265,29 +260,12 @@ def continue_piece(
     )
     context = tokenize(piece, lm_model.vocab)
     measures = list(piece.measures)
-    k = shortlist_size(len(elib), cfg.shortlist_fraction)
     for step in range(n_units):
-        shortlist = rank_candidates(current, context, elib, dssm_model, lm_model, cfg, top=k)
-        pick = _pick(shortlist, cfg, step)
+        shortlist = rank_candidates(current, context, elib, dssm_model, lm_model, cfg)
+        index = int(shortlist.index[_pick(shortlist, cfg, step)])
         if audit is not None:
-            audit.append(
-                {
-                    "step": step,
-                    "selected": pick.index,
-                    "shortlist": [
-                        {
-                            "index": rc.index,
-                            "semantic_rank": rc.semantic_rank,
-                            "concat_rank": rc.concat_rank,
-                            "combined": rc.combined_key,
-                            "relevance": rc.relevance,
-                            "concat_cost": rc.concat_cost,
-                        }
-                        for rc in shortlist
-                    ],
-                }
-            )
-        current = pick.unit
+            audit.append({"step": step, "selected": index, "shortlist": shortlist.entries()})
+        current = elib.library.units[index]
         measures.extend(current.measures)
         context.extend(tokenize(current, lm_model.vocab))
     return assemble_piece(measures, f"{piece.id}+{n_units}u")

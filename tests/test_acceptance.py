@@ -366,9 +366,9 @@ class TestCriterion7SelectionStructure:
         in_shortlist = 0
         steps = 1000
         for step in range(steps):
-            ranked = rank_candidates(current, context, elib, dssm_model, lm_model, cfg)
-            pick = ranked[0]
-            if pick.semantic_rank <= k:
+            sl = rank_candidates(current, context, elib, dssm_model, lm_model, cfg)
+            pick = elib.library.units[sl.index[0]]
+            if sl.semantic_rank[0] <= k:
                 in_shortlist += 1
 
             # re-run the ranking on monotonically rescaled raw scores
@@ -386,11 +386,11 @@ class TestCriterion7SelectionStructure:
                 cfg.shortlist_fraction,
             )
             assert list(base.order) == list(rescaled.order)
-            assert int(base.order[0]) == pick.index
+            assert int(base.order[0]) == sl.index[0]
 
-            context.extend(tokenize_unit(pick.unit, lm_model.vocab))
+            context.extend(tokenize_unit(pick, lm_model.vocab))
             context = context[-200:]
-            current = pick.unit
+            current = pick
         assert in_shortlist == steps
         _report(
             7,

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitsel.augment import UnitLibrary
 from unitsel.autoencoder import EmbeddedLibrary, embed_library, library_similarities
@@ -33,6 +34,35 @@ from unitsel.music import (
 from unitsel.nn import TrainConfig
 
 Q = Fraction(1, 4)
+
+# Few distinct values, so most draws tie in the similarity, the cost and the jitter.
+TIE_HEAVY = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 3.0, np.inf, np.nan])
+
+
+def full_ranking(seed_unit, prev, elib, model, lm, cfg):
+    """combined_order's full ranking of the library on the relevance and join
+    costs that rank_candidates reads, and that relevance."""
+    sims = library_similarities(model.encode_unit(seed_unit), elib)
+    ids = elib.first_tokens(lm.vocab)
+    ranking = combined_order(
+        sims, lambda idx: first_note_costs(prev, ids[idx], lm), cfg.shortlist_fraction
+    )
+    return ranking, sims
+
+
+def head_entries(ranking, sims, k):
+    """The first ``k`` entries of a full ranking, as audit dicts."""
+    return [
+        {
+            "index": int(i),
+            "semantic_rank": int(ranking.semantic_rank[i]),
+            "concat_rank": int(ranking.concat_rank[i]),
+            "combined": int(ranking.combined[i]),
+            "relevance": float(sims[i]),
+            "concat_cost": float(ranking.costs[i]),
+        }
+        for i in ranking.order[:k]
+    ]
 
 
 class TestCombinedOrder:
@@ -89,66 +119,72 @@ class TestCombinedOrder:
         with pytest.raises(ValueError):
             combined_order(np.array([]), lambda idx: idx, 0.05)
 
+    @settings(deadline=None)
+    @given(st.integers(1, 80), st.sampled_from([0.05, 0.2, 0.5, 1.0]), st.booleans(), st.data())
+    def test_head_only_ranking_is_the_full_rankings_head(self, n, fraction, jittered, data):
+        def column(values):
+            return np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+
+        sims, costs = column(TIE_HEAVY), column(TIE_HEAVY)
+        jitter = column(st.sampled_from([0.0, 0.25, 0.75, np.nan])) if jittered else None
+        k = shortlist_size(n, fraction)
+        full = combined_order(sims, costs.take, fraction, jitter)
+        head = combined_order(sims, costs.take, fraction, jitter, top=k)
+        np.testing.assert_array_equal(head.order, full.order[:k])
+        shortlisted = full.order[:k]
+        for name in ("semantic_rank", "concat_rank", "combined", "costs"):
+            np.testing.assert_array_equal(
+                getattr(head, name)[shortlisted], getattr(full, name)[shortlisted]
+            )
+
 
 class TestRankCandidates:
     def test_structure(self, small_setup):
         s = small_setup
-        seed_unit = s["lib"].units[0]
-        prev = []
         cfg = GenerationConfig(unit_length=1, n_units=1)
-        ranked = rank_candidates(seed_unit, prev, s["dssm_elib"], s["dssm"], s["lm"], cfg)
+        args = (s["lib"].units[0], [], s["dssm_elib"], s["dssm"], s["lm"], cfg)
+        sl = rank_candidates(*args)
+        full, _ = full_ranking(*args)
         n = len(s["lib"])
         k = int(np.ceil(0.05 * n))
-        shortlisted = [rc for rc in ranked if rc.concat_rank is not None]
-        assert len(shortlisted) == max(1, k)
-        assert sorted(rc.semantic_rank for rc in ranked) == list(range(1, n + 1))
-        assert sorted(rc.concat_rank for rc in shortlisted) == list(
-            range(1, len(shortlisted) + 1)
-        )
-        assert ranked[0].combined_key == min(rc.combined_key for rc in shortlisted)
-        # shortlist occupies the head of the returned ordering
-        assert all(rc.concat_rank is not None for rc in ranked[: len(shortlisted)])
+        assert len(sl.index) == max(1, k)
+        assert sorted(full.semantic_rank.tolist()) == list(range(1, n + 1))
+        assert sorted(sl.concat_rank.tolist()) == list(range(1, len(sl.index) + 1))
+        assert sl.combined[0] == sl.combined.min()
+        # shortlist occupies the head of the full ordering
+        assert sorted(full.order[:k].tolist()) == sorted(full.shortlist.tolist())
         # the head is always drawn from the semantic shortlist
-        assert ranked[0].semantic_rank <= k
+        assert sl.semantic_rank[0] <= k
 
     def test_double_rank_one_dominates(self, small_setup):
         s = small_setup
         cfg = GenerationConfig(unit_length=1, n_units=1)
         for seed_idx in (0, 3, 11):
-            ranked = rank_candidates(
+            sl = rank_candidates(
                 s["lib"].units[seed_idx], [], s["dssm_elib"], s["dssm"], s["lm"], cfg
             )
-            for rc in ranked:
-                if rc.semantic_rank == 1 and rc.concat_rank == 1:
-                    assert rc is ranked[0]
+            both = np.flatnonzero((sl.semantic_rank == 1) & (sl.concat_rank == 1))
+            assert both.tolist() in ([], [0])
 
     @pytest.mark.parametrize(
         "seed_idx,context_from", [(0, None), (3, 7), (11, 20), (25, 2)]
     )
-    @pytest.mark.parametrize("top", [1, 5, 40])
-    def test_top_is_head_of_full_ranking(
-        self, small_setup, seed_idx, context_from, top
+    @pytest.mark.parametrize("fraction", [0.01, 0.05, 0.8])
+    def test_shortlist_is_head_of_full_ranking(
+        self, small_setup, seed_idx, context_from, fraction
     ):
-        # this 51-unit library's shortlist has 3 entries; 5 and 40 reach past it
+        # on this 51-unit library the shortlists have 1, 3 and 41 entries
         s = small_setup
         units = s["lib"].units
         prev = (
             [] if context_from is None
             else tokenize_unit(units[context_from], s["lm"].vocab)
         )
-        cfg = GenerationConfig(unit_length=1, n_units=1)
+        cfg = GenerationConfig(unit_length=1, n_units=1, shortlist_fraction=fraction)
         args = (units[seed_idx], prev, s["dssm_elib"], s["dssm"], s["lm"], cfg)
-        full = rank_candidates(*args)
-        head = rank_candidates(*args, top=top)
-        assert head == full[:top]
-
-    def test_top_below_one_rejected(self, small_setup):
-        s = small_setup
-        cfg = GenerationConfig(unit_length=1, n_units=1)
-        with pytest.raises(ValueError, match="top"):
-            rank_candidates(
-                s["lib"].units[0], [], s["dssm_elib"], s["dssm"], s["lm"], cfg, top=0
-            )
+        full, sims = full_ranking(*args)
+        k = shortlist_size(len(units), cfg.shortlist_fraction)
+        assert rank_candidates(*args).entries() == head_entries(full, sims, k)
 
     def test_wrong_library_kind_rejected(self, small_setup):
         s = small_setup
@@ -249,20 +285,48 @@ class TestGenerate:
         context = [lm.vocab.encode((n.pitch, n.duration)) for n in piece.notes]
         assert len(audit) == 3
         for record in audit:
-            full = rank_candidates(current, context, elib, s["dssm"], lm, cfg)
-            assert record["shortlist"] == [
-                {
-                    "index": rc.index,
-                    "semantic_rank": rc.semantic_rank,
-                    "concat_rank": rc.concat_rank,
-                    "combined": rc.combined_key,
-                    "relevance": rc.relevance,
-                    "concat_cost": rc.concat_cost,
-                }
-                for rc in full[:k]
-            ]
+            full, sims = full_ranking(current, context, elib, s["dssm"], lm, cfg)
+            assert record["shortlist"] == head_entries(full, sims, k)
             current = elib.library.units[record["selected"]]
             context.extend(tokenize_unit(current, lm.vocab))
+
+    @pytest.mark.parametrize("mode", [DETERMINISTIC, SAMPLED])
+    def test_audit_records_hold_only_json_builtins(self, small_setup, mode):
+        s = small_setup
+        cfg = GenerationConfig(unit_length=1, n_units=3, mode=mode, seed=4)
+        audit: list = []
+        continue_piece(s["corpus"].pieces[2], 3, s["dssm_elib"], s["dssm"], s["lm"], cfg, audit=audit)
+        entry_types = {
+            "index": int,
+            "semantic_rank": int,
+            "concat_rank": int,
+            "combined": int,
+            "relevance": float,
+            "concat_cost": float,
+        }
+        assert [record["step"] for record in audit] == [0, 1, 2]
+        for record in audit:
+            assert set(record) == {"step", "selected", "shortlist"}
+            assert type(record["step"]) is int and type(record["selected"]) is int
+            assert record["shortlist"]
+            for entry in record["shortlist"]:
+                assert {key: type(value) for key, value in entry.items()} == entry_types
+            indices = [entry["index"] for entry in record["shortlist"]]
+            assert record["selected"] in indices
+            if mode == DETERMINISTIC:
+                assert record["selected"] == indices[0]
+
+    def test_sampled_pick_at_a_tiny_temperature_has_the_least_combined_key(self, small_setup):
+        s = small_setup
+        # a 0.05 shortlist here has 3 entries, and its relevance head nearly
+        # always holds the least key; at 0.2 it misses in 9 of these 80 steps
+        cfg = GenerationConfig(mode=SAMPLED, temperature=1e-6, seed=4, shortlist_fraction=0.2)
+        audit: list = []
+        for piece in s["corpus"].pieces:
+            continue_piece(piece, 4, s["dssm_elib"], s["dssm"], s["lm"], cfg, audit=audit)
+        for record in audit:
+            keys = {entry["index"]: entry["combined"] for entry in record["shortlist"]}
+            assert keys[record["selected"]] == min(keys.values())
 
 
 def degenerate_lm(symbol, n=80, epochs=30):
@@ -357,8 +421,11 @@ class TestGenerationConfig:
             GenerationConfig(shortlist_fraction=0.0)
         with pytest.raises(ValueError):
             GenerationConfig(mode="other")
-        with pytest.raises(ValueError):
-            GenerationConfig(temperature=0.0)
+
+    @pytest.mark.parametrize("temperature", [0.0, float("nan"), float("inf")])
+    def test_temperature_must_be_positive_and_finite(self, temperature):
+        with pytest.raises(ValueError, match="positive and finite"):
+            GenerationConfig(temperature=temperature)
 
 
 def _chunked_similarities(q, mat):
@@ -387,11 +454,11 @@ class TestSelectionIndex:
         cfg = GenerationConfig(unit_length=1, n_units=1, shortlist_fraction=fraction)
         k = shortlist_size(len(units), fraction)
         args = (units[4], tokenize_unit(units[7], s["lm"].vocab), elib, model, s["lm"], cfg)
-        full = rank_candidates(*args)
-        head = rank_candidates(*args, top=k)
-        assert head == full[:k]
-        assert sorted(rc.index for rc in head) == list(range(k))
-        assert sorted(rc.semantic_rank for rc in head) == list(range(1, k + 1))
+        sl = rank_candidates(*args)
+        full, sims = full_ranking(*args)
+        assert sl.entries() == head_entries(full, sims, k)
+        assert sorted(sl.index.tolist()) == list(range(k))
+        assert sorted(sl.semantic_rank.tolist()) == list(range(1, k + 1))
 
     def test_scan_same_bits_as_chunks_on_small_setup(self, small_setup):
         s = small_setup
