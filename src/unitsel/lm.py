@@ -34,12 +34,12 @@ from .nn import (
 PAD = 0
 OOV = 1
 CONTEXT_LEN = 36
-# Rows on which a batch's shared PAD prefix runs (``step_distributions``).
-# Not one row: at batch one BLAS takes its matrix-vector path, and at a few
-# rows its small-matrix kernel, and either can give a row other last bits
-# than the same row of a larger batch (README, "Notes on numerics"). Sixteen
-# kept the full batch's bits at every hidden size checked, 4 to 128; eight
-# did not at hidden 32.
+# Rows on which ``step_distributions`` runs a batch's shared PAD prefix
+# through ``LstmLayer.run``. Not one row: at batch one BLAS takes its
+# matrix-vector path, and at a few rows its small-matrix kernel, and either
+# can give a row other last bits than the same row of a larger batch
+# (README, "Notes on numerics"). Sixteen kept the full batch's bits at
+# every hidden size checked, 4 to 128; eight did not at hidden 32.
 PAD_PREFIX_ROWS = 16
 
 NoteSymbol = tuple[int, Fraction]
@@ -160,30 +160,20 @@ class LmModel(ArchivedModel):
         if last_only and t == 0:
             raise ValueError("last_only needs at least one timestep")
         lead = leading_pad_steps(x_tokens) if last_only and b > PAD_PREFIX_ROWS else 0
+        state1 = state2 = None
         if lead:
-            state = self._zero_state(PAD_PREFIX_ROWS)
-            pads = np.full(PAD_PREFIX_ROWS, PAD, dtype=np.int64)
-            for _ in range(lead):
-                state = self._step(pads, state)
-            state = tuple(np.repeat(s[:1], b, axis=0) for s in state)
-        else:
-            state = self._zero_state(b)
-        probs = None if last_only else np.empty((b, t, self.vocab.size))
-        for step in range(lead, t):
-            state = self._step(x_tokens[:, step], state)
-            if not last_only:
-                probs[:, step, :] = softmax(self.out.forward(state[2])[0])
-        return softmax(self.out.forward(state[2])[0]) if last_only else probs
-
-    def _zero_state(self, batch: int) -> tuple[np.ndarray, ...]:
-        return self.lstm1.zero_state(batch) + self.lstm2.zero_state(batch)
-
-    def _step(self, tokens: np.ndarray, state: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        """Both LSTM layers over one column of token ids: (h1, c1, h2, c2)."""
-        h1, c1, h2, c2 = state
-        h1, c1, _ = self.lstm1.step(tokens, h1, c1)
-        h2, c2, _ = self.lstm2.step(h1, h2, c2)
-        return h1, c1, h2, c2
+            pads = np.full((lead, PAD_PREFIX_ROWS), PAD, dtype=np.int64)
+            hs, state1, _ = self.lstm1.run(pads)
+            _, state2, _ = self.lstm2.run(hs)
+            state1, state2 = ([np.repeat(s[:1], b, axis=0) for s in st] for st in (state1, state2))
+        hs, _, _ = self.lstm1.run(x_tokens[:, lead:].T, state1)
+        hs, (h2, _), _ = self.lstm2.run(hs, state2)
+        if last_only:
+            return softmax(self.out.forward(h2)[0])
+        probs = np.empty((b, t, self.vocab.size))
+        for step in range(t):
+            probs[:, step, :] = softmax(self.out.forward(hs[step])[0])
+        return probs
 
 
 def leading_pad_steps(x_tokens: np.ndarray) -> int:
@@ -240,39 +230,33 @@ def lm_batch_loss(
     total = supervised.sum()
     if total == 0:
         raise ValueError("batch has no supervised positions")
-    h1, c1, h2, c2 = model._zero_state(b)
-    caches = []
-    probs_steps = np.empty((b, t, v))
-    for step in range(t):
-        h1, c1, cache1 = model.lstm1.step(x[:, step], h1, c1)
-        h1d = h1 * m1
-        h2, c2, cache2 = model.lstm2.step(h1d, h2, c2)
-        h2d = h2 * m2
-        logits, cache_out = model.out.forward(h2d)
-        probs_steps[:, step, :] = softmax(logits)
-        caches.append((cache1, cache2, cache_out))
+    hs1, _, caches1 = model.lstm1.run(x.T, train=True)
+    hs2, _, caches2 = model.lstm2.run(hs1 * m1, train=True)
+    hs2 *= m2
     rows = np.arange(b)
+    probs_steps = np.empty((b, t, v))
+    caches_out = []
     nll = 0.0
     for step in range(t):
+        logits, cache_out = model.out.forward(hs2[step])
+        probs_steps[:, step, :] = softmax(logits)
+        caches_out.append(cache_out)
         p_true = probs_steps[rows, step, y[:, step]]
         nll -= float(np.sum(np.log(p_true) * supervised[:, step]))
     loss = nll / total
 
-    grads = [np.zeros_like(p) for p in model.params]  # lstm1, lstm2, out
-    dh1_carry, dc1_carry, dh2_carry, dc2_carry = model._zero_state(b)
+    out_grads = [np.zeros_like(model.out.w), np.zeros_like(model.out.b)]
+    dhs2 = np.empty_like(hs2)
     for step in reversed(range(t)):
-        cache1, cache2, cache_out = caches[step]
         dlogits = probs_steps[:, step, :].copy()
         dlogits[rows, y[:, step]] -= 1.0
         dlogits *= (supervised[:, step] / total)[:, None]
-        dh2d, *out_grads = model.out.backward(dlogits, cache_out)
-        dh2 = dh2d * m2 + dh2_carry
-        dh1d, dh2_carry, dc2_carry, *grads2 = model.lstm2.backward_step(dh2, dc2_carry, cache2)
-        dh1 = dh1d * m1 + dh1_carry
-        _, dh1_carry, dc1_carry, *grads1 = model.lstm1.backward_step(dh1, dc1_carry, cache1)
-        for acc, grad in zip(grads, grads1 + grads2 + out_grads):
+        dhs2[step], *grads = model.out.backward(dlogits, caches_out[step])
+        for acc, grad in zip(out_grads, grads):
             acc += grad
-    return loss, grads
+    dhs1, *grads2 = model.lstm2.backward(dhs2 * m2, caches2)
+    _, *grads1 = model.lstm1.backward(dhs1 * m1, caches1)
+    return loss, grads1 + grads2 + out_grads
 
 
 def _eval_perplexity(model: LmModel, x: np.ndarray, y: np.ndarray) -> float:

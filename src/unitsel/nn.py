@@ -1,13 +1,13 @@
 """Minimal neural toolkit with manual backpropagation.
 
 Dense layers (linear / rectified / leaky-rectified) and dense stacks, an
-LSTM cell (each layer built around its weight arrays; ``initial_params``
-draws fresh ones), the cosine-softmax relevance loss, the one SGD epoch
-loop of the autoencoder, relevance model and note-LSTM trainers, inverted
-dropout, plain SGD and a central finite-difference gradient checker, and
-the pool draws, pool cosines and counted truth ranks of the two ranking
-evaluations. Everything is float64 numpy; forward passes on frozen
-parameters are pure and thread-safe.
+LSTM layer that owns the time loop over a window (each layer built around
+its weight arrays; ``initial_params`` draws fresh ones), the cosine-softmax
+relevance loss, the one SGD epoch loop of the autoencoder, relevance model
+and note-LSTM trainers, inverted dropout, plain SGD and a central
+finite-difference gradient checker, and the pool draws, pool cosines and
+counted truth ranks of the two ranking evaluations. Everything is float64
+numpy; forward passes on frozen parameters are pure and thread-safe.
 
 Randomness is reproducible: every stochastic choice draws from a stream
 generator derived from one master seed via splitmix64 (see
@@ -155,7 +155,7 @@ class DenseLayer:
 
 
 class LstmLayer:
-    """Single LSTM cell; gates packed as [input, forget, candidate, output]."""
+    """LSTM layer; gates packed as [input, forget, candidate, output]."""
 
     param_names = ("w", "u", "b")
 
@@ -204,6 +204,36 @@ class LstmLayer:
         h2 = o * np.tanh(c2)
         cache = (x, h, c, i, f, g, o, c2)
         return h2, c2, cache
+
+    def run(self, x: np.ndarray, state: tuple | None = None, train: bool = False) -> tuple:
+        """:meth:`step` over a time-major window: x is (T, batch) token ids or
+        (T, batch, in_dim) rows, ``state`` the first (h, c), zeros if None.
+        Returns the (T, batch, hidden) outputs, the last (h, c), and the
+        per-step caches for :meth:`backward` if ``train`` (else None)."""
+        h, c = self.zero_state(x.shape[1]) if state is None else state
+        hs = np.empty((len(x), x.shape[1], self.hidden))
+        caches = [] if train else None
+        for t, xt in enumerate(x):
+            h, c, cache = self.step(xt, h, c)
+            hs[t] = h
+            if train:
+                caches.append(cache)
+        return hs, (h, c), caches
+
+    def backward(self, dhs: np.ndarray, caches: list) -> tuple:
+        """:meth:`backward_step` from the last step back, the dh and dc carry
+        starting at zero; dhs: (T, batch, hidden). Returns (dxs, dw, du, db):
+        each weight gradient adds the steps' to zeros, and dxs is None on ids."""
+        dw, du, db = (np.zeros_like(p) for p in (self.w, self.u, self.b))
+        dh = dc = np.zeros(dhs.shape[1:])
+        dxs = None if caches[0][0].ndim == 1 else np.empty(dhs.shape[:2] + (self.in_dim,))
+        for t in reversed(range(len(caches))):
+            dx, dh, dc, *grads = self.backward_step(dhs[t] + dh, dc, caches[t])
+            if dxs is not None:
+                dxs[t] = dx
+            for acc, grad in zip((dw, du, db), grads):
+                acc += grad
+        return dxs, dw, du, db
 
     def backward_step(
         self, dh: np.ndarray, dc: np.ndarray, cache: tuple

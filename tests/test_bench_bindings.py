@@ -121,6 +121,25 @@ def test_lstm_ranking_hits_traced_spans(small_setup):
         assert calls.get(name, 0) >= 1, f"{name} recorded no calls"
 
 
+@pytest.mark.parametrize(
+    "batch,lead", [(3, 0), (3, 20), (lm.PAD_PREFIX_ROWS + 1, 0), (lm.PAD_PREFIX_ROWS + 1, 20)]
+)
+def test_note_distributions_chunk_steps_each_layer_once_a_position(small_setup, batch, lead):
+    # perfbench's nn.LstmLayer.step.calls counts layer steps: a shared PAD
+    # prefix runs its steps on fewer rows, not fewer times
+    model = small_setup["lm"]
+    contexts = np.random.default_rng(batch).integers(2, model.vocab.size, (batch, lm.CONTEXT_LEN))
+    contexts[:, :lead] = lm.PAD
+    assert len(np.unique(contexts, axis=0)) == batch
+    assert lm.leading_pad_steps(contexts) == lead
+    tracer = SPANS.Tracer()
+    with tracer.installed():
+        lm.note_distributions(contexts, model)
+    calls = {name: row["calls"] for name, row in tracer.aggregate().items()}
+    assert tracer.counters["_util.chunked_map.chunks"] == 1
+    assert calls["nn.LstmLayer.step"] == 2 * lm.CONTEXT_LEN
+
+
 def test_lstm_ranking_runs_each_distinct_context_once(small_setup):
     # the score workload's probes repeat their context units; a return to
     # one LSTM row per probe fails here, not only in a benchmark run

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from unitsel.autoencoder import AutoencoderModel, autoencoder_batch_loss
 from unitsel.dssm import DssmModel, dssm_batch_loss
 from unitsel.features import FeatureVocabulary
-from unitsel.lm import LmModel, NoteVocabulary, lm_batch_loss
+from unitsel.lm import PAD_PREFIX_ROWS, LmModel, NoteVocabulary, lm_batch_loss
 from unitsel.nn import (
     LEAKY_ALPHA,
     LOSS_BLOCK,
@@ -573,6 +573,88 @@ class TestLstmLayer:
         h2, c2, _ = layer.step(x, h, c)
         np.testing.assert_array_equal(h1, h2)
         np.testing.assert_array_equal(c1, c2)
+
+    @pytest.mark.parametrize("batch", [1, PAD_PREFIX_ROWS + 1])
+    @pytest.mark.parametrize("start", ["zero", "random"])
+    @pytest.mark.parametrize("inputs", ["ids", "rows"])
+    def test_window_equals_the_per_step_loop(self, inputs, start, batch):
+        rng = stream_rng(batch, "lstm-window", inputs, start)
+        layer = LstmLayer(*LstmLayer.initial_params(rng, 7, 6))
+        x = (
+            rng.integers(0, 7, size=(5, batch))
+            if inputs == "ids"
+            else rng.normal(size=(5, batch, 7))
+        )
+        state = (rng.normal(size=(batch, 6)), rng.normal(size=(batch, 6)))
+        dhs = rng.normal(size=(5, batch, 6))
+        hs, (h, c), caches = layer.run(x, None if start == "zero" else state, train=True)
+        dxs, *grads = layer.backward(dhs, caches)
+        if start == "zero":
+            state = layer.zero_state(batch)
+        ref_hs, (ref_h, ref_c), ref_caches = _per_step_run(layer, x, state)
+        ref_dxs, ref_grads = _per_step_backward(layer, dhs, ref_caches)
+        assert np.array_equal(hs, ref_hs)
+        assert np.array_equal(h, ref_h) and np.array_equal(c, ref_c)
+        assert len(caches) == len(ref_caches) == 5
+        for cache, ref_cache in zip(caches, ref_caches):
+            assert all(np.array_equal(a, r) for a, r in zip(cache, ref_cache))
+        if inputs == "ids":
+            assert dxs is None and ref_dxs == [None] * 5
+        else:
+            assert np.array_equal(dxs, np.stack(ref_dxs))
+        assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
+
+    def test_run_without_train_keeps_no_caches(self):
+        rng = stream_rng(2, "lstm-window")
+        layer = LstmLayer(*LstmLayer.initial_params(rng, 7, 6))
+        x = rng.integers(0, 7, size=(4, 3))
+        hs, (h, c), caches = layer.run(x)
+        assert caches is None
+        trained = layer.run(x, train=True)
+        assert np.array_equal(hs, trained[0]) and np.array_equal(h, trained[1][0])
+        assert np.array_equal(c, trained[1][1]) and len(trained[2]) == 4
+
+    def test_window_gradients_match_finite_differences(self):
+        # a row-input layer from a random state; the input rows are checked
+        # as a parameter too, so dxs is checked with the weights
+        worst = 0.0
+        for seed in (1, 2, 3):
+            rng = stream_rng(seed, "gc-lstm-window")
+            layer = LstmLayer(*LstmLayer.initial_params(rng, 4, 5))
+            x = rng.normal(size=(6, 3, 4))
+            state = (rng.normal(size=(3, 5)), rng.normal(size=(3, 5)))
+            weights = rng.normal(size=(6, 3, 5))
+            loss_fn = lambda: float(np.sum(layer.run(x, state)[0] * weights))
+            _, _, caches = layer.run(x, state, train=True)
+            dxs, dw, du, db = layer.backward(weights, caches)
+            params = [layer.w, layer.u, layer.b, x]
+            worst = max(worst, grad_check(params, [dw, du, db, dxs], loss_fn, rng=rng))
+        assert worst < 1e-4
+
+
+def _per_step_run(layer, x, state):
+    """The time loop that ``LstmLayer.run`` owns, written out step by step."""
+    h, c = state
+    hs, caches = [], []
+    for xt in x:
+        h, c, cache = layer.step(xt, h, c)
+        hs.append(h)
+        caches.append(cache)
+    return np.stack(hs), (h, c), caches
+
+
+def _per_step_backward(layer, dhs, caches):
+    """The reverse-time loop that ``LstmLayer.backward`` owns: the carry
+    starts at zero, and each gradient adds to zeros from the last step."""
+    grads = [np.zeros_like(p) for p in (layer.w, layer.u, layer.b)]
+    dh_carry, dc_carry = layer.zero_state(dhs.shape[1])
+    dxs = [None] * len(caches)
+    for t in reversed(range(len(caches))):
+        dh = dhs[t] + dh_carry
+        dxs[t], dh_carry, dc_carry, *step_grads = layer.backward_step(dh, dc_carry, caches[t])
+        for acc, grad in zip(grads, step_grads):
+            acc += grad
+    return dxs, grads
 
 
 @st.composite
